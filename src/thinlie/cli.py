@@ -13,10 +13,10 @@ import json
 import os
 import sys
 
-from .constructions import (ConstructionError, _smallest_prime_factor,
-                            nottingham_Nqr, tensor_construct)
+from .constructions import ConstructionError, nottingham_Nqr, tensor_construct
 from .derivations import ClassGateError, ExtractionError, roundtrip_check
 from .engine import DegreeOverflowError, validate
+from .gf import smallest_prime_factor
 from .maxclass import (CentralizerSequence, SequenceError,
                        UnrealizableSequenceError, build_maxclass)
 from .patterns import (DiamondPattern, PatternError, classify_regularity,
@@ -90,7 +90,7 @@ def make_algebra(args, guard=2, run_validation=False):
                                run_validation=run_validation)
     if args.family:
         q = args.q or args.p or 7
-        p = args.p or _smallest_prime_factor(q)
+        p = args.p or smallest_prime_factor(q)
         pat = family_pattern(args.family, p, q, N + guard + q + 2,
                              **_family_params(args))
         return compile_pattern(pat, N, guard=guard,

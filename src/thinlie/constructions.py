@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import AlgebraBuilder, GradedAlgebra, OperatorFamily, validate
-from .gf import PrimeField, lucas_binom, solve_or_kernel
+from .gf import PrimeField, lucas_binom, smallest_prime_factor, solve_or_kernel
 from .maxclass import MaxClassAlgebra
 from .patterns import detect
 
@@ -414,7 +414,7 @@ def nottingham_Nqr(q: int, r: int, N: int, p: int | None = None,
     from .patterns import compile_pattern, family_pattern
 
     if p is None:
-        p = _smallest_prime_factor(q)
+        p = smallest_prime_factor(q)
     j = 0
     rr = r
     while rr % p == 0:
@@ -435,12 +435,3 @@ def nottingham_Nqr(q: int, r: int, N: int, p: int | None = None,
     pattern, _ = detect(L)
     L.meta["nqr"] = {"q": q, "r": r, "pattern": pattern.to_json()}
     return L, pattern, report
-
-
-def _smallest_prime_factor(n: int) -> int:
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 1
-    return n

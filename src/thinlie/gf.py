@@ -26,6 +26,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def smallest_prime_factor(n: int) -> int:
+    """The least prime dividing n, for n >= 2 (q = p^n gives p)."""
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return f
+        f += 1
+    return n
+
+
 class PrimeField:
     """The field F_p for an odd prime p > 3."""
 
@@ -149,10 +159,6 @@ def echelon(rows, p: int):
                 row = [(a - c * b) % p for a, b in zip(row, row2)]
         out.append(tuple(row))
     return out
-
-
-def in_span(rows, vec, p: int) -> bool:
-    return rank(list(rows) + [tuple(vec)], p) == rank(rows, p)
 
 
 @dataclass

@@ -57,6 +57,22 @@ def random_tq2_pattern(rng: random.Random, n_lo=20, n_hi=160):
     return family_pattern("uniqueness", P, Q, n + 30, s=1), n
 
 
+def forbidden_continuations():
+    """The two inconsistent continuations past the fake diamond at 85, as
+    (name, pattern, degree to build): a finite-type diamond at 92, and an
+    all-infinite run that skips the fake forced at 128."""
+    from thinlie.patterns import DiamondType, normalize
+
+    head = [(7, DiamondType.finite(-1, P))]
+    head += [(d, DiamondType.infinite()) for d in range(13, 80, 6)]
+    head += [(85, DiamondType.fake1())]
+    fin92 = head + [(92, DiamondType.finite(2, P))]
+    fin92 += [(d, DiamondType.infinite()) for d in range(98, 125, 6)]
+    no128 = head + [(d, DiamondType.infinite()) for d in range(92, 165, 6)]
+    return [("finite_at_92", normalize(fin92, P, Q), 112),
+            ("no_fake_at_128", normalize(no128, P, Q), 155)]
+
+
 def backbone_sequence(length: int) -> CentralizerSequence:
     return uniqueness_sequence(P, 1, length)
 

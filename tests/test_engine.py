@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -303,3 +307,30 @@ def test_operator_family_algebra(n7):
     want = n7.bracket(u, n7.bracket(n7.as_element(n7.gid(1, 0)),
                                     n7.as_element(n7.gid(1, 1))))
     assert got == want
+
+
+def test_malformed_algebra_raises_under_optimize():
+    # the well-formedness checks must survive python -O, which strips asserts
+    code = """
+import sys
+from thinlie.engine import AlgebraBuilder
+from thinlie.gf import PrimeField
+if not sys.flags.optimize:
+    sys.exit("not optimized")
+b = AlgebraBuilder(PrimeField(7))
+b.add_degree([("x", None, None), ("y", None, None)])
+b.add_degree([("xy", 0, "y"), ("yx", 1, "x"), ("xx", 0, "x")])
+b.set_ad(1, [(1, 0, 0), (0, 0, 1)], [(0, 1, 0), (0, 0, 0)])
+try:
+    b.finish(N=2)
+except ValueError as e:
+    print(e)
+"""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "component 2 has dim 3"

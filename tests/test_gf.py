@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thinlie.gf import (PrimeField, echelon, lucas_binom, mat_apply_rows,
-                        rank, solve_or_kernel)
+                        rank, smallest_prime_factor, solve_or_kernel)
 
 
 def test_prime_field_validates():
@@ -107,3 +107,9 @@ def test_mat_apply_rows():
     rows = ((1, 2), (0, 3))   # row per source basis vector
     assert mat_apply_rows(rows, (1, 1), 7) == (1, 5)
     assert mat_apply_rows(rows, (0, 0), 7) == (0, 0)
+
+
+def test_smallest_prime_factor_brute_force():
+    for n in range(2, 201):
+        want = next(d for d in range(2, n + 1) if n % d == 0)
+        assert smallest_prime_factor(n) == want, n
