@@ -45,8 +45,11 @@ def _dump(doc, path):
 
 
 def _load_json(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as e:
+        raise PatternError(f"cannot read JSON file {path}: {e}") from None
 
 
 def _family_params(args):
@@ -85,6 +88,8 @@ def make_algebra(args, guard=2, run_validation=False):
                                run_validation=run_validation)
     if args.family_spec:
         doc = _load_json(args.family_spec)
+        if not isinstance(doc, dict) or not isinstance(doc.get("q"), int):
+            raise PatternError("family spec needs an integer field 'q'")
         pat = family_pattern_from_json(doc, N + guard + doc["q"] + 2)
         return compile_pattern(pat, N, guard=guard,
                                run_validation=run_validation)

@@ -1,4 +1,4 @@
-"""Explicit algebra constructions: the truncated divided power algebra, the
+"""Explicit algebra constructions: the truncated divided power product, the
 tensor construction producing a Nottingham algebra from a maximal-class
 algebra, deflation, and the iterated-deflation family N(q, r).
 """
@@ -8,7 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import AlgebraBuilder, GradedAlgebra, OperatorFamily, validate
-from .gf import PrimeField, lucas_binom, smallest_prime_factor, solve_or_kernel
+from .gf import (PrimeField, echelon_add, lucas_binom, smallest_prime_factor,
+                 solve_or_kernel)
 from .maxclass import MaxClassAlgebra
 from .patterns import detect
 
@@ -35,65 +36,34 @@ def divided_power_product(i: int, j: int, q: int, p: int):
     return (c, i + j)
 
 
-class DividedPowerAlgebra:
-    """F[eps; q]: basis eps^(0) = 1, ..., eps^(q-1), with its standard
-    derivation eps^(i) -> eps^(i-1)."""
-
-    def __init__(self, q: int, p: int):
-        if q % p or q < p:
-            raise ValueError("q must be a positive power of p")
-        self.q = q
-        self.p = p
-
-    def product(self, i: int, j: int):
-        return divided_power_product(i, j, self.q, self.p)
-
-    def derive(self, i: int):
-        """Image index of eps^(i) under the standard derivation, or None."""
-        if not 0 <= i <= self.q - 1:
-            raise ValueError(f"index {i} out of range")
-        return i - 1 if i > 0 else None
-
-
 # -- generic conversion of an abstract bracket structure into engine form ------
 
-def _reduce(v: dict, ech, p: int) -> dict:
-    v = {k: c % p for k, c in v.items() if c % p}
-    for piv, b in ech:
-        c = v.get(piv)
-        if c:
-            for k2, c2 in b.items():
-                nv = (v.get(k2, 0) - c * c2) % p
-                if nv:
-                    v[k2] = nv
-                elif k2 in v:
-                    del v[k2]
-    return v
-
-
 def engine_from_abstract(field: PrimeField, q, n_built: int, N: int,
-                         x_vec: dict, y_vec: dict, bracket,
+                         x_gen, y_gen, bracket, coords,
                          kind: str = "nottingham", meta: dict | None = None):
     """Grow the subalgebra generated by two abstract degree-1 elements,
     degree by degree, and express it in engine form.
 
-    `bracket` maps two abstract vectors (dicts key -> coefficient, keys
-    sortable) to their abstract bracket.  Defining words are assigned
-    greedily in an order that reproduces the pattern compiler's basis
-    convention.  Returns (GradedAlgebra, {gid: abstract vector}).
+    Elements are opaque objects: `bracket` maps two of them to their
+    bracket, and `coords` maps one to its coordinates {key: coefficient}
+    (keys sortable, zero coefficients may be left out), which is all the
+    linear algebra reads.  Defining words are assigned greedily in an order
+    that reproduces the pattern compiler's basis convention.  Returns
+    (GradedAlgebra, {gid: element}).
     """
     p = field.p
     b = AlgebraBuilder(field, q=q, kind=kind)
     b.add_degree([("x", None, None), ("y", None, None)])
-    gens = {"x": x_vec, "y": y_vec}
-    abs_of = {0: x_vec, 1: y_vec}
-    cur = [x_vec, y_vec]
+    gens = {"x": x_gen, "y": y_gen}
+    abs_of = {0: x_gen, 1: y_gen}
+    cur = [x_gen, y_gen]
     for k in range(1, n_built):
         cur_els = [b.elements[g] for g in b.comp_gids[k]]
-        images = {}
+        images, vecs = {}, {}
         for i, v in enumerate(cur):
             for t in ("x", "y"):
                 images[(i, t)] = bracket(v, gens[t])
+                vecs[(i, t)] = coords(images[(i, t)])
         # candidate order mirrors the pattern compiler's basis convention:
         # x-chains continue on chain words, the component after a diamond is
         # rooted at [w x y], and degree 2 at [y x]
@@ -103,40 +73,30 @@ def engine_from_abstract(field: PrimeField, q, n_built: int, N: int,
             order = [(0, "y"), (1, "x"), (0, "x"), (1, "y")]
         else:
             order = [(0, "x"), (0, "y")]
-        ech, chosen = [], []
-        for i, t in order:
-            w = _reduce(dict(images[(i, t)]), ech, p)
-            if w:
-                piv = min(w)
-                inv = pow(w[piv], -1, p)
-                ech.append((piv, {kk: cc * inv % p for kk, cc in w.items()}))
-                chosen.append((i, t))
+        ech = []
+        chosen = [c for c in order if echelon_add(ech, vecs[c], p)]
         if not chosen:
             raise ConstructionError(f"generated algebra vanishes in degree {k + 1}")
         if len(chosen) > 2:
             raise ConstructionError(
                 f"degree {k + 1} has dimension {len(chosen)}; not thin")
-        new_vecs = [dict(images[c]) for c in chosen]
         gids = b.add_degree([(cur_els[i].word + t, cur_els[i].gid, t)
                              for (i, t) in chosen])
-        keys = sorted({kk for v in images.values() for kk in v})
-        rows = tuple(tuple(v.get(kk, 0) % p for v in new_vecs) for kk in keys)
+        keys = sorted({kk for v in vecs.values() for kk in v})
+        rows = tuple(tuple(vecs[c].get(kk, 0) % p for c in chosen)
+                     for kk in keys)
 
-        def coords(v):
+        def solve(v):
             sol = solve_or_kernel(rows, tuple(v.get(kk, 0) % p for kk in keys), p)
             if not sol.consistent:
                 raise ConstructionError(
                     f"bracket image leaves the generated component in degree {k + 1}")
             return sol.solution
 
-        ad = {"x": [], "y": []}
-        for t in ("x", "y"):
-            for i in range(len(cur)):
-                ad[t].append(coords(images[(i, t)]))
-        b.set_ad(k, ad["x"], ad["y"])
-        for gid, v in zip(gids, new_vecs):
-            abs_of[gid] = v
-        cur = new_vecs
+        b.set_ad(k, [solve(vecs[(i, "x")]) for i in range(len(cur))],
+                 [solve(vecs[(i, "y")]) for i in range(len(cur))])
+        cur = [images[c] for c in chosen]
+        abs_of.update(zip(gids, cur))
     return b.finish(N, meta=meta), abs_of
 
 
@@ -211,7 +171,7 @@ def tensor_construct(M: MaxClassAlgebra, q: int, N: int, guard: int = 2,
     x_vec = {("d",): 1}
     y_vec = {("e", Ma.gid(1, 0), q - 2): 1, ("e", Ma.gid(1, 1), q - 1): 1}
     L, ambient = engine_from_abstract(
-        field, q, n_built, N, x_vec, y_vec, bracket,
+        field, q, n_built, N, x_vec, y_vec, bracket, lambda v: v,
         meta={"construction": "tensor", "q": q})
     report = validate(L) if run_validation else None
     return TensorConstruction(L, ambient, M, report)
@@ -236,12 +196,7 @@ def _closure_second_diamond(basis1, p: int, L: GradedAlgebra, n_built: int):
         for c in cur:
             for g in basis1:
                 op = c.op_bracket(g)
-                w = _reduce(_op_flatten(op, dom), ech, p)
-                if w:
-                    piv = min(w)
-                    inv = pow(w[piv], -1, p)
-                    ech.append((piv, {kk: cc * inv % p
-                                      for kk, cc in w.items()}))
+                if echelon_add(ech, op.coords(dom), p):
                     nxt.append(op)
         if not nxt:
             raise ConstructionError(f"deflated algebra vanishes in degree {k}")
@@ -252,18 +207,6 @@ def _closure_second_diamond(basis1, p: int, L: GradedAlgebra, n_built: int):
             return k
         cur = nxt
     return None
-
-
-def _op_flatten(op: OperatorFamily, dom_max: int) -> dict:
-    out = {}
-    for k, rows in op.maps.items():
-        if k > dom_max:
-            continue
-        for i, row in enumerate(rows):
-            for j, c in enumerate(row):
-                if c:
-                    out[(k, i, j)] = c
-    return out
 
 
 def deflate(L: GradedAlgebra, N_out: int, guard: int = 2,
@@ -284,13 +227,7 @@ def deflate(L: GradedAlgebra, N_out: int, guard: int = 2,
 
     # generator operators: (ad z)^p over all p+1 lines z of L_1 (p-th powers
     # are not additive in characteristic p), plus ad u for u in a basis of L_p
-    pw = []
-    for z in _lines(p):
-        op = L.ad_operator(z)
-        acc = op
-        for _ in range(p - 1):
-            acc = acc.then(op)
-        pw.append(acc)
+    pw = [L.ad_power_operator(z, p) for z in _lines(p)]
     for i in range(L.dim(p)):
         u = L.as_element(L.gid(p, i))
         maps = {}
@@ -303,53 +240,26 @@ def deflate(L: GradedAlgebra, N_out: int, guard: int = 2,
         pw.append(OperatorFamily(L, p, maps))
 
     dom1 = L.N_built - p * n_built
-    ech, basis1 = [], []
-    for op in pw:
-        w = _reduce(_op_flatten(op, dom1), ech, p)
-        if w:
-            piv = min(w)
-            inv = pow(w[piv], -1, p)
-            ech.append((piv, {kk: cc * inv % p for kk, cc in w.items()}))
-            basis1.append(op)
+    ech = []
+    basis1 = [op for op in pw if echelon_add(ech, op.coords(dom1), p)]
     if len(basis1) != 2:
         raise ConstructionError(
             f"deflated degree 1 has dimension {len(basis1)}; not thin")
 
     q_out = _closure_second_diamond(basis1, p, L, n_built) if L.kind == "nottingham" else None
-    xop, yop = _standard_generators(basis1, dom1, p, L, q_out)
+    xop, yop = _standard_generators(basis1, dom1, p, q_out)
 
-    # abstract vectors are flattened operator matrices; the OperatorFamily
-    # behind each flattening is kept in a side table so brackets can compose
-    table = {}
-
-    def register(op: OperatorFamily, defl_deg: int) -> dict:
-        key_dom = L.N_built - p * min(defl_deg, n_built)
-        flat = _op_flatten(op, key_dom)
-        if not flat:
-            return {}
-        table[tuple(sorted(flat.items()))] = op
-        return flat
-
-    def lookup(v: dict) -> OperatorFamily:
-        return table[tuple(sorted(v.items()))]
-
-    def bracket(u: dict, v: dict) -> dict:
-        A, B = lookup(u), lookup(v)
-        out = A.op_bracket(B)
-        return register(out, (A.shift + B.shift) // p)
-
-    x_vec = register(xop, 1)
-    y_vec = register(yop, 1)
-    field = L.field
-    Ld, _ = engine_from_abstract(field, q_out, n_built, N_out,
-                                 x_vec, y_vec, bracket, kind=L.kind,
-                                 meta={"construction": "deflation",
-                                       "source_q": L.q})
+    # elements are the operators themselves; an operator of shift s is read
+    # on the degrees that s maps into the built range of L
+    Ld, _ = engine_from_abstract(
+        L.field, q_out, n_built, N_out, xop, yop, OperatorFamily.op_bracket,
+        lambda op: op.coords(L.N_built - min(op.shift, p * n_built)),
+        kind=L.kind, meta={"construction": "deflation", "source_q": L.q})
     report = validate(Ld) if run_validation else None
     return Ld, report
 
 
-def _standard_generators(basis1, dom1: int, p: int, L: GradedAlgebra, q_out):
+def _standard_generators(basis1, dom1: int, p: int, q_out):
     """Pick standard generators from a 2-dimensional degree-1 operator space:
     y is the sandwich direction, x a complement normalized so the second
     diamond (in degree q_out) carries the -1 relation."""
@@ -358,17 +268,13 @@ def _standard_generators(basis1, dom1: int, p: int, L: GradedAlgebra, q_out):
         a, b = line
         return basis1[0].scale(a).add(basis1[1].scale(b))
 
-    def is_zero_on(op, dom):
-        return all(all(all(c == 0 for c in row) for row in op.maps[k])
-                   for k in op.maps if k <= dom)
-
     sandwiches = []
     for line in _lines(p):
         z = combo(line)
         ok = True
         for w in basis1:
             t = w.op_bracket(z).op_bracket(z)
-            if not is_zero_on(t, dom1):
+            if t.coords(dom1):
                 ok = False
                 break
         if ok:
@@ -387,19 +293,19 @@ def _standard_generators(basis1, dom1: int, p: int, L: GradedAlgebra, q_out):
             okchain = True
             for _ in range(q_out - 2):
                 v = v.op_bracket(xop)
-                if is_zero_on(v, dom1):
+                if not v.coords(dom1):
                     okchain = False
                     break
             if not okchain:
                 continue
             vx = v.op_bracket(xop)
             vy = v.op_bracket(yop)
-            if is_zero_on(vx.op_bracket(xop), dom1) and \
-               is_zero_on(vy.op_bracket(yop), dom1):
+            if not vx.op_bracket(xop).coords(dom1) and \
+               not vy.op_bracket(yop).coords(dom1):
                 lhs = vy.op_bracket(xop)
                 rhs = vx.op_bracket(yop).scale(-2)
                 diff = lhs.add(rhs.scale(-1))
-                if is_zero_on(diff, dom1):
+                if not diff.coords(dom1):
                     return xop, yop
     raise ConstructionError("no standard generator pair found in deflation")
 

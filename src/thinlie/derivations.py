@@ -3,10 +3,10 @@ a maximal-class algebra from an algebra whose post-second diamonds are all of
 infinite type or fake of type 1, and the round trip back through the tensor
 construction.
 
-D is built by recursion on defining words and then verified to satisfy the
-Leibniz rule exhaustively; the extension L + F X treats the formal element X
-as acting on the right, [u, X] = D(u), matching the extraction recursion
-U_{j+1} = [U_j X].
+D is built by recursion on defining words, as an OperatorFamily of shift
+q - 1, and then verified to satisfy the Leibniz rule exhaustively; the
+extension L + F X treats the formal element X as acting on the right,
+[u, X] = D(u), matching the extraction recursion U_{j+1} = [U_j X].
 """
 
 from __future__ import annotations
@@ -39,20 +39,12 @@ def in_tq2_class(pattern: DiamondPattern) -> bool:
     return all(t.kind in ("infinite", "fake1") for _, t in ent[1:])
 
 
-@dataclass
-class DerivationRep:
-    algebra: GradedAlgebra
-    op: OperatorFamily          # shift q-1
-    dy: tuple                   # image of y, an element of degree q
-
-    def apply(self, elem):
-        return self.op.apply(elem)
-
-
 def build_D(L: GradedAlgebra, pattern: DiamondPattern | None = None,
-            enforce_class: bool = True) -> DerivationRep:
+            enforce_class: bool = True) -> OperatorFamily:
     """Construct D on every basis element by the word recursion
-    D([u, t]) = [D(u), t] + [u, D(t)], from Dx = 0 and Dy = [y x^{q-2} y]."""
+    D([u, t]) = [D(u), t] + [u, D(t)], from Dx = 0 and Dy = [y x^{q-2} y].
+    Returns D as an operator family of shift q - 1, with a matrix on each
+    degree whose whole basis has an image in the built range."""
     q = L.q
     p = L.p
     if enforce_class:
@@ -90,7 +82,7 @@ def build_D(L: GradedAlgebra, pattern: DiamondPattern | None = None,
             rows.append(images[g][1])
         if rows is not None:
             maps[k] = tuple(rows)
-    return DerivationRep(L, OperatorFamily(L, shift, maps), dy)
+    return OperatorFamily(L, shift, maps)
 
 
 @dataclass
@@ -114,7 +106,7 @@ class LeibnizReport:
         }
 
 
-def verify_leibniz(L: GradedAlgebra, D: DerivationRep,
+def verify_leibniz(L: GradedAlgebra, D: OperatorFamily,
                    pattern: DiamondPattern | None = None,
                    limit: int | None = None) -> LeibnizReport:
     """D([u,v]) = [D(u), v] + [u, D(v)] on all basis pairs within budget,
@@ -175,32 +167,7 @@ def verify_leibniz(L: GradedAlgebra, D: DerivationRep,
     return LeibnizReport(pairs, fails, checks)
 
 
-@dataclass
-class ExtendedElement:
-    """u + a X inside L + F X, X the formal element with [u, X] = D(u).
-
-    X carries degree q - 1 (the shift of D), so the element slot of a pure
-    multiple of X is a zero vector in degree q - 1.
-    """
-
-    elem: tuple
-    xcoeff: int
-
-
-def extended_bracket(D: DerivationRep, a: ExtendedElement, b: ExtendedElement):
-    L = D.algebra
-    p = L.p
-    out = L.bracket(a.elem, b.elem)
-    if a.xcoeff:
-        out = (out[0], vec_add(out[1],
-                               vec_scale(-a.xcoeff, D.apply(b.elem)[1], p), p))
-    if b.xcoeff:
-        out = (out[0], vec_add(out[1],
-                               vec_scale(b.xcoeff, D.apply(a.elem)[1], p), p))
-    return ExtendedElement(out, 0)
-
-
-def extract_M(L: GradedAlgebra, D: DerivationRep, N_M: int | None = None):
+def extract_M(L: GradedAlgebra, D: OperatorFamily, N_M: int | None = None):
     """Inside L + F X with X = D and Y = [y x^{q-1}], run the recursion
     U_{j+1} = [U_j X] if [U_j Y] = 0 else [U_j Y], reading off the two-step
     centralizer sequence.  Returns (MaxClassAlgebra, CentralizerSequence)."""
@@ -212,7 +179,7 @@ def extract_M(L: GradedAlgebra, D: DerivationRep, N_M: int | None = None):
     while True:
         degU = U[0]
         can_y = degU + q <= L.N_built
-        can_x = degU in D.op.maps
+        can_x = degU in D.maps
         if not (can_y and can_x):
             break
         uy = L.bracket(U, Y)
@@ -230,11 +197,13 @@ def extract_M(L: GradedAlgebra, D: DerivationRep, N_M: int | None = None):
         j += 1
         if N_M is not None and j > N_M + 2:
             break
-    seq = CentralizerSequence(p, entries)
     n_m = N_M if N_M is not None else len(entries) - 1
     n_m = min(n_m, len(entries) - 1)
     if n_m < 2:
-        raise ExtractionError("input algebra too short to extract anything")
+        raise ExtractionError(
+            f"input algebra too short to extract anything: built to degree "
+            f"{L.N_built}, it yields {len(entries)} centralizer entries")
+    seq = CentralizerSequence(p, entries)
     M = build_maxclass(seq, n_m)
     return M, seq
 
@@ -275,7 +244,7 @@ def roundtrip_check(L: GradedAlgebra, compare_N: int | None = None) -> Roundtrip
         return rep
     rep.stages.append(["class-gate", "ok"])
     D = build_D(L, pattern=pattern, enforce_class=False)
-    rep.stages.append(["derivation", f"built on degrees 1..{max(D.op.maps)}"])
+    rep.stages.append(["derivation", f"built on degrees 1..{max(D.maps)}"])
     M, seq = extract_M(L, D)
     rep.extracted_sequence = "".join(seq.entries)
     rep.stages.append(["extraction", f"sequence of length {len(seq)}, "

@@ -12,12 +12,19 @@ brackets use the right-action convention [u, z]: applying ad z to u appends
 the letter z to u's word.
 
 A GradedAlgebra is immutable after construction.  Concurrent readers are
-safe; the bracket memo table is a plain dict (GIL-guarded), and
-precompute_brackets() can be used to fill it single-threaded before sharing.
+safe; the bracket memo table is a plain dict (GIL-guarded).
+
+An OperatorFamily is a graded linear map on such an algebra, one matrix per
+degree.  It represents ad z and (ad z)^e for z in L_1, the outer derivation D
+of the derivations module, and the elements of a deflated algebra, which the
+constructions module grows as operator families under the commutator
+bracket.  Its coords(upto) flattening is what linear algebra and zero tests
+read.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 from .gf import (
@@ -52,7 +59,7 @@ class BasisElement:
     parent_gid: int | None
     letter: str | None    # last letter of word; None for the two generators
 
-    @property
+    @functools.cached_property
     def bidegree(self):
         return (self.word.count("x"), self.word.count("y"))
 
@@ -259,13 +266,6 @@ class GradedAlgebra:
         memo[(gi, gj)] = out
         return out
 
-    def precompute_brackets(self, max_total: int | None = None):
-        limit = max_total if max_total is not None else self.N_built
-        for e1 in self.elements:
-            for e2 in self.elements:
-                if e1.degree + e2.degree <= limit:
-                    self.bracket_basis(e1.gid, e2.gid)
-
     # -- derived quantities ---------------------------------------------------
 
     def centralizer_in_L1(self, k: int):
@@ -406,9 +406,13 @@ class OperatorFamily:
                             zip(ab.maps[k], ba.maps[k], strict=True))
         return OperatorFamily(self.algebra, ab.shift, maps)
 
-    def is_zero(self) -> bool:
-        return all(all(all(a == 0 for a in row) for row in rows)
-                   for rows in self.maps.values())
+    def coords(self, upto: int) -> dict:
+        """The nonzero matrix entries on degrees k <= upto, as
+        {(k, i, j): coefficient}; empty exactly when the operator vanishes
+        there.  The keys omit the shift, so only compare operators of one
+        shift."""
+        return {(k, i, j): c for k, rows in self.maps.items() if k <= upto
+                for i, row in enumerate(rows) for j, c in enumerate(row) if c}
 
 
 class AlgebraBuilder:

@@ -46,17 +46,11 @@ class PrimeField:
             raise ValueError(f"p must be a prime > 3, got {p}")
         self.p = p
 
-    def red(self, a: int) -> int:
-        return a % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in F_p")
         return pow(a, -1, self.p)
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -159,6 +153,29 @@ def echelon(rows, p: int):
                 row = [(a - c * b) % p for a, b in zip(row, row2)]
         out.append(tuple(row))
     return out
+
+
+def echelon_add(basis: list, v: dict, p: int) -> bool:
+    """Incremental sparse echelon: reduce v ({key: coeff}, sortable keys)
+    against basis, a list of (pivot, row) pairs built by earlier calls, in
+    order.  A nonzero remainder is normalized at its least key and appended;
+    returns whether v was independent of basis."""
+    v = {k: c % p for k, c in v.items() if c % p}
+    for piv, row in basis:
+        c = v.get(piv)
+        if c:
+            for k, b in row.items():
+                nv = (v.get(k, 0) - c * b) % p
+                if nv:
+                    v[k] = nv
+                else:
+                    v.pop(k, None)
+    if not v:
+        return False
+    piv = min(v)
+    inv = pow(v[piv], -1, p)
+    basis.append((piv, {k: c * inv % p for k, c in v.items()}))
+    return True
 
 
 @dataclass

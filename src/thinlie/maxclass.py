@@ -82,7 +82,12 @@ class CentralizerSequence:
 
     @staticmethod
     def from_json(doc: dict) -> "CentralizerSequence":
-        return CentralizerSequence(doc["p"], doc["entries"])
+        try:
+            p, entries = doc["p"], doc["entries"]
+        except (KeyError, TypeError) as e:
+            raise SequenceError(f"malformed sequence document: missing or "
+                                f"misplaced field {e}") from None
+        return CentralizerSequence(p, entries)
 
 
 def metabelian_sequence(p: int, length: int) -> CentralizerSequence:

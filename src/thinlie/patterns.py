@@ -68,7 +68,7 @@ class DiamondType:
 
     @staticmethod
     def from_json(s: str, p: int) -> "DiamondType":
-        if s.startswith("finite:"):
+        if isinstance(s, str) and s.startswith("finite:"):
             return DiamondType.finite(int(s.split(":", 1)[1]), p)
         if s in ("infinite", "fake1", "fake0"):
             return DiamondType(s)
@@ -92,12 +92,6 @@ class DiamondPattern:
     def max_degree(self) -> int:
         return self.entries[-1][0] if self.entries else 1
 
-    def entry_at(self, m: int):
-        for d, t in self.entries:
-            if d == m:
-                return t
-        return None
-
     def to_json(self) -> dict:
         return {
             "schema": "thinlie.pattern.v1",
@@ -108,10 +102,14 @@ class DiamondPattern:
 
     @staticmethod
     def from_json(doc: dict) -> "DiamondPattern":
-        p = doc["p"]
-        raw = [(e["degree"], DiamondType.from_json(e["type"], p))
-               for e in doc["entries"]]
-        return normalize(raw, p, doc["q"])
+        try:
+            p, q = doc["p"], doc["q"]
+            raw = [(e["degree"], e["type"]) for e in doc["entries"]]
+        except (KeyError, TypeError) as e:
+            raise PatternError(f"malformed pattern document: missing or "
+                               f"misplaced field {e}") from None
+        return normalize([(d, DiamondType.from_json(t, p)) for d, t in raw],
+                         p, q)
 
 
 class PatternError(ValueError):
@@ -419,11 +417,17 @@ def family_pattern(family: str, p: int, q: int, N: int, **params) -> DiamondPatt
 def family_pattern_from_json(doc: dict, N: int | None = None) -> DiamondPattern:
     """Family-spec documents: {"family": ..., "p": ..., "q": ..., "N": ...,
     "params": {...}}; sequence parameters are given inline as sequence JSON."""
-    params = dict(doc.get("params", {}))
+    try:
+        family, p, q = doc["family"], doc["p"], doc["q"]
+        params = dict(doc.get("params", {}))
+        if N is None:
+            N = doc["N"]
+    except (KeyError, TypeError) as e:
+        raise PatternError(f"malformed family spec: missing or misplaced "
+                           f"field {e}") from None
     if "sequence" in params:
         params["sequence"] = CentralizerSequence.from_json(params["sequence"])
-    return family_pattern(doc["family"], doc["p"], doc["q"],
-                          N if N is not None else doc["N"], **params)
+    return family_pattern(family, p, q, N, **params)
 
 
 def uniqueness_sequence(p: int, s: int, length: int) -> CentralizerSequence:

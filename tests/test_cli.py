@@ -159,3 +159,37 @@ def test_console_entry_point():
         capture_output=True, text=True, env={**os.environ})
     assert proc.returncode == 0
     assert "deg    7  dim 2" in proc.stdout
+
+
+def test_family_spec_without_q_is_bad_spec(tmp_path, capsys):
+    spec = tmp_path / "fam.json"
+    spec.write_text(json.dumps({"family": "a", "p": 7, "N": 30}))
+    assert run(["detect", "--family-spec", str(spec), "--N", "30"]) == 2
+    assert "'q'" in capsys.readouterr().err
+
+
+def test_pattern_entry_without_type_is_bad_spec(tmp_path, capsys):
+    pfile = tmp_path / "pat.json"
+    pfile.write_text(json.dumps({"p": 7, "q": 7, "entries": [{"degree": 7}]}))
+    assert run(["detect", "--pattern", str(pfile), "--N", "30"]) == 2
+    assert "'type'" in capsys.readouterr().err
+    pfile.write_text(json.dumps({"p": 7, "q": 7,
+                                 "entries": [{"degree": 7, "type": 6}]}))
+    assert run(["detect", "--pattern", str(pfile), "--N", "30"]) == 2
+
+
+def test_missing_pattern_file_is_bad_spec(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert run(["detect", "--pattern", str(missing), "--N", "30"]) == 2
+    assert "missing.json" in capsys.readouterr().err
+
+
+def test_roundtrip_short_range_fails_cleanly(tmp_path):
+    # q = 49 to N = 60 never reaches a diamond past the second one, so there
+    # is no centralizer sequence to extract: a round-trip failure, not a
+    # malformed job
+    out = tmp_path / "r.json"
+    assert run(["roundtrip", "--family", "a", "--q", "49", "--N", "60",
+                "--out", str(out)]) == 4
+    doc = json.loads(out.read_text())
+    assert not doc["pass"] and "too short" in doc["error"]

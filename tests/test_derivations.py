@@ -3,10 +3,9 @@ import random
 import pytest
 
 from helpers import P, Q, random_tq2_pattern
-from thinlie.derivations import (ClassGateError, ExtendedElement, build_D,
-                                 extended_bracket, extract_M, in_tq2_class,
-                                 roundtrip_check, verify_leibniz)
-from thinlie.gf import vec_is_zero, vec_neg, vec_scale
+from thinlie.derivations import (ClassGateError, build_D, extract_M,
+                                 in_tq2_class, roundtrip_check, verify_leibniz)
+from thinlie.gf import vec_is_zero, vec_scale
 from thinlie.patterns import compile_pattern, detect, family_pattern
 
 
@@ -81,9 +80,9 @@ def test_D_of_pre_diamond_elements(uniq, D):
             continue
         w = uniq.apply_word(uniq.as_element(uniq.gid(m - 1, 0)),
                             "xy" + "x" * (Q - 3))
-        if w[0] + Q - 1 > uniq.N_built or w[0] + Q - 1 > max(D.op.maps) + Q - 2:
+        if w[0] + Q - 1 > uniq.N_built or w[0] + Q - 1 > max(D.maps) + Q - 2:
             continue
-        if w[0] not in D.op.maps:
+        if w[0] not in D.maps:
             continue
         dw = D.apply(w)
         if nxt[1].kind == "infinite":
@@ -110,17 +109,6 @@ def test_infinite_diamond_kills_v1y(uniq):
         if t.kind == "infinite" and m + Q <= uniq.N_built:
             v = uniq.as_element(uniq.gid(m - 1, 0))
             assert vec_is_zero(uniq.bracket(v, v1y)[1]), m
-
-
-def test_extended_bracket_convention(uniq, D):
-    # [Y, X] = D(Y) = -2 [v2 x]; [X, Y] its negative
-    Y = ExtendedElement(uniq.eval_word("y" + "x" * (Q - 1)), 0)
-    X = ExtendedElement(uniq.zero(Q - 1), 1)   # X lives in degree q-1
-    v2 = uniq.eval_word("y" + "x" * (Q - 2) + "xy" + "x" * (Q - 3))
-    yx = extended_bracket(D, Y, X)
-    assert yx.elem[1] == vec_scale(-2, uniq.apply_word(v2, "x")[1], P)
-    xy = extended_bracket(D, X, Y)
-    assert xy.elem[1] == vec_neg(yx.elem[1], P)
 
 
 def test_extract_examples(uniq, D):

@@ -200,8 +200,8 @@ def test_centralizer_at_diamond_is_trivial(n7):
 
 
 def test_ad_power_operator(n7):
-    assert n7.ad_power_operator((0, 1), 2).is_zero()     # sandwich
-    assert n7.ad_power_operator((1, 0), Q).is_zero()     # (ad x)^q
+    assert not n7.ad_power_operator((0, 1), 2).coords(n7.N_built)  # sandwich
+    assert not n7.ad_power_operator((1, 0), Q).coords(n7.N_built)  # (ad x)^q
     pat49 = family_pattern("a", P, 49, 120)
     L49, _ = compile_pattern(pat49, 60, run_validation=False)
     op = L49.ad_power_operator((1, 0), P)
@@ -242,15 +242,6 @@ def test_memo_coherence(n7):
     # and asking twice gives the same object content
     g1, g2 = n7.gid(5, 0), n7.gid(9, 0)
     assert n7.bracket_basis(g1, g2) == n7.bracket_basis(g1, g2)
-
-
-def test_precompute_brackets(n7):
-    pat = family_pattern("a", P, Q, 60)
-    fresh, _ = compile_pattern(pat, 30, run_validation=False)
-    fresh.precompute_brackets(25)
-    pairs = [(e1, e2) for e1 in fresh.elements for e2 in fresh.elements
-             if e1.degree + e2.degree <= 25]
-    assert all((e1.gid, e2.gid) in fresh._memo for e1, e2 in pairs)
 
 
 def test_word_reproduction(n7):

@@ -1,11 +1,13 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thinlie.gf import (PrimeField, echelon, lucas_binom, mat_apply_rows,
-                        rank, smallest_prime_factor, solve_or_kernel)
+from thinlie.gf import (PrimeField, echelon, echelon_add, lucas_binom,
+                        mat_apply_rows, rank, smallest_prime_factor,
+                        solve_or_kernel)
 
 
 def test_prime_field_validates():
@@ -113,3 +115,24 @@ def test_smallest_prime_factor_brute_force():
     for n in range(2, 201):
         want = next(d for d in range(2, n + 1) if n % d == 0)
         assert smallest_prime_factor(n) == want, n
+
+
+def test_echelon_add_matches_echelon():
+    # the incremental sparse routine keeps the rank and the pivot columns of
+    # the dense echelon form, row by row, on random sparse vectors
+    rng = random.Random(1)
+    for p in (5, 7, 13):
+        for _ in range(150):
+            n = rng.randint(1, 12)
+            rows = [tuple(rng.randrange(1, p) if rng.random() < 0.3 else 0
+                          for _ in range(n)) for _ in range(rng.randint(1, 10))]
+            basis = []
+            for i, r in enumerate(rows):
+                added = echelon_add(basis, {j: a for j, a in enumerate(r) if a}, p)
+                assert len(basis) == rank(rows[:i + 1], p)
+                assert added == (len(basis) > rank(rows[:i], p))
+            ref = echelon(rows, p)
+            assert sorted(piv for piv, _ in basis) == \
+                [next(j for j, a in enumerate(r) if a) for r in ref]
+            for piv, row in basis:
+                assert row[piv] == 1 and min(row) == piv
