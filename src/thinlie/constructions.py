@@ -183,7 +183,7 @@ def _lines(p: int):
     return [(1, t) for t in range(p)] + [(0, 1)]
 
 
-def _closure_second_diamond(basis1, p: int, L: GradedAlgebra, n_built: int):
+def _closure_second_diamond(basis1, p: int, n_built: int):
     """Degree of the first 2-dimensional component of the deflated algebra,
     found by closing the degree-1 operator span; None if there is none in
     range.  The q = p algebra keeps its second diamond, a deflation of the
@@ -191,12 +191,11 @@ def _closure_second_diamond(basis1, p: int, L: GradedAlgebra, n_built: int):
     read off the input parameters alone."""
     cur = basis1
     for k in range(2, n_built + 1):
-        dom = max(1, L.N_built - p * k)
         ech, nxt = [], []
         for c in cur:
             for g in basis1:
                 op = c.op_bracket(g)
-                if echelon_add(ech, op.coords(dom), p):
+                if echelon_add(ech, op.coords(), p):
                     nxt.append(op)
         if not nxt:
             raise ConstructionError(f"deflated algebra vanishes in degree {k}")
@@ -209,14 +208,38 @@ def _closure_second_diamond(basis1, p: int, L: GradedAlgebra, n_built: int):
     return None
 
 
+def generator_derivations(L: GradedAlgebra):
+    """The derivations that generate the deflated algebra, each stored by
+    its values on x and y: (ad z)^p over all p+1 lines z of L_1 (p-th
+    powers are not additive in characteristic p), then ad u over a basis
+    of L_p.  (ad z)^p takes p letter steps from x and from y, and ad u
+    maps g to [g, u]."""
+    p = L.p
+    gens = [L.as_element(g) for g in L.comp_gids[1]]
+    out = []
+    for z in _lines(p):
+        adz = L.ad_operator(z)
+        rows = []
+        for v in gens:
+            for _ in range(p):
+                v = adz.apply(v)
+            rows.append(v[1])
+        out.append(OperatorFamily(L, p, {1: tuple(rows)}))
+    for g in L.comp_gids[p]:
+        u = L.as_element(g)
+        out.append(OperatorFamily(
+            L, p, {1: tuple(L.bracket(v, u)[1] for v in gens)}))
+    return out
+
+
 def deflate(L: GradedAlgebra, N_out: int, guard: int = 2,
             run_validation: bool = True):
     """Deflation: the subalgebra of operators generated by (ad L_1)^p and
     ad(L_p), with degrees divided by p, re-expressed as an engine algebra.
 
-    Works in the faithful adjoint operator representation; elements of
-    rescaled degree k are operator families of shift k p.  Requires L built
-    to at least p (N_out + guard) + p.
+    Works in Der(L): elements of rescaled degree k are derivations of
+    shift k p, identified by their values on x and y.  Requires L built to
+    at least p (N_out + guard) + p.
     """
     p = L.p
     n_built = N_out + guard
@@ -225,41 +248,25 @@ def deflate(L: GradedAlgebra, N_out: int, guard: int = 2,
             f"input built to {L.N_built}; deflation to {N_out} (+{guard} guard) "
             f"needs {p * n_built + p}")
 
-    # generator operators: (ad z)^p over all p+1 lines z of L_1 (p-th powers
-    # are not additive in characteristic p), plus ad u for u in a basis of L_p
-    pw = [L.ad_power_operator(z, p) for z in _lines(p)]
-    for i in range(L.dim(p)):
-        u = L.as_element(L.gid(p, i))
-        maps = {}
-        for k in range(1, L.N_built - p + 1):
-            rows = []
-            for s in range(L.dim(k)):
-                w = L.bracket(L.as_element(L.gid(k, s)), u)
-                rows.append(w[1])
-            maps[k] = tuple(rows)
-        pw.append(OperatorFamily(L, p, maps))
-
-    dom1 = L.N_built - p * n_built
     ech = []
-    basis1 = [op for op in pw if echelon_add(ech, op.coords(dom1), p)]
+    basis1 = [op for op in generator_derivations(L)
+              if echelon_add(ech, op.coords(), p)]
     if len(basis1) != 2:
         raise ConstructionError(
             f"deflated degree 1 has dimension {len(basis1)}; not thin")
 
-    q_out = _closure_second_diamond(basis1, p, L, n_built) if L.kind == "nottingham" else None
-    xop, yop = _standard_generators(basis1, dom1, p, q_out)
+    q_out = _closure_second_diamond(basis1, p, n_built) if L.kind == "nottingham" else None
+    xop, yop = _standard_generators(basis1, p, q_out)
 
-    # elements are the operators themselves; an operator of shift s is read
-    # on the degrees that s maps into the built range of L
     Ld, _ = engine_from_abstract(
         L.field, q_out, n_built, N_out, xop, yop, OperatorFamily.op_bracket,
-        lambda op: op.coords(L.N_built - min(op.shift, p * n_built)),
+        OperatorFamily.coords,
         kind=L.kind, meta={"construction": "deflation", "source_q": L.q})
     report = validate(Ld) if run_validation else None
     return Ld, report
 
 
-def _standard_generators(basis1, dom1: int, p: int, q_out):
+def _standard_generators(basis1, p: int, q_out):
     """Pick standard generators from a 2-dimensional degree-1 operator space:
     y is the sandwich direction, x a complement normalized so the second
     diamond (in degree q_out) carries the -1 relation."""
@@ -271,13 +278,7 @@ def _standard_generators(basis1, dom1: int, p: int, q_out):
     sandwiches = []
     for line in _lines(p):
         z = combo(line)
-        ok = True
-        for w in basis1:
-            t = w.op_bracket(z).op_bracket(z)
-            if t.coords(dom1):
-                ok = False
-                break
-        if ok:
+        if not any(w.op_bracket(z).op_bracket(z).coords() for w in basis1):
             sandwiches.append(line)
     for yline in sandwiches:
         yop = combo(yline)
@@ -293,19 +294,22 @@ def _standard_generators(basis1, dom1: int, p: int, q_out):
             okchain = True
             for _ in range(q_out - 2):
                 v = v.op_bracket(xop)
-                if not v.coords(dom1):
+                if not v.coords():
                     okchain = False
                     break
             if not okchain:
                 continue
+            if (q_out + 1) * p >= xop.algebra.N_built:
+                # the relations lie past the built range and fix nothing
+                return xop, yop
             vx = v.op_bracket(xop)
             vy = v.op_bracket(yop)
-            if not vx.op_bracket(xop).coords(dom1) and \
-               not vy.op_bracket(yop).coords(dom1):
+            if not vx.op_bracket(xop).coords() and \
+               not vy.op_bracket(yop).coords():
                 lhs = vy.op_bracket(xop)
                 rhs = vx.op_bracket(yop).scale(-2)
                 diff = lhs.add(rhs.scale(-1))
-                if not diff.coords(dom1):
+                if not diff.coords():
                     return xop, yop
     raise ConstructionError("no standard generator pair found in deflation")
 

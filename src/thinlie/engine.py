@@ -15,11 +15,14 @@ A GradedAlgebra is immutable after construction.  Concurrent readers are
 safe; the bracket memo table is a plain dict (GIL-guarded).
 
 An OperatorFamily is a graded linear map on such an algebra, one matrix per
-degree.  It represents ad z and (ad z)^e for z in L_1, the outer derivation D
-of the derivations module, and the elements of a deflated algebra, which the
-constructions module grows as operator families under the commutator
-bracket.  Its coords(upto) flattening is what linear algebra and zero tests
-read.
+degree.  It is the derivation type: ad z for z in L_1, the outer derivation
+D of the derivations module, and the elements of a deflated algebra, which
+the constructions module grows in Der(L) under the commutator bracket.  A
+derivation is given by its images of x and y alone and filled to higher
+degrees on first use by the word recursion D[a, t] = [D a, t] + [a, D t];
+every fill writes the same values, so concurrent readers stay safe.  Its
+coords(), the degree-1 values keyed by (shift, i, j), are what linear
+algebra and zero tests read.
 """
 
 from __future__ import annotations
@@ -287,26 +290,13 @@ class GradedAlgebra:
         return sum(1 for k in range(1, self.N + 1) if self.dim(k) == 2)
 
     def ad_operator(self, z_coords):
-        """ad z for z in L_1, as an OperatorFamily of shift 1."""
+        """ad z for z in L_1: the derivation of shift 1 with x -> [x, z] and
+        y -> [y, z], as an OperatorFamily."""
         zx, zy = z_coords
-        maps = {}
-        for k in range(1, self.N_built):
-            rx, ry = self.ad["x"][k], self.ad["y"][k]
-            maps[k] = tuple(
-                vec_add(vec_scale(zx, rx[s], self.p),
-                        vec_scale(zy, ry[s], self.p), self.p)
-                for s in range(self.dim(k)))
-        return OperatorFamily(self, 1, maps)
-
-    def ad_power_operator(self, z_coords, e: int):
-        """(ad z)^e as an OperatorFamily of shift e."""
-        if e < 1:
-            raise ValueError("exponent must be >= 1")
-        op = self.ad_operator(z_coords)
-        out = op
-        for _ in range(e - 1):
-            out = out.then(op)
-        return out
+        rows = tuple(vec_add(vec_scale(zx, rx, self.p),
+                             vec_scale(zy, ry, self.p), self.p)
+                     for rx, ry in zip(self.ad["x"][1], self.ad["y"][1]))
+        return OperatorFamily(self, 1, {1: rows})
 
     # -- export ----------------------------------------------------------------
 
@@ -347,10 +337,25 @@ class GradedAlgebra:
 
 
 class OperatorFamily:
-    """A graded linear operator: one matrix per degree, constant degree shift.
+    """A graded linear operator of constant degree shift, stored as one
+    matrix per degree and read on degrees 1..algebra.N_built - shift.
 
     maps[k] has one row per basis element of L_k, each row a coordinate
-    vector in L_{k+shift}.  Degrees outside `maps` are undefined (not zero).
+    vector in L_{k+shift}.  The stored degrees are always 1..m for some m,
+    and maps[1] holds the images of x and y.  A degree past m is filled on
+    demand by the derivation recursion D[a, t] = [D a, t] + [a, D t] along
+    defining words, so a derivation can be given by maps[1] alone.  `then`
+    fills every degree its result is defined on, so a composition, which
+    is in general no derivation, is never extended by that recursion.
+
+    The operators deflation works with are derivations: ad u for u in L;
+    (ad z)^p in characteristic p, by Leibniz's rule, because
+    C(p, i) = 0 mod p for 0 < i < p; and commutators of derivations.  L is
+    generated by x and y, so a derivation that vanishes on x and y
+    vanishes on every degree where it is defined.  Hence two derivations of
+    one shift are equal exactly when their degree-1 values are, and the
+    degree-1 values (`coords`) give the same linear relations as the maps
+    on all degrees; `op_bracket` needs only the generators as well.
     """
 
     def __init__(self, algebra: GradedAlgebra, shift: int, maps: dict):
@@ -358,20 +363,38 @@ class OperatorFamily:
         self.shift = shift
         self.maps = dict(maps)
 
+    def _rows(self, k: int):
+        """The matrix on degree k, filled by the derivation recursion from
+        the highest stored degree up."""
+        L = self.algebra
+        if not 1 <= k <= L.N_built - self.shift:
+            raise DegreeOverflowError(k + self.shift, L.N_built)
+        maps = self.maps
+        if k in maps:
+            return maps[k]
+        gen = {L.elements[g].word: (1 + self.shift, row)
+               for g, row in zip(L.comp_gids[1], maps[1], strict=True)}
+        for j in range(len(maps) + 1, k + 1):
+            rows = []
+            for e in L.basis(j):
+                a = L.elements[e.parent_gid]
+                da = L.apply_letter((j - 1 + self.shift, maps[j - 1][a.index]),
+                                    e.letter)[1]
+                at = L.bracket(L.as_element(a.gid), gen[e.letter])[1]
+                rows.append(vec_add(da, at, L.p))
+            maps[j] = tuple(rows)
+        return maps[k]
+
     def apply(self, elem):
         k, v = elem
-        if k not in self.maps:
-            raise DegreeOverflowError(k + self.shift, self.algebra.N_built)
-        return (k + self.shift, mat_apply_rows(self.maps[k], v, self.algebra.p))
+        return (k + self.shift, mat_apply_rows(self._rows(k), v, self.algebra.p))
 
+    # then and op_bracket are wrapped by name by bench/tracing.py
     def then(self, other: "OperatorFamily") -> "OperatorFamily":
-        """self followed by other."""
-        p = self.algebra.p
-        maps = {}
-        for k, rows in self.maps.items():
-            k2 = k + self.shift
-            if k2 in other.maps:
-                maps[k] = tuple(mat_apply_rows(other.maps[k2], r, p) for r in rows)
+        """self followed by other, on every degree where both are defined."""
+        top = self.algebra.N_built - self.shift - other.shift
+        maps = {k: tuple(other.apply((k + self.shift, r))[1]
+                         for r in self._rows(k)) for k in range(1, top + 1)}
         return OperatorFamily(self.algebra, self.shift + other.shift, maps)
 
     def add(self, other: "OperatorFamily") -> "OperatorFamily":
@@ -392,27 +415,28 @@ class OperatorFamily:
                                for k, rows in self.maps.items()})
 
     def op_bracket(self, other: "OperatorFamily") -> "OperatorFamily":
-        """Operator Lie bracket matching the right-action convention.
+        """Lie bracket of two derivations, matching the right-action
+        convention.
 
         With ad_u(w) = [w, u], the map u -> ad_u is a homomorphism onto
-        operators under  [A, B] := B o A - A o B;  this is that bracket.
+        operators under  [A, B] := B o A - A o B.  The commutator of two
+        derivations is a derivation, so it is computed on x and y only.
         """
-        ab = self.then(other)
-        ba = other.then(self)
         p = self.algebra.p
-        maps = {}
-        for k in ab.maps.keys() & ba.maps.keys():
-            maps[k] = tuple(vec_sub(r1, r2, p) for r1, r2 in
-                            zip(ab.maps[k], ba.maps[k], strict=True))
-        return OperatorFamily(self.algebra, ab.shift, maps)
+        rows = tuple(
+            vec_sub(other.apply((1 + self.shift, ra))[1],
+                    self.apply((1 + other.shift, rb))[1], p)
+            for ra, rb in zip(self._rows(1), other._rows(1), strict=True))
+        return OperatorFamily(self.algebra, self.shift + other.shift, {1: rows})
 
-    def coords(self, upto: int) -> dict:
-        """The nonzero matrix entries on degrees k <= upto, as
-        {(k, i, j): coefficient}; empty exactly when the operator vanishes
-        there.  The keys omit the shift, so only compare operators of one
-        shift."""
-        return {(k, i, j): c for k, rows in self.maps.items() if k <= upto
-                for i, row in enumerate(rows) for j, c in enumerate(row) if c}
+    def coords(self) -> dict:
+        """The nonzero entries of the images of x and y, as
+        {(shift, i, j): coefficient}.  For a derivation this is empty
+        exactly when it vanishes, and two derivations are equal exactly
+        when their coords are; the shift in the key keeps derivations of
+        different shifts apart."""
+        return {(self.shift, i, j): c for i, row in enumerate(self._rows(1))
+                for j, c in enumerate(row) if c}
 
 
 class AlgebraBuilder:

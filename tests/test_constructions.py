@@ -6,9 +6,10 @@ import pytest
 
 from helpers import P, Q, backbone_sequence
 from thinlie.constructions import (ConstructionError, deflate,
-                                   divided_power_product, nottingham_Nqr,
+                                   divided_power_product,
+                                   generator_derivations, nottingham_Nqr,
                                    tensor_construct)
-from thinlie.gf import vec_scale
+from thinlie.gf import vec_add, vec_scale
 from thinlie.maxclass import (build_maxclass, extract_centralizer_sequence,
                               metabelian_sequence)
 from thinlie.patterns import (classify_regularity, compile_pattern, detect,
@@ -197,6 +198,20 @@ def test_deflate_requires_budget():
         deflate(L, 30)
 
 
+def test_deflate_at_minimum_budget():
+    # built to exactly p (N_out + guard) + p, with the second diamond at
+    # N_out + guard: its relations lie past the range and fix nothing, so
+    # the result equals the one from a source built one degree further
+    pat = family_pattern("a", P, Q, 100)
+    docs = []
+    for n in (54, 55):
+        L, _ = compile_pattern(pat, n, run_validation=False)
+        D, rep = deflate(L, 5)
+        assert rep.ok and D.q == Q
+        docs.append(D.to_structure_json())
+    assert L.N_built == 57 and docs[0] == docs[1]
+
+
 @pytest.fixture(scope="module")
 def n77():
     return nottingham_Nqr(Q, Q, 100)
@@ -247,6 +262,67 @@ def test_double_deflation():
     assert rep.ok
     assert [(d, t.to_json()) for d, t in pat.entries] == \
         [(7, "finite:6"), (13, "fake1")]
+
+
+def test_double_deflation_N200():
+    # r = p^2 at a real N: it validates, agrees with test_double_deflation
+    # up to degree 14, and then only fakes of type 1 follow, every q degrees
+    # (28 entries; the next genuine diamond lies past q r)
+    L, pat, rep = nottingham_Nqr(7, 49, 200)
+    assert rep.ok
+    assert [(d, t.to_json()) for d, t in pat.truncate(14).entries] == \
+        [(7, "finite:6"), (13, "fake1")]
+    assert [(d, t.to_json()) for d, t in pat.entries] == \
+        [(7, "finite:6")] + [(d, "fake1") for d in range(13, 200, 7)]
+
+
+def _eager_power(L, z, p):
+    """(ad z)^p as the p-fold composition of ad z, filled on every degree."""
+    adz = L.ad_operator(z)
+    out = adz
+    for _ in range(p - 1):
+        out = out.then(adz)
+    return out
+
+
+@pytest.mark.parametrize("p,q,n", [(7, 7, 60), (5, 25, 80)])
+def test_lazy_derivations_match_eager_maps(p, q, n):
+    # oracle for deflation in Der(L): the generator derivations, stored by
+    # their values on x and y and extended by the word recursion, equal the
+    # eager matrices on every degree where they are defined
+    L, _ = compile_pattern(family_pattern("a", p, q, n + q + 5), n,
+                           run_validation=False)
+    lines = [(1, t) for t in range(p)] + [(0, 1)]
+    gens = generator_derivations(L)
+    assert len(gens) == len(lines) + L.dim(p)
+    top = L.N_built - p
+
+    def basis_upto(k):
+        return [L.as_element(g) for d in range(1, k + 1) for g in L.comp_gids[d]]
+
+    # ad z on every degree, against the presentation's ad x and ad y rows
+    for z in lines:
+        adz = L.ad_operator(z)
+        for e in basis_upto(L.N_built - 1):
+            want = vec_add(vec_scale(z[0], L.apply_letter(e, "x")[1], p),
+                           vec_scale(z[1], L.apply_letter(e, "y")[1], p), p)
+            assert adz.apply(e)[1] == want, (z, e)
+    # (ad z)^p against the p-fold composition
+    for z, op in zip(lines, gens):
+        eager = _eager_power(L, z, p)
+        for e in basis_upto(top):
+            assert op.apply(e) == eager.apply(e), (z, e)
+    # ad u against the bracket
+    for g, op in zip(L.comp_gids[p], gens[len(lines):]):
+        u = L.as_element(g)
+        for e in basis_upto(top):
+            assert op.apply(e) == L.bracket(e, u), (g, e)
+    # the bracket on generators against B o A - A o B
+    a, b = gens[0], gens[-1]
+    comm = a.op_bracket(b)
+    eager = a.then(b).add(b.then(a).scale(-1))
+    for e in basis_upto(L.N_built - 2 * p):
+        assert comm.apply(e) == eager.apply(e), e
 
 
 def test_tensor_q49():

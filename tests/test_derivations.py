@@ -74,15 +74,16 @@ def test_D_of_pre_diamond_elements(uniq, D):
     # Dw = -2 [w x y x^{q-3}] when the following diamond has infinite type,
     # and Dw = 0 when it is a fake of type 1
     pat, _ = detect(uniq)
+    top = uniq.N_built - D.shift    # last degree D is defined on
     for idx, (m, t) in enumerate(pat.entries[:-1]):
         nxt = pat.entries[idx + 1]
         if t.kind != "infinite" or nxt[0] != m + Q - 1:
             continue
         w = uniq.apply_word(uniq.as_element(uniq.gid(m - 1, 0)),
                             "xy" + "x" * (Q - 3))
-        if w[0] + Q - 1 > uniq.N_built or w[0] + Q - 1 > max(D.maps) + Q - 2:
+        if w[0] + Q - 1 > uniq.N_built or w[0] + Q - 1 > top + Q - 2:
             continue
-        if w[0] not in D.maps:
+        if w[0] > top:
             continue
         dw = D.apply(w)
         if nxt[1].kind == "infinite":

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import P, Q, oracle_bracket
-from thinlie.engine import (DegreeOverflowError, GradedAlgebra, validate)
-from thinlie.gf import lucas_binom, vec_is_zero, vec_scale
+from thinlie.engine import (DegreeOverflowError, GradedAlgebra, OperatorFamily,
+                            validate)
+from thinlie.gf import echelon_add, lucas_binom, vec_is_zero, vec_scale
 from thinlie.maxclass import build_maxclass, metabelian_sequence
 from thinlie.patterns import compile_pattern, family_pattern
 
@@ -199,18 +200,6 @@ def test_centralizer_at_diamond_is_trivial(n7):
     assert n7.centralizer_in_L1(7) == []
 
 
-def test_ad_power_operator(n7):
-    assert not n7.ad_power_operator((0, 1), 2).coords(n7.N_built)  # sandwich
-    assert not n7.ad_power_operator((1, 0), Q).coords(n7.N_built)  # (ad x)^q
-    pat49 = family_pattern("a", P, 49, 120)
-    L49, _ = compile_pattern(pat49, 60, run_validation=False)
-    op = L49.ad_power_operator((1, 0), P)
-    u = L49.eval_word("y" + "x" * (P - 1))
-    img = op.apply(u)
-    assert not vec_is_zero(img[1])
-    assert img == L49.eval_word("y" + "x" * (2 * P - 1))
-
-
 def test_coclass_excess(n7):
     expected = sum(1 for k in range(1, 61) if k == 1 or k % 6 == 1)
     assert expected == 10
@@ -298,6 +287,21 @@ def test_operator_family_algebra(n7):
     want = n7.bracket(u, n7.bracket(n7.as_element(n7.gid(1, 0)),
                                     n7.as_element(n7.gid(1, 1))))
     assert got == want
+
+
+def test_coords_keep_shifts_apart(n7):
+    # two derivations with the same values on x and y but different shifts
+    # are different elements: their coords share no key, and the echelon
+    # routine keeps both
+    assert n7.dim(2) == n7.dim(3) == 1
+    rows = ((1,), (0,))
+    a = OperatorFamily(n7, 1, {1: rows})
+    b = OperatorFamily(n7, 2, {1: rows})
+    assert a.coords() and b.coords()
+    assert a.coords().keys().isdisjoint(b.coords().keys())
+    ech = []
+    assert echelon_add(ech, a.coords(), P)
+    assert echelon_add(ech, b.coords(), P)
 
 
 def test_malformed_algebra_raises_under_optimize():
