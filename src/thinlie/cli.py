@@ -31,8 +31,22 @@ EXIT_FAILED = 4
 FAMILIES = ("a", "b", "c", "d", "e", "L1q", "L0q", "tq2", "uniqueness", "nqr")
 
 
+class BudgetError(Exception):
+    """The job asks for more degrees than THINLIE_MAX_DEGREE allows."""
+
+
 def max_degree() -> int:
     return int(os.environ.get("THINLIE_MAX_DEGREE", "1000"))
+
+
+def _checked_N(args) -> int:
+    """--N, which every subcommand needs, checked against the budget."""
+    if args.N is None:
+        raise PatternError("--N is required")
+    cap = max_degree()
+    if args.N > cap:
+        raise BudgetError(f"--N {args.N} exceeds THINLIE_MAX_DEGREE={cap}")
+    return args.N
 
 
 def _dump(doc, path):
@@ -71,11 +85,7 @@ def _family_params(args):
 
 def make_algebra(args, guard=2, run_validation=False):
     """Resolve --family/--pattern/--sequence into a built algebra."""
-    N = args.N
-    if N is None:
-        raise PatternError("--N is required")
-    if N > max_degree():
-        raise DegreeOverflowError(N, max_degree())
+    N = _checked_N(args)
     if args.family == "nqr":
         if not (args.q and args.r):
             raise PatternError("family nqr needs --q and --r")
@@ -182,7 +192,8 @@ def cmd_roundtrip(args):
 def cmd_deflate(args):
     if not (args.q and args.r):
         raise PatternError("deflate needs --q and --r")
-    L, pattern, report = nottingham_Nqr(args.q, args.r, args.N, p=args.p)
+    L, pattern, report = nottingham_Nqr(args.q, args.r, _checked_N(args),
+                                        p=args.p)
     doc = {"schema": "thinlie.deflate.v1",
            "structure": L.to_structure_json(),
            "pattern": pattern.to_json(),
@@ -313,7 +324,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except DegreeOverflowError as e:
+    except (BudgetError, DegreeOverflowError) as e:
         print(f"degree budget exceeded: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except (PatternError, SequenceError, ConstructionError, ValueError) as e:

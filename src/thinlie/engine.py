@@ -9,7 +9,13 @@ is recovered from this data by the binary Jacobi recursion
 
 where t is the last letter of the second argument's defining word.  All
 brackets use the right-action convention [u, z]: applying ad z to u appends
-the letter z to u's word.
+the letter z to u's word.  Bracket values are read off the ad rows: the
+recursion combines rows of ad t with coordinates of earlier values, sums
+integers and reduces mod p once per value, and a bracket with a generator
+is its ad row.  The antisymmetry check compares these values with a second
+recursion, on the first argument's word (_mirror_basis), that keeps its own
+memo and never reads the bracket memo, so the two evaluation orders stay
+independent.
 
 A GradedAlgebra is immutable after construction.  Concurrent readers are
 safe; the bracket memo table is a plain dict (GIL-guarded).
@@ -37,7 +43,6 @@ from .gf import (
     solve_or_kernel,
     vec_add,
     vec_is_zero,
-    vec_neg,
     vec_scale,
     vec_sub,
     vec_zero,
@@ -92,13 +97,18 @@ class GradedAlgebra:
 
     def _check_wellformed(self):
         """Raise ValueError unless the presentation is a thin graded
-        algebra's: bases of dimension 1 or 2 whose words extend their
-        parents' by one letter, and ad matrices of matching shapes."""
+        algebra's: bases of dimension 1 or 2, listed degree by degree as
+        the elements, whose words extend their parents' by one letter, and
+        ad matrices of matching shapes with entries in range(p)."""
         if not self.N_built >= self.N >= 1:
             raise ValueError(f"need N_built >= N >= 1, got N_built="
                              f"{self.N_built}, N={self.N}")
         if len(self.comp_gids[1]) != 2:
             raise ValueError("degree 1 must have basis x, y")
+        if [g for gids in self.comp_gids for g in gids] != \
+                list(range(len(self.elements))):
+            raise ValueError("the elements are not the bases listed degree "
+                             "by degree")
         for k in range(1, self.N_built + 1):
             gids = self.comp_gids[k]
             if not 1 <= len(gids) <= 2:
@@ -114,6 +124,7 @@ class GradedAlgebra:
                     if par.degree != k - 1 or e.word != par.word + e.letter:
                         raise ValueError(f"basis element {g} does not extend "
                                          f"its parent {e.parent_gid}")
+        field = range(self.p)
         for k in range(1, self.N_built):
             for letter in ("x", "y"):
                 rows = self.ad[letter][k]
@@ -121,6 +132,9 @@ class GradedAlgebra:
                         len(r) != self.dim(k + 1) for r in rows):
                     raise ValueError(f"ad {letter} on degree {k} is not a "
                                      f"{self.dim(k)}x{self.dim(k + 1)} matrix")
+                if any(c not in field for r in rows for c in r):
+                    raise ValueError(f"ad {letter} on degree {k} has an "
+                                     f"entry outside 0..{self.p - 1}")
 
     def dim(self, k: int) -> int:
         if not 1 <= k <= self.N_built:
@@ -172,100 +186,129 @@ class GradedAlgebra:
     # -- bracket ------------------------------------------------------------
 
     def bracket_basis(self, gi: int, gj: int):
-        """Coordinates of [e_gi, e_gj] in L_{deg_i + deg_j}; memoized."""
+        """Coordinates of [e_gi, e_gj] in L_{deg_i + deg_j}; memoized.
+
+        The recursion is on the second argument's defining word,
+        e_gj = [a, t]:
+
+            [u, [a, t]] = [[u, a], t] - [[u, t], a],
+
+        read straight off the ad rows: [[u, a], t] is the combination of
+        the rows of ad t on degree deg_i + deg_j - 1 with the coordinates
+        of [u, a], and [[u, t], a] the combination of [e_g, a] over the
+        (at most two) e_g of degree deg_i + 1 with the coordinates of e_gi's
+        ad t row.  A degree-1 e_gj is ad t itself, so the value is e_gi's ad
+        row; a second argument of higher degree than the first is taken as
+        -[e_gj, e_gi].  Entries accumulate as integers and are reduced
+        mod p once per value.  Reduction mod p is a ring homomorphism, so
+        this is the residue of evaluating the same terms in the same order
+        through unit vectors, mat_apply_rows and a reduction after every
+        term; the ad row is already that residue because _check_wellformed
+        rejects entries outside range(p).  tests/helpers.py keeps the
+        reducing formulation as a reference, and a test compares the two
+        on every pair of the corpus and of non-Lie inputs.
+        """
         memo = self._memo
         got = memo.get((gi, gj))
         if got is not None:
             return got
         ei, ej = self.elements[gi], self.elements[gj]
-        dt = ei.degree + ej.degree
+        di, dj = ei.degree, ej.degree
+        dt = di + dj
         if dt > self.N_built:
             raise DegreeOverflowError(dt, self.N_built)
-        if ej.degree == 1:
-            out = mat_apply_rows(self.ad[ej.word][ei.degree],
-                                 self.as_element(gi)[1], self.p)
-        elif ei.degree < ej.degree:
-            out = vec_neg(self.bracket_basis(gj, gi), self.p)
+        p = self.p
+        if dj == 1:
+            out = self.ad[ej.word][di][ei.index]
+        elif di < dj:
+            out = tuple(-c % p for c in self.bracket_basis(gj, gi))
         else:
-            # split e_gj = [a, t] along its defining word
-            a, t = ej.parent_gid, ej.letter
-            w1 = (dt - 1, self.bracket_basis(gi, a))
-            r1 = self.apply_letter(w1, t)[1]
-            w2 = self.apply_letter(self.as_element(gi), t)
-            r2 = self.bracket(w2, self.as_element(a))[1]
-            out = vec_sub(r1, r2, self.p)
+            a, ad_t = ej.parent_gid, self.ad[ej.letter]
+            acc = [0] * len(self.comp_gids[dt])
+            for c, row in zip(self.bracket_basis(gi, a), ad_t[dt - 1]):
+                if c:
+                    for s, r in enumerate(row):
+                        acc[s] += c * r
+            for c, g in zip(ad_t[di][ei.index], self.comp_gids[di + 1]):
+                if c:
+                    for s, r in enumerate(self.bracket_basis(g, a)):
+                        acc[s] -= c * r
+            out = tuple(c % p for c in acc)
         memo[(gi, gj)] = out
         return out
 
     def bracket(self, u, v):
         """Bilinear bracket of two elements given as (degree, coords)."""
+        return self._bilinear(u, v, self.bracket_basis)
+
+    # bench/tracing.py counts bracket_mirror calls by name; validate's
+    # antisymmetry check calls _mirror_basis directly
+    def bracket_mirror(self, u, v, _memo=None):
+        """[u, v] recomputed by recursion on the first argument's word.
+
+        Independent evaluation order (see _mirror_basis); never consults
+        the memo table of bracket_basis.
+        """
+        memo = {} if _memo is None else _memo
+        return self._bilinear(
+            u, v, lambda gi, gj: self._mirror_basis(gi, gj, memo))
+
+    def _bilinear(self, u, v, basis_bracket):
+        """sum_ij u_i v_j basis_bracket(g_i, g_j), as (degree, coords),
+        over the basis gids of u's and v's components; reduced mod p
+        once."""
         du, cu = u
         dv, cv = v
         dt = du + dv
         if dt > self.N_built:
             raise DegreeOverflowError(dt, self.N_built)
-        acc = list(vec_zero(self.dim(dt)))
-        for i, ci in enumerate(cu):
-            if not ci:
-                continue
-            gi = self.gid(du, i)
-            for j, cj in enumerate(cv):
-                if not cj:
-                    continue
-                w = self.bracket_basis(gi, self.gid(dv, j))
-                m = ci * cj % self.p
-                for s, ws in enumerate(w):
-                    acc[s] = (acc[s] + m * ws) % self.p
-        return (dt, tuple(acc))
-
-    def bracket_mirror(self, u, v, _memo=None):
-        """[u, v] recomputed by recursion on the first argument's word.
-
-        Independent evaluation order used by the antisymmetry check; never
-        consults the memo table of bracket_basis.
-        """
-        if _memo is None:
-            _memo = {}
-        du, cu = u
-        dv, cv = v
-        acc = list(vec_zero(self.dim(du + dv)))
-        for i, ci in enumerate(cu):
-            if not ci:
-                continue
-            for j, cj in enumerate(cv):
-                if not cj:
-                    continue
-                w = self._mirror_basis(self.gid(du, i), self.gid(dv, j), _memo)
-                m = ci * cj % self.p
-                for s, ws in enumerate(w):
-                    acc[s] = (acc[s] + m * ws) % self.p
-        return (du + dv, tuple(acc))
+        acc = [0] * len(self.comp_gids[dt])
+        gv = self.comp_gids[dv]
+        for ci, gi in zip(cu, self.comp_gids[du]):
+            if ci:
+                for cj, gj in zip(cv, gv):
+                    if cj:
+                        m = ci * cj
+                        for s, w in enumerate(basis_bracket(gi, gj)):
+                            acc[s] += m * w
+        p = self.p
+        return (dt, tuple(c % p for c in acc))
 
     def _mirror_basis(self, gi, gj, memo):
+        """[e_gi, e_gj] by recursion on the first argument's word, with its
+        own memo: the evaluation order the antisymmetry check compares
+        bracket_basis against.  With e_gi = [a, t]:
+
+            [[a, t], v] = [a, [t, v]] + [[a, v], t] = -[a, [v, t]] + [[a, v], t],
+
+        where [v, t] is e_gj's ad t row and [[a, v], t] the combination of
+        the ad t rows with the coordinates of [a, v].  A degree-1 e_gi is
+        ad t itself, so the value is minus e_gj's ad row.  As in
+        bracket_basis, entries accumulate unreduced and are reduced once.
+        """
         got = memo.get((gi, gj))
         if got is not None:
             return got
         ei, ej = self.elements[gi], self.elements[gj]
-        dt = ei.degree + ej.degree
+        di, dj = ei.degree, ej.degree
+        dt = di + dj
         if dt > self.N_built:
             raise DegreeOverflowError(dt, self.N_built)
-        if ei.degree == 1:
-            # [g, v] = -[v, g] = -(ad g)(v)
-            out = vec_neg(mat_apply_rows(self.ad[ei.word][ej.degree],
-                                         self.as_element(gj)[1], self.p), self.p)
+        p = self.p
+        if di == 1:
+            out = tuple(-c % p for c in self.ad[ei.word][dj][ej.index])
         else:
-            # e_gi = [a, t]:  [[a,t], v] = [a, [t, v]] + [[a, v], t]
-            a, t = ei.parent_gid, ei.letter
-            tv = vec_neg(self.apply_letter(self.as_element(gj), t)[1], self.p)
-            term1 = list(vec_zero(self.dim(dt)))
-            for s, c in enumerate(tv):
+            a, ad_t = ei.parent_gid, self.ad[ei.letter]
+            acc = [0] * len(self.comp_gids[dt])
+            for c, g in zip(ad_t[dj][ej.index], self.comp_gids[dj + 1]):
                 if c:
-                    w = self._mirror_basis(a, self.gid(ej.degree + 1, s), memo)
-                    for s2, ws in enumerate(w):
-                        term1[s2] = (term1[s2] + c * ws) % self.p
-            av = self._mirror_basis(a, gj, memo)
-            term2 = mat_apply_rows(self.ad[t][dt - 1], av, self.p)
-            out = vec_add(tuple(term1), term2, self.p)
+                    for s, r in enumerate(self._mirror_basis(a, g, memo)):
+                        acc[s] -= c * r
+            for c, row in zip(self._mirror_basis(a, gj, memo), ad_t[dt - 1]):
+                if c:
+                    for s, r in enumerate(row):
+                        acc[s] += c * r
+            out = tuple(c % p for c in acc)
         memo[(gi, gj)] = out
         return out
 
@@ -569,6 +612,19 @@ def validate(L: GradedAlgebra, checks=None, limit: int | None = None,
     first in the same total degree.  The cubic loop over all basis triples
     stays available as the opt-in check "jacobi_triples", in no default
     suite, as an independent oracle.
+
+    "words", "antisymmetry" and "jacobi" work on basis gids and ad rows,
+    not on elements: they visit the same pairs in the same order as loops
+    that bracket unit vectors through the bilinear bracket, and compute the
+    same values, so they find the same witnesses.  A bracket of unit vectors
+    is the bracket_basis value (see there for why reading ad rows and
+    reducing once gives the same residues), and antisymmetry compares it
+    with _mirror_basis.  J(a, b, s) is summed unreduced from bracket_basis
+    values and ad s rows, then tested mod p once: the residue of the sum of
+    reduced terms.  "words" evaluates each element as its parent's value
+    times its last letter, which is the evaluation of its word from scratch
+    because _check_wellformed makes every word its parent's word plus that
+    letter and lists parents first.
     """
     if checks is None:
         checks = NOTTINGHAM_CHECKS if L.kind == "nottingham" else MAXCLASS_CHECKS
@@ -597,24 +653,30 @@ def validate(L: GradedAlgebra, checks=None, limit: int | None = None,
                         witnesses.append((k, ln))
             ok = not witnesses
         elif name == "words":
+            # parents come first: each word evaluates to its parent's value
+            # times its last letter
+            vals = []
             for e in L.elements:
-                got = L.eval_word(e.word)
+                got = L.eval_word(e.word) if e.parent_gid is None else \
+                    L.apply_letter(vals[e.parent_gid], e.letter)
+                vals.append(got)
                 if got != L.as_element(e.gid):
                     witnesses.append(e.gid)
             ok = not witnesses
         elif name == "antisymmetry":
             mirror_memo = {}
             for e1 in L.elements:
-                for e2 in L.elements:
-                    if e1.degree + e2.degree > B or e2.gid < e1.gid:
-                        continue
-                    u, v = L.as_element(e1.gid), L.as_element(e2.gid)
-                    lhs = L.bracket(u, v)[1]
-                    rhs = L.bracket_mirror(u, v, mirror_memo)[1]
-                    if lhs != rhs:
-                        witnesses.append((e1.gid, e2.gid))
-                    if e1.gid == e2.gid and not vec_is_zero(lhs):
-                        witnesses.append((e1.gid, e1.gid))
+                if 2 * e1.degree > B:
+                    break
+                g1 = e1.gid
+                for e2 in L.elements[g1:]:
+                    if e1.degree + e2.degree > B:
+                        break
+                    lhs = L.bracket_basis(g1, e2.gid)
+                    if lhs != L._mirror_basis(g1, e2.gid, mirror_memo):
+                        witnesses.append((g1, e2.gid))
+                    if e2.gid == g1 and not vec_is_zero(lhs):
+                        witnesses.append((g1, g1))
             ok = not witnesses
         elif name == "jacobi":
             witnesses = _jacobi_generators(L, B, max_witnesses)
@@ -662,25 +724,41 @@ def _jacobi_generators(L: GradedAlgebra, B: int, max_witnesses: int) -> list:
     """Witnesses (gid_a, gid_b, gid_s) of J(a, b, s) != 0 over basis pairs
     gid_a <= gid_b and generators s, with deg a + deg b + 1 <= B, in
     ascending total degree.  [s, a] is taken as -[a, s], which antisymmetry
-    justifies."""
+    justifies, so J(a, b, s) = [[a,b],s] + [[b,s],a] - [[a,s],b]: the
+    coordinates of [a, b] against the ad s rows, plus the ad s row of b
+    against the [e_g, a], minus the ad s row of a against the [e_g, b].
+    The sum is tested mod p once."""
     p = L.p
-    gens = [(g, L.elements[g].word) for g in L.comp_gids[1]]
+    elements, comp = L.elements, L.comp_gids
+    bb = L.bracket_basis
+    gens = [(g, L.ad[elements[g].word]) for g in comp[1]]
     witnesses = []
     for total in range(3, B + 1):
+        dim = len(comp[total])
         for da in range(1, (total - 1) // 2 + 1):
             db = total - 1 - da
-            for ga in L.comp_gids[da]:
-                a = L.as_element(ga)
-                for gb in L.comp_gids[db]:
+            for ga in comp[da]:
+                ia = elements[ga].index
+                for gb in comp[db]:
                     if gb < ga:
                         continue
-                    b = L.as_element(gb)
-                    ab = L.bracket(a, b)
-                    for gs, s in gens:
-                        j = L.apply_letter(ab, s)[1]
-                        j = vec_add(j, L.bracket(L.apply_letter(b, s), a)[1], p)
-                        j = vec_sub(j, L.bracket(L.apply_letter(a, s), b)[1], p)
-                        if not vec_is_zero(j):
+                    ib = elements[gb].index
+                    ab = bb(ga, gb)
+                    for gs, ad_s in gens:
+                        acc = [0] * dim
+                        for c, row in zip(ab, ad_s[da + db]):
+                            if c:
+                                for t, r in enumerate(row):
+                                    acc[t] += c * r
+                        for c, g in zip(ad_s[db][ib], comp[db + 1]):
+                            if c:
+                                for t, r in enumerate(bb(g, ga)):
+                                    acc[t] += c * r
+                        for c, g in zip(ad_s[da][ia], comp[da + 1]):
+                            if c:
+                                for t, r in enumerate(bb(g, gb)):
+                                    acc[t] -= c * r
+                        if any(c % p for c in acc):
                             witnesses.append((ga, gb, gs))
                             if len(witnesses) >= max_witnesses:
                                 return witnesses

@@ -1,9 +1,12 @@
-"""Shared test utilities: independent bracket oracle, random admissible
-pattern generation, and corpus construction."""
+"""Shared test utilities: independent bracket oracle, the reducing
+reference formulation of the bracket kernel, random admissible pattern
+generation, and corpus construction."""
 
 from __future__ import annotations
 
-from thinlie.gf import lucas_binom, vec_add, vec_neg, vec_scale
+from thinlie.engine import DegreeOverflowError, GradedAlgebra
+from thinlie.gf import (lucas_binom, mat_apply_rows, vec_add, vec_is_zero,
+                        vec_neg, vec_scale, vec_sub, vec_zero)
 from thinlie.maxclass import CentralizerSequence, build_maxclass, metabelian_sequence
 from thinlie.patterns import compile_pattern, family_pattern, uniqueness_sequence
 
@@ -105,3 +108,147 @@ def build_corpus():
     Lq, patq, repq = nottingham_Nqr(Q, Q, N)
     out["N77"] = (Lq, repq, patq)
     return out
+
+
+def corrupt_ad_x(L, k=20):
+    """L with entry (0, 0) of ad x on degree k moved by one: no longer Lie,
+    still well formed."""
+    ad_x = [None if rows is None else [list(r) for r in rows]
+            for rows in L.ad["x"]]
+    ad_x[k][0][0] = (ad_x[k][0][0] + 1) % L.p
+    return GradedAlgebra(L.field, L.elements, L.comp_gids,
+                         [rows if rows is None else tuple(map(tuple, rows))
+                          for rows in ad_x],
+                         L.ad["y"], N=L.N, q=L.q)
+
+
+class ReducingKernel:
+    """The bracket recursion and the pair checks as the engine computed
+    them before its kernel read ad rows directly: unit vectors through
+    mat_apply_rows, a generic bilinear bracket, and a reduction mod p after
+    every term.  The reference the engine's kernel is compared against;
+    it has its own memo and never calls the engine's bracket."""
+
+    def __init__(self, L):
+        self.L = L
+        self.memo = {}
+
+    def bracket_basis(self, gi, gj):
+        L, memo = self.L, self.memo
+        got = memo.get((gi, gj))
+        if got is not None:
+            return got
+        ei, ej = L.elements[gi], L.elements[gj]
+        dt = ei.degree + ej.degree
+        if dt > L.N_built:
+            raise DegreeOverflowError(dt, L.N_built)
+        if ej.degree == 1:
+            out = mat_apply_rows(L.ad[ej.word][ei.degree],
+                                 L.as_element(gi)[1], L.p)
+        elif ei.degree < ej.degree:
+            out = vec_neg(self.bracket_basis(gj, gi), L.p)
+        else:
+            # split e_gj = [a, t] along its defining word
+            a, t = ej.parent_gid, ej.letter
+            w1 = (dt - 1, self.bracket_basis(gi, a))
+            r1 = L.apply_letter(w1, t)[1]
+            w2 = L.apply_letter(L.as_element(gi), t)
+            r2 = self.bracket(w2, L.as_element(a))[1]
+            out = vec_sub(r1, r2, L.p)
+        memo[(gi, gj)] = out
+        return out
+
+    def bracket(self, u, v):
+        return self._bilinear(u, v, self.bracket_basis)
+
+    def bracket_mirror(self, u, v, memo):
+        return self._bilinear(
+            u, v, lambda gi, gj: self.mirror_basis(gi, gj, memo))
+
+    def _bilinear(self, u, v, basis_bracket):
+        L, p = self.L, self.L.p
+        du, cu = u
+        dv, cv = v
+        dt = du + dv
+        if dt > L.N_built:
+            raise DegreeOverflowError(dt, L.N_built)
+        acc = list(vec_zero(L.dim(dt)))
+        for i, ci in enumerate(cu):
+            if not ci:
+                continue
+            for j, cj in enumerate(cv):
+                if not cj:
+                    continue
+                w = basis_bracket(L.gid(du, i), L.gid(dv, j))
+                m = ci * cj % p
+                for s, ws in enumerate(w):
+                    acc[s] = (acc[s] + m * ws) % p
+        return (dt, tuple(acc))
+
+    def mirror_basis(self, gi, gj, memo):
+        L, p = self.L, self.L.p
+        got = memo.get((gi, gj))
+        if got is not None:
+            return got
+        ei, ej = L.elements[gi], L.elements[gj]
+        dt = ei.degree + ej.degree
+        if dt > L.N_built:
+            raise DegreeOverflowError(dt, L.N_built)
+        if ei.degree == 1:
+            # [g, v] = -[v, g] = -(ad g)(v)
+            out = vec_neg(mat_apply_rows(L.ad[ei.word][ej.degree],
+                                         L.as_element(gj)[1], p), p)
+        else:
+            # e_gi = [a, t]:  [[a,t], v] = [a, [t, v]] + [[a, v], t]
+            a, t = ei.parent_gid, ei.letter
+            tv = vec_neg(L.apply_letter(L.as_element(gj), t)[1], p)
+            term1 = list(vec_zero(L.dim(dt)))
+            for s, c in enumerate(tv):
+                if c:
+                    w = self.mirror_basis(a, L.gid(ej.degree + 1, s), memo)
+                    for s2, ws in enumerate(w):
+                        term1[s2] = (term1[s2] + c * ws) % p
+            av = self.mirror_basis(a, gj, memo)
+            term2 = mat_apply_rows(L.ad[t][dt - 1], av, p)
+            out = vec_add(tuple(term1), term2, p)
+        memo[(gi, gj)] = out
+        return out
+
+    def witnesses(self, B):
+        """Uncapped witness lists of the words, antisymmetry and jacobi
+        checks up to total degree B, by the per-pair loops."""
+        L, p = self.L, self.L.p
+        words = [e.gid for e in L.elements
+                 if L.eval_word(e.word) != L.as_element(e.gid)]
+        anti, mirror_memo = [], {}
+        for e1 in L.elements:
+            for e2 in L.elements:
+                if e1.degree + e2.degree > B or e2.gid < e1.gid:
+                    continue
+                u, v = L.as_element(e1.gid), L.as_element(e2.gid)
+                lhs = self.bracket(u, v)[1]
+                if lhs != self.bracket_mirror(u, v, mirror_memo)[1]:
+                    anti.append((e1.gid, e2.gid))
+                if e1.gid == e2.gid and not vec_is_zero(lhs):
+                    anti.append((e1.gid, e1.gid))
+        jac = []
+        gens = [(g, L.elements[g].word) for g in L.comp_gids[1]]
+        for total in range(3, B + 1):
+            for da in range(1, (total - 1) // 2 + 1):
+                db = total - 1 - da
+                for ga in L.comp_gids[da]:
+                    a = L.as_element(ga)
+                    for gb in L.comp_gids[db]:
+                        if gb < ga:
+                            continue
+                        b = L.as_element(gb)
+                        ab = self.bracket(a, b)
+                        for gs, s in gens:
+                            j = L.apply_letter(ab, s)[1]
+                            j = vec_add(j, self.bracket(
+                                L.apply_letter(b, s), a)[1], p)
+                            j = vec_sub(j, self.bracket(
+                                L.apply_letter(a, s), b)[1], p)
+                            if not vec_is_zero(j):
+                                jac.append((ga, gb, gs))
+        return {"words": words, "antisymmetry": anti, "jacobi": jac}

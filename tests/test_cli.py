@@ -114,6 +114,20 @@ def test_budget_exit_code(monkeypatch):
     assert run(["build", "--family", "a", "--q", "7", "--N", "60"]) == 3
 
 
+def test_deflate_without_N_is_bad_spec(capsys):
+    assert run(["deflate", "--q", "7", "--r", "7"]) == 2
+    assert "--N is required" in capsys.readouterr().err
+
+
+def test_deflate_over_budget_exit_code(monkeypatch, capsys):
+    # the same --N check as the subcommands that go through make_algebra
+    monkeypatch.setenv("THINLIE_MAX_DEGREE", "50")
+    assert run(["deflate", "--q", "7", "--r", "7", "--N", "100"]) == 3
+    assert "--N 100 exceeds THINLIE_MAX_DEGREE=50" in capsys.readouterr().err
+    assert run(["build", "--family", "a", "--q", "7", "--N", "60"]) == 3
+    assert "--N 60 exceeds THINLIE_MAX_DEGREE=50" in capsys.readouterr().err
+
+
 def test_sequence_file_build(tmp_path):
     seq = tmp_path / "seq.json"
     seq.write_text(json.dumps({"schema": "thinlie.sequence.v1", "p": 7,

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import P, Q, oracle_bracket
-from thinlie.engine import (DegreeOverflowError, GradedAlgebra, OperatorFamily,
-                            validate)
+from helpers import P, Q, corrupt_ad_x, oracle_bracket
+from thinlie.engine import (BasisElement, DegreeOverflowError, GradedAlgebra,
+                            OperatorFamily, validate)
 from thinlie.gf import echelon_add, lucas_binom, vec_is_zero, vec_scale
 from thinlie.maxclass import build_maxclass, metabelian_sequence
 from thinlie.patterns import compile_pattern, family_pattern
@@ -138,14 +138,7 @@ def test_validate_passes_on_families(n7, case_e):
 
 
 def test_corrupted_ad_matrix_fails_jacobi(n7):
-    ad_x = [None if rows is None else [list(r) for r in rows]
-            for rows in n7.ad["x"]]
-    ad_x[20][0][0] = (ad_x[20][0][0] + 1) % P
-    bad = GradedAlgebra(n7.field, n7.elements, n7.comp_gids,
-                        [rows if rows is None else tuple(tuple(r) for r in rows)
-                         for rows in ad_x],
-                        n7.ad["y"], N=n7.N, q=n7.q)
-    rep = validate(bad, checks=("jacobi",))
+    rep = validate(corrupt_ad_x(n7), checks=("jacobi",))
     assert not rep.ok
     assert rep.failures()[0].witnesses  # carries a witness triple
 
@@ -304,9 +297,11 @@ def test_coords_keep_shifts_apart(n7):
     assert echelon_add(ech, b.coords(), P)
 
 
-def test_malformed_algebra_raises_under_optimize():
-    # the well-formedness checks must survive python -O, which strips asserts
-    code = """
+def _finish_under_optimize(body):
+    """Run body, which builds an algebra with AlgebraBuilder b over F_7,
+    under python -O (which strips asserts); the ValueError message of
+    b.finish, or "" if it raises none."""
+    code = f"""
 import sys
 from thinlie.engine import AlgebraBuilder
 from thinlie.gf import PrimeField
@@ -314,8 +309,7 @@ if not sys.flags.optimize:
     sys.exit("not optimized")
 b = AlgebraBuilder(PrimeField(7))
 b.add_degree([("x", None, None), ("y", None, None)])
-b.add_degree([("xy", 0, "y"), ("yx", 1, "x"), ("xx", 0, "x")])
-b.set_ad(1, [(1, 0, 0), (0, 0, 1)], [(0, 1, 0), (0, 0, 0)])
+{body}
 try:
     b.finish(N=2)
 except ValueError as e:
@@ -328,4 +322,32 @@ except ValueError as e:
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "component 2 has dim 3"
+    return out.stdout.strip()
+
+
+def test_malformed_algebra_raises_under_optimize():
+    assert _finish_under_optimize("""
+b.add_degree([("xy", 0, "y"), ("yx", 1, "x"), ("xx", 0, "x")])
+b.set_ad(1, [(1, 0, 0), (0, 0, 1)], [(0, 1, 0), (0, 0, 0)])
+""") == "component 2 has dim 3"
+
+
+@pytest.mark.parametrize("entry", [-1, 13])
+def test_unreduced_ad_entry_raises_under_optimize(entry):
+    # bracket_basis returns ad rows as bracket values, so an entry outside
+    # range(p) must be refused, not leak into results; [y, x] = 6 [x, y]
+    # mod 7 is well formed
+    body = """
+b.add_degree([("xy", 0, "y")])
+b.set_ad(1, [(0,), (ENTRY,)], [(1,), (0,)])
+"""
+    assert _finish_under_optimize(body.replace("ENTRY", "6")) == ""
+    assert _finish_under_optimize(body.replace("ENTRY", str(entry))) == \
+        "ad x on degree 1 has an entry outside 0..6"
+
+
+def test_elements_must_be_the_bases_in_degree_order(n7):
+    extra = BasisElement(len(n7.elements), 1, 0, "x", None, None)
+    with pytest.raises(ValueError, match="degree by degree"):
+        GradedAlgebra(n7.field, n7.elements + (extra,), n7.comp_gids,
+                      n7.ad["x"], n7.ad["y"], N=n7.N, q=n7.q)

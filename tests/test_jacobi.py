@@ -2,9 +2,8 @@
 
 import pytest
 
-from helpers import P, forbidden_continuations
-from thinlie.engine import (MAXCLASS_CHECKS, NOTTINGHAM_CHECKS, GradedAlgebra,
-                            validate)
+from helpers import P, corrupt_ad_x, forbidden_continuations
+from thinlie.engine import MAXCLASS_CHECKS, NOTTINGHAM_CHECKS, validate
 from thinlie.patterns import compile_pattern, family_pattern
 
 UNCAPPED = 10 ** 9
@@ -39,14 +38,7 @@ def test_generator_check_matches_triples_on_forbidden(name, pattern, N):
 
 def test_generator_check_matches_triples_on_corrupted_ad():
     n7, _ = compile_pattern(family_pattern("a", P, P, 100), 60)
-    ad_x = [None if rows is None else [list(r) for r in rows]
-            for rows in n7.ad["x"]]
-    ad_x[20][0][0] = (ad_x[20][0][0] + 1) % P
-    bad = GradedAlgebra(n7.field, n7.elements, n7.comp_gids,
-                        [rows if rows is None else tuple(tuple(r) for r in rows)
-                         for rows in ad_x],
-                        n7.ad["y"], N=n7.N, q=n7.q)
-    gen, tri = _verdicts(bad)
+    gen, tri = _verdicts(corrupt_ad_x(n7))
     assert gen == tri and gen[0] is False
 
 
