@@ -43,19 +43,35 @@ def _checked_N(args) -> int:
     """--N, which every subcommand needs, checked against the budget."""
     if args.N is None:
         raise PatternError("--N is required")
+    if args.N < 1:
+        raise PatternError(f"--N must be at least 1, got {args.N}")
     cap = max_degree()
     if args.N > cap:
         raise BudgetError(f"--N {args.N} exceeds THINLIE_MAX_DEGREE={cap}")
     return args.N
 
 
-def _dump(doc, path):
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def _write(path, write):
+    """Call write(fh) on the --out file, or on stdout without --out."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
+
+
+def _dump(doc, path):
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    _write(path, lambda fh: fh.write(text))
+
+
+def _dump_structure(L, path):
+    """The structure JSON of L, streamed; the same bytes as
+    _dump(L.to_structure_json(), path)."""
+    def write(fh):
+        L.write_structure_json(fh)
+        fh.write("\n")
+    _write(path, write)
 
 
 def _load_json(path):
@@ -126,7 +142,7 @@ def make_algebra(args, guard=2, run_validation=False):
 
 def cmd_build(args):
     L, report = make_algebra(args, run_validation=True)
-    _dump(L.to_structure_json(), args.out)
+    _dump_structure(L, args.out)
     if report is not None:
         print(report.summary(), file=sys.stderr)
         if not report.ok:
@@ -136,7 +152,7 @@ def cmd_build(args):
 
 def cmd_export(args):
     L, _ = make_algebra(args, run_validation=False)
-    _dump(L.to_structure_json(), args.out)
+    _dump_structure(L, args.out)
     return EXIT_OK
 
 
@@ -178,6 +194,9 @@ def cmd_detect(args):
 
 
 def cmd_roundtrip(args):
+    if args.compare_N is not None and args.compare_N < 1:
+        raise PatternError(f"--compare-N must be at least 1, got "
+                           f"{args.compare_N}")
     L, _ = make_algebra(args, guard=(args.q or 7) + 2, run_validation=False)
     try:
         rep = roundtrip_check(L, compare_N=args.compare_N)
@@ -194,11 +213,19 @@ def cmd_deflate(args):
         raise PatternError("deflate needs --q and --r")
     L, pattern, report = nottingham_Nqr(args.q, args.r, _checked_N(args),
                                         p=args.p)
-    doc = {"schema": "thinlie.deflate.v1",
-           "structure": L.to_structure_json(),
-           "pattern": pattern.to_json(),
-           "validation": report.to_json() if report else None}
-    _dump(doc, args.out)
+
+    def nested(doc):
+        # JSON strings hold no raw newline, so this only re-indents
+        return json.dumps(doc, sort_keys=True, indent=2).replace("\n", "\n  ")
+
+    def write(fh):
+        # {"pattern", "schema", "structure", "validation"}, keys sorted
+        fh.write('{\n  "pattern": ' + nested(pattern.to_json())
+                 + ',\n  "schema": "thinlie.deflate.v1",\n  "structure": ')
+        L.write_structure_json(fh, depth=1)
+        fh.write(',\n  "validation": '
+                 + nested(report.to_json() if report else None) + "\n}\n")
+    _write(args.out, write)
     return EXIT_OK if (report is None or report.ok) else EXIT_FAILED
 
 
@@ -272,11 +299,7 @@ def cmd_diagram(args):
         _dump(_diagram_json(L, pattern), args.out)
         return EXIT_OK
     text = (_diagram_dot if args.format == "dot" else _diagram_txt)(L, pattern)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, lambda fh: fh.write(text))
     return EXIT_OK
 
 
@@ -327,7 +350,7 @@ def main(argv=None) -> int:
     except (BudgetError, DegreeOverflowError) as e:
         print(f"degree budget exceeded: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except (PatternError, SequenceError, ConstructionError, ValueError) as e:
+    except (PatternError, SequenceError, ConstructionError) as e:
         print(f"bad job specification: {e}", file=sys.stderr)
         return EXIT_BADSPEC
     except UnrealizableSequenceError as e:

@@ -40,7 +40,6 @@ from .gf import (
     PrimeField,
     mat_apply_rows,
     rank,
-    solve_or_kernel,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -312,26 +311,6 @@ class GradedAlgebra:
         memo[(gi, gj)] = out
         return out
 
-    # -- derived quantities ---------------------------------------------------
-
-    def centralizer_in_L1(self, k: int):
-        """Basis of {z in L_1 : [L_k, z] = 0}, as L_1 coordinate tuples."""
-        if not 1 <= k < self.N_built:
-            raise ValueError(f"degree {k} out of built range")
-        rows = []
-        for i in range(self.dim(k)):
-            u = self.as_element(self.gid(k, i))
-            ix = self.apply_letter(u, "x")[1]
-            iy = self.apply_letter(u, "y")[1]
-            for s in range(len(ix)):
-                rows.append((ix[s], iy[s]))
-        sol = solve_or_kernel(tuple(rows), (0,) * len(rows), self.p)
-        return sol.kernel
-
-    def coclass_excess(self) -> int:
-        """Number of 2-dimensional components among L_1..L_N."""
-        return sum(1 for k in range(1, self.N + 1) if self.dim(k) == 2)
-
     def ad_operator(self, z_coords):
         """ad z for z in L_1: the derivation of shift 1 with x -> [x, z] and
         y -> [y, z], as an OperatorFamily."""
@@ -342,6 +321,72 @@ class GradedAlgebra:
         return OperatorFamily(self, 1, {1: rows})
 
     # -- export ----------------------------------------------------------------
+
+    def write_structure_json(self, out, depth: int = 0) -> None:
+        """Write the structure-constant document to the text stream `out`.
+
+        The bytes are exactly json.dumps(self.to_structure_json(),
+        sort_keys=True, indent=2), with every line after the first
+        indented as if the document were nested `depth` levels deep, and
+        no trailing newline.  Of the O(N^2) brackets only one row is held
+        at a time: [e_i, e_j] for the e_j of one e_i, in
+        to_structure_json's order (gid-major, j >= i, zeros skipped), each
+        formatted from a fixed template as soon as bracket_basis returns
+        it.  The other values are O(N) in size.  Words are over {x, y}
+        and values are ints, so nothing needs JSON escaping.
+        """
+        nl = ["\n" + "  " * (depth + k) for k in range(6)]
+
+        def arr(items, lvl):
+            # a JSON array of encoded items, one per line at level lvl
+            if not items:
+                return "[]"
+            return ("[" + nl[lvl] + ("," + nl[lvl]).join(items)
+                    + nl[lvl - 1] + "]")
+
+        def ad(letter):
+            return arr([arr([arr([str(c) for c in r], 4) for r in rows], 3)
+                        for rows in self.ad[letter][1:self.N]], 2)
+
+        out.write("{" + nl[1] + '"N": ' + str(self.N) + "," + nl[1]
+                  + '"ad_x": ' + ad("x") + "," + nl[1]
+                  + '"ad_y": ' + ad("y") + "," + nl[1] + '"brackets": ')
+        n2, n3, n4 = nl[2:5]
+        template = {n: "{" + n3 + '"coeffs": [' + n4
+                    + ("," + n4).join(["%d"] * n) + n3 + "]," + n3
+                    + '"i": %d,' + n3 + '"j": %d' + n2 + "}"
+                    for n in (1, 2)}
+        # sep opens the array until the first row is written
+        bracket_basis, sep = self.bracket_basis, "[" + n2
+        for k in range(1, self.N):
+            # partners of degree <= N - k: the gids up to comp_gids[N - k]
+            hi = self.comp_gids[self.N - k][-1] + 1
+            for gi in self.comp_gids[k]:
+                row = []
+                for gj in range(gi, hi):
+                    c = bracket_basis(gi, gj)
+                    if any(c):
+                        row.append(template[len(c)] % (*c, gi, gj))
+                if row:
+                    out.write(sep + ("," + n2).join(row))
+                    sep = "," + n2
+        out.write("[]" if sep[0] == "[" else nl[1] + "]")
+        comps = []
+        for k in range(1, self.N + 1):
+            basis = self.basis(k)
+            comps.append(
+                "{" + nl[3] + '"basis_words": '
+                + arr(['"' + e.word + '"' for e in basis], 4) + "," + nl[3]
+                + '"bidegrees": '
+                + arr([arr([str(b) for b in e.bidegree], 5)
+                       for e in basis], 4) + "," + nl[3]
+                + '"degree": ' + str(k) + "," + nl[3]
+                + '"dims": ' + str(len(basis)) + nl[2] + "}")
+        out.write("," + nl[1] + '"components": ' + arr(comps, 2) + ","
+                  + nl[1] + '"p": ' + str(self.p) + "," + nl[1] + '"q": '
+                  + ("null" if self.q is None else str(self.q)) + ","
+                  + nl[1] + '"schema": "thinlie.structure.v1"' + nl[0]
+                  + "}")
 
     def to_structure_json(self) -> dict:
         """Structure-constant document (canonical interchange format)."""

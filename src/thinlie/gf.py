@@ -36,13 +36,18 @@ def smallest_prime_factor(n: int) -> int:
     return n
 
 
+def is_field_char(p) -> bool:
+    """Whether PrimeField(p) is defined: p is an int and a prime > 3."""
+    return isinstance(p, int) and is_prime(p) and p > 3
+
+
 class PrimeField:
     """The field F_p for an odd prime p > 3."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if not is_prime(p) or p <= 3:
+        if not is_field_char(p):
             raise ValueError(f"p must be a prime > 3, got {p}")
         self.p = p
 

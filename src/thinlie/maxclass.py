@@ -21,7 +21,7 @@ from .engine import (
     ValidationReport,
     validate,
 )
-from .gf import PrimeField, vec_is_zero
+from .gf import PrimeField, is_field_char, vec_is_zero
 
 
 class SequenceError(ValueError):
@@ -87,6 +87,11 @@ class CentralizerSequence:
         except (KeyError, TypeError) as e:
             raise SequenceError(f"malformed sequence document: missing or "
                                 f"misplaced field {e}") from None
+        if not is_field_char(p):
+            raise SequenceError(f"p must be a prime > 3, got {p!r}")
+        if not isinstance(entries, str):
+            raise SequenceError("sequence entries must be a string of "
+                                "'X' and 'Y'")
         return CentralizerSequence(p, entries)
 
 

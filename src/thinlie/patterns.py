@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .engine import AlgebraBuilder, GradedAlgebra, validate
-from .gf import PrimeField, vec_add, vec_is_zero, vec_neg, vec_scale
+from .gf import (PrimeField, is_field_char, vec_add, vec_is_zero, vec_neg,
+                 vec_scale)
 from .maxclass import CentralizerSequence
 
 
@@ -69,10 +70,13 @@ class DiamondType:
     @staticmethod
     def from_json(s: str, p: int) -> "DiamondType":
         if isinstance(s, str) and s.startswith("finite:"):
-            return DiamondType.finite(int(s.split(":", 1)[1]), p)
+            try:
+                return DiamondType.finite(int(s.split(":", 1)[1]), p)
+            except ValueError as e:
+                raise PatternError(f"bad diamond type {s!r}: {e}") from None
         if s in ("infinite", "fake1", "fake0"):
             return DiamondType(s)
-        raise ValueError(f"unknown diamond type {s!r}")
+        raise PatternError(f"unknown diamond type {s!r}")
 
 
 @dataclass
@@ -108,12 +112,21 @@ class DiamondPattern:
         except (KeyError, TypeError) as e:
             raise PatternError(f"malformed pattern document: missing or "
                                f"misplaced field {e}") from None
+        _check_p(p)
+        if not all(isinstance(v, int) for v in (q, *(d for d, _ in raw))):
+            raise PatternError("pattern q and entry degrees must be integers")
         return normalize([(d, DiamondType.from_json(t, p)) for d, t in raw],
                          p, q)
 
 
 class PatternError(ValueError):
     pass
+
+
+def _check_p(p):
+    """Reject a characteristic given by a job unless it is a prime > 3."""
+    if not is_field_char(p):
+        raise PatternError(f"p must be a prime > 3, got {p!r}")
 
 
 def _allowed_gaps(prev_type, q: int):
@@ -347,11 +360,15 @@ def classify_regularity(L: GradedAlgebra) -> RegularityReport:
 
 def family_pattern(family: str, p: int, q: int, N: int, **params) -> DiamondPattern:
     """Raw pattern generator for the named families, normalized to degree N."""
-    field = PrimeField(p)  # validates p
-    del field
+    _check_p(p)
     if q < 7 or (q % p and q != p) or not _is_ppower(q, p):
         raise PatternError(f"q must be a power of p greater than 5, got {q}")
     grid = list(range(q, N + 1, q - 1))       # degrees k(q-1)+1, k >= 1
+
+    def need(name):
+        if name not in params:
+            raise PatternError(f"family {family!r} needs parameter {name!r}")
+        return params[name]
 
     def prog_type(val: int) -> DiamondType:
         val %= p
@@ -365,14 +382,14 @@ def family_pattern(family: str, p: int, q: int, N: int, **params) -> DiamondPatt
     if family == "a":
         raw = [(d, DiamondType.finite(-1, p)) for d in grid]
     elif family == "b":
-        start = params["start_type"]          # type of the third diamond
+        start = need("start_type")            # type of the third diamond
         step = (start + 1) % p
         if step == 0:
             raise PatternError("case (b) requires a non-constant progression")
         for j, d in enumerate(grid):          # j=0 <-> degree q, type -1
             raw.append((d, prog_type(-1 + j * step)))
     elif family in ("c", "d"):
-        s = params["s"]
+        s = need("s")
         period = p ** s * (q - 1)
         step = params.get("step", 0 if family == "c" else 1)
         if family == "d" and step % p == 0:
@@ -394,7 +411,7 @@ def family_pattern(family: str, p: int, q: int, N: int, **params) -> DiamondPatt
         raw = [(q, DiamondType.finite(-1, p))]
         raw += [(m, DiamondType.fake0()) for m in range(2 * q - 1, N + 1, q)]
     elif family == "tq2":
-        seq: CentralizerSequence = params["sequence"]
+        seq: CentralizerSequence = need("sequence")
         raw = [(q, DiamondType.finite(-1, p))]
         deg = q
         i = 2
@@ -406,7 +423,7 @@ def family_pattern(family: str, p: int, q: int, N: int, **params) -> DiamondPatt
                         else DiamondType.infinite()))
             i += 1
     elif family == "uniqueness":
-        s = params["s"]
+        s = need("s")
         seq = uniqueness_sequence(p, s, 2 * (N // (q - 1)) + 4)
         return family_pattern("tq2", p, q, N, sequence=seq)
     else:

@@ -5,8 +5,9 @@ generation, and corpus construction."""
 from __future__ import annotations
 
 from thinlie.engine import DegreeOverflowError, GradedAlgebra
-from thinlie.gf import (lucas_binom, mat_apply_rows, vec_add, vec_is_zero,
-                        vec_neg, vec_scale, vec_sub, vec_zero)
+from thinlie.gf import (lucas_binom, mat_apply_rows, solve_or_kernel,
+                        vec_add, vec_is_zero, vec_neg, vec_scale, vec_sub,
+                        vec_zero)
 from thinlie.maxclass import CentralizerSequence, build_maxclass, metabelian_sequence
 from thinlie.patterns import compile_pattern, family_pattern, uniqueness_sequence
 
@@ -47,6 +48,24 @@ def oracle_bracket(L, u, v_word):
         term = L.apply_word(term, "x" * (xrun - i))
         acc = (deg, vec_add(acc[1], vec_scale(c, term[1], p), p))
     return acc
+
+
+def centralizer_in_L1(L, k: int):
+    """Basis of {z in L_1 : [L_k, z] = 0}, as L_1 coordinate tuples."""
+    if not 1 <= k < L.N_built:
+        raise ValueError(f"degree {k} out of built range")
+    rows = []
+    for i in range(L.dim(k)):
+        u = L.as_element(L.gid(k, i))
+        ix = L.apply_letter(u, "x")[1]
+        iy = L.apply_letter(u, "y")[1]
+        rows.extend(zip(ix, iy))
+    return solve_or_kernel(tuple(rows), (0,) * len(rows), L.p).kernel
+
+
+def coclass_excess(L) -> int:
+    """Number of 2-dimensional components among L_1..L_N."""
+    return sum(1 for k in range(1, L.N + 1) if L.dim(k) == 2)
 
 
 def random_tq2_pattern(rng: random.Random, n_lo=20, n_hi=160):

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from thinlie.cli import main
 
 
@@ -207,3 +209,64 @@ def test_roundtrip_short_range_fails_cleanly(tmp_path):
                 "--out", str(out)]) == 4
     doc = json.loads(out.read_text())
     assert not doc["pass"] and "too short" in doc["error"]
+
+
+def test_input_side_errors_are_bad_spec(tmp_path, capsys):
+    docs = {
+        "abc.json": {"p": 7, "q": 7,
+                     "entries": [{"degree": 7, "type": "finite:abc"}]},
+        "fin1.json": {"p": 7, "q": 7,
+                      "entries": [{"degree": 7, "type": "finite:1"}]},
+        "pat3.json": {"p": 3, "q": 9,
+                      "entries": [{"degree": 9, "type": "finite:2"}]},
+        "seq3.json": {"p": 3, "entries": "Y" * 30},
+        "spec3.json": {"family": "a", "p": 3, "q": 9, "N": 30},
+        "spec_c.json": {"family": "c", "p": 7, "q": 7, "N": 30},
+        "deg.json": {"p": 7, "q": 7,
+                     "entries": [{"degree": 7, "type": "finite:6"},
+                                 {"degree": "13", "type": "infinite"}]},
+        "seq5.json": {"p": 7, "entries": 5},
+    }
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    f = {name: str(tmp_path / name) for name in docs}
+    for argv, message in [
+            (["build", "--family", "a", "--p", "3", "--N", "30"],
+             "p must be a prime > 3"),
+            (["deflate", "--q", "9", "--r", "3", "--N", "10"],
+             "p must be a prime > 3"),
+            (["detect", "--pattern", f["abc.json"], "--N", "30"],
+             "'finite:abc'"),
+            (["detect", "--pattern", f["fin1.json"], "--N", "30"],
+             "'finite:1'"),
+            (["detect", "--pattern", f["pat3.json"], "--N", "30"],
+             "p must be a prime > 3"),
+            (["build", "--sequence", f["seq3.json"], "--q", "7", "--N", "20"],
+             "p must be a prime > 3"),
+            (["detect", "--family-spec", f["spec3.json"], "--N", "30"],
+             "p must be a prime > 3"),
+            (["detect", "--family-spec", f["spec_c.json"], "--N", "30"],
+             "needs parameter 's'"),
+            (["detect", "--pattern", f["deg.json"], "--N", "30"],
+             "must be integers"),
+            (["build", "--sequence", f["seq5.json"], "--q", "7", "--N", "20"],
+             "must be a string"),
+            (["export", "--family", "a", "--q", "7", "--N", "0"],
+             "--N must be at least 1"),
+            (["roundtrip", "--family", "uniqueness", "--q", "7", "--N", "60",
+              "--compare-N", "0"], "--compare-N must be at least 1")]:
+        assert run(argv) == 2, argv
+        assert message in capsys.readouterr().err, argv
+
+
+def test_internal_value_error_is_not_bad_spec(monkeypatch):
+    # a plain ValueError is a fault of the program, not of the job: it is
+    # not reported as a malformed job specification
+    import thinlie.cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(thinlie.cli, "compile_pattern", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        run(["build", "--family", "a", "--q", "7", "--N", "30"])

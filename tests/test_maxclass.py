@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import P, backbone_sequence
+from helpers import P, backbone_sequence, coclass_excess
 from thinlie.gf import vec_is_zero
 from thinlie.maxclass import (CentralizerSequence, SequenceError,
                               UnrealizableSequenceError, build_maxclass,
@@ -36,7 +36,7 @@ def test_metabelian_structure():
                e1.degree + e2.degree <= L.N_built:
                 assert vec_is_zero(L.bracket_basis(e1.gid, e2.gid))
     assert extract_centralizer_sequence(M).entries == ["Y"] * (L.N_built - 2)
-    assert L.coclass_excess() == 1
+    assert coclass_excess(L) == 1
 
 
 def test_backbone_builds_and_roundtrips():
