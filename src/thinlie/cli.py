@@ -13,15 +13,17 @@ import json
 import os
 import sys
 
-from .constructions import ConstructionError, nottingham_Nqr, tensor_construct
+from .constructions import (ConstructionError, nottingham_Nqr,
+                            nqr_source_degree, tensor_construct)
 from .derivations import ClassGateError, ExtractionError, roundtrip_check
 from .engine import DegreeOverflowError, validate
 from .gf import smallest_prime_factor
 from .maxclass import (CentralizerSequence, SequenceError,
                        UnrealizableSequenceError, build_maxclass)
-from .patterns import (DiamondPattern, PatternError, classify_regularity,
-                       compile_pattern, detect, family_pattern,
-                       family_pattern_from_json, verify_lemma_suite)
+from .patterns import (DiamondPattern, PatternError, check_q,
+                       classify_regularity, compile_pattern, detect,
+                       family_pattern, family_pattern_from_json,
+                       verify_lemma_suite)
 
 EXIT_OK = 0
 EXIT_BADSPEC = 2
@@ -86,12 +88,12 @@ def _family_params(args):
     kw = {}
     if args.family == "b":
         kw["start_type"] = args.start_type if args.start_type is not None else 2
-    if args.family in ("c", "d"):
-        kw["s"] = args.s or 1
-        if args.family == "d":
-            kw["step"] = args.step if args.step is not None else 1
-    if args.family == "uniqueness":
-        kw["s"] = args.s or 1
+    if args.family in ("c", "d", "uniqueness"):
+        kw["s"] = args.s if args.s is not None else 1
+    if args.family == "d":
+        kw["step"] = args.step if args.step is not None else 1
+    if args.family == "nqr" and args.r is not None:
+        kw["r"] = args.r
     if args.family == "tq2":
         if not args.sequence:
             raise PatternError("family tq2 needs --sequence")
@@ -102,12 +104,6 @@ def _family_params(args):
 def make_algebra(args, guard=2, run_validation=False):
     """Resolve --family/--pattern/--sequence into a built algebra."""
     N = _checked_N(args)
-    if args.family == "nqr":
-        if not (args.q and args.r):
-            raise PatternError("family nqr needs --q and --r")
-        L, pattern, report = nottingham_Nqr(args.q, args.r, N, p=args.p,
-                                            run_validation=run_validation)
-        return L, report
     if args.pattern:
         pattern = DiamondPattern.from_json(_load_json(args.pattern))
         return compile_pattern(pattern, N, guard=guard,
@@ -131,6 +127,7 @@ def make_algebra(args, guard=2, run_validation=False):
         q = args.q
         if not q:
             raise PatternError("--sequence needs --q")
+        check_q(seq.p, q)
         need = -(-(N + guard) // (q - 1)) + 2
         M = build_maxclass(seq, need + 1)
         tc = tensor_construct(M, q, N, guard=guard,
@@ -211,8 +208,13 @@ def cmd_roundtrip(args):
 def cmd_deflate(args):
     if not (args.q and args.r):
         raise PatternError("deflate needs --q and --r")
-    L, pattern, report = nottingham_Nqr(args.q, args.r, _checked_N(args),
-                                        p=args.p)
+    N = _checked_N(args)
+    _, _, n_src = nqr_source_degree(args.q, args.r, N, p=args.p)
+    cap = max_degree()
+    if n_src > cap:
+        raise BudgetError(f"deflate to --N {N} compiles its source to degree "
+                          f"{n_src}, over THINLIE_MAX_DEGREE={cap}")
+    L, pattern, report = nottingham_Nqr(args.q, args.r, N, p=args.p)
 
     def nested(doc):
         # JSON strings hold no raw newline, so this only re-indents

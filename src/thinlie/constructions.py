@@ -11,7 +11,8 @@ from .engine import AlgebraBuilder, GradedAlgebra, OperatorFamily, validate
 from .gf import (PrimeField, echelon_add, lucas_binom, smallest_prime_factor,
                  solve_or_kernel)
 from .maxclass import MaxClassAlgebra
-from .patterns import detect
+from .patterns import (check_p, check_q, compile_pattern, deflation_steps,
+                       detect, family_pattern)
 
 
 class ConstructionError(Exception):
@@ -316,32 +317,42 @@ def _standard_generators(basis1, p: int, q_out):
 
 # -- N(q, r) ------------------------------------------------------------------------
 
+def nqr_source_degree(q: int, r: int, N: int, p: int | None = None):
+    """(p, steps, n_src) for N(q, r) built to degree N by deflation: the
+    characteristic (the least prime factor of q unless given), the number
+    of deflation steps (r = p^steps), and the degree n_src its parameter-
+    (q r) source of family a is compiled to.  Deflating to n needs the
+    input built to p (n + 2) + p (see deflate, at its default guard), so
+    n_src applies that once per step, starting from N.  Checks p, r and
+    q r before anything is built."""
+    if p is None:
+        p = smallest_prime_factor(q)
+    check_p(p)
+    steps = deflation_steps(p, r)
+    check_q(p, q * r)
+    n_src = N
+    for _ in range(steps):
+        n_src = p * (n_src + 2) + p
+    return p, steps, n_src
+
+
 def nottingham_Nqr(q: int, r: int, N: int, p: int | None = None,
                    run_validation: bool = True):
     """Iterated deflation of the type -1 family with parameter q r, giving
     the Nottingham algebra with second diamond q and fake diamonds between
-    the genuine ones.  Returns (algebra, detected pattern, report)."""
-    from .patterns import compile_pattern, family_pattern
+    the genuine ones.  Returns (algebra, detected pattern, report).
 
-    if p is None:
-        p = smallest_prime_factor(q)
-    j = 0
-    rr = r
-    while rr % p == 0:
-        rr //= p
-        j += 1
-    if rr != 1 or j < 1:
-        raise ConstructionError("r must be a positive power of p")
-    n_src = N
-    for _ in range(j):
-        n_src = p * (n_src + 2) + p
+    This is the existence construction, run by the deflate subcommand and
+    used by the tests as the independent check of family_pattern's closed
+    form for family nqr, which the other subcommands compile."""
+    p, steps, n_src = nqr_source_degree(q, r, N, p)
     pat = family_pattern("a", p, q * r, n_src + q * r + 5)
     L, _ = compile_pattern(pat, n_src, run_validation=False)
     report = None
-    for step in range(j):
-        target = N if step == j - 1 else (L.N_built - p) // p - 2
+    for step in range(steps):
+        target = N if step == steps - 1 else (L.N_built - p) // p - 2
         L, report = deflate(L, target,
-                            run_validation=run_validation and step == j - 1)
+                            run_validation=run_validation and step == steps - 1)
     pattern, _ = detect(L)
     L.meta["nqr"] = {"q": q, "r": r, "pattern": pattern.to_json()}
     return L, pattern, report

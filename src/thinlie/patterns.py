@@ -112,7 +112,7 @@ class DiamondPattern:
         except (KeyError, TypeError) as e:
             raise PatternError(f"malformed pattern document: missing or "
                                f"misplaced field {e}") from None
-        _check_p(p)
+        check_p(p)
         if not all(isinstance(v, int) for v in (q, *(d for d, _ in raw))):
             raise PatternError("pattern q and entry degrees must be integers")
         return normalize([(d, DiamondType.from_json(t, p)) for d, t in raw],
@@ -123,10 +123,43 @@ class PatternError(ValueError):
     pass
 
 
-def _check_p(p):
+def check_p(p):
     """Reject a characteristic given by a job unless it is a prime > 3."""
     if not is_field_char(p):
         raise PatternError(f"p must be a prime > 3, got {p!r}")
+
+
+def check_q(p, q):
+    """Reject a job's (p, q) unless p is a prime > 3 and q a power of p
+    greater than 5."""
+    check_p(p)
+    if not _is_int(q) or q < 7 or not _is_ppower(q, p):
+        raise PatternError(f"q must be a power of p greater than 5, got {q!r}")
+
+
+def deflation_steps(p: int, r) -> int:
+    """The j >= 1 with r = p^j: the number of deflations from the
+    parameter-(q r) algebra of family a down to N(q, r).  p must already
+    have passed check_p."""
+    j = 0
+    while _is_int(r) and r > 1 and r % p == 0:
+        r //= p
+        j += 1
+    if r != 1 or j < 1:
+        raise PatternError("r must be a positive power of p")
+    return j
+
+
+def _is_int(v) -> bool:
+    # JSON true and false load as bools, which are ints to isinstance
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_ppower(q: int, p: int) -> bool:
+    """Whether q is a power of p (p^0 = 1 included); q >= 1, p >= 2."""
+    while q % p == 0:
+        q //= p
+    return q == 1
 
 
 def _allowed_gaps(prev_type, q: int):
@@ -358,17 +391,43 @@ def classify_regularity(L: GradedAlgebra) -> RegularityReport:
 
 # -- named families --------------------------------------------------------------
 
+FAMILY_PARAMS = frozenset({"r", "s", "sequence", "start_type", "step"})
+
+
 def family_pattern(family: str, p: int, q: int, N: int, **params) -> DiamondPattern:
-    """Raw pattern generator for the named families, normalized to degree N."""
-    _check_p(p)
-    if q < 7 or (q % p and q != p) or not _is_ppower(q, p):
-        raise PatternError(f"q must be a power of p greater than 5, got {q}")
+    """Raw pattern generator for the named families, normalized to degree N.
+
+    Family nqr is N(q, r), r = p^j with j >= 1: the algebra that j
+    deflations of the parameter-(q r) algebra of family a give
+    (constructions.nottingham_Nqr).  Its pattern is written down in closed
+    form: the second diamond (q, -1); further diamonds of type -1 at
+    q + k(r q - 1), k >= 1; and after each genuine diamond g, r - 1 fakes
+    of type 1 at g + (q - 1) + i q, i = 0, ..., r - 2, the last of them q
+    degrees before the next genuine diamond.  Compiling the pattern builds
+    the algebra because the paper's uniqueness theorem says a Nottingham
+    algebra is determined by its diamond pattern.  That this closed form is
+    the pattern deflation produces is an observation, not proved here; its
+    evidence is the cross-check in tests/test_constructions.py, which
+    deflates and compiles at nine (p, q, r) and finds the same structure
+    SHA-256 and the same detected pattern.
+    """
+    check_q(p, q)
     grid = list(range(q, N + 1, q - 1))       # degrees k(q-1)+1, k >= 1
 
     def need(name):
         if name not in params:
             raise PatternError(f"family {family!r} needs parameter {name!r}")
         return params[name]
+
+    def need_int(name, least=None):
+        val = need(name)
+        if not _is_int(val):
+            raise PatternError(f"family {family!r} parameter {name!r} must be "
+                               f"an integer, got {val!r}")
+        if least is not None and val < least:
+            raise PatternError(f"family {family!r} parameter {name!r} must be "
+                               f"at least {least}, got {val}")
+        return val
 
     def prog_type(val: int) -> DiamondType:
         val %= p
@@ -382,16 +441,18 @@ def family_pattern(family: str, p: int, q: int, N: int, **params) -> DiamondPatt
     if family == "a":
         raw = [(d, DiamondType.finite(-1, p)) for d in grid]
     elif family == "b":
-        start = need("start_type")            # type of the third diamond
+        start = need_int("start_type")        # type of the third diamond
         step = (start + 1) % p
         if step == 0:
             raise PatternError("case (b) requires a non-constant progression")
         for j, d in enumerate(grid):          # j=0 <-> degree q, type -1
             raw.append((d, prog_type(-1 + j * step)))
     elif family in ("c", "d"):
-        s = need("s")
+        # p^s (q - 1) > N once p^s > N, and then only the second diamond
+        # is on the progression: capping s keeps p ** s small
+        s = min(need_int("s", least=1), N.bit_length())
         period = p ** s * (q - 1)
-        step = params.get("step", 0 if family == "c" else 1)
+        step = need_int("step") if "step" in params or family == "d" else 0
         if family == "d" and step % p == 0:
             raise PatternError("case (d) requires a non-constant progression")
         j = 0
@@ -423,9 +484,17 @@ def family_pattern(family: str, p: int, q: int, N: int, **params) -> DiamondPatt
                         else DiamondType.infinite()))
             i += 1
     elif family == "uniqueness":
-        s = need("s")
+        s = need_int("s", least=1)
         seq = uniqueness_sequence(p, s, 2 * (N // (q - 1)) + 4)
         return family_pattern("tq2", p, q, N, sequence=seq)
+    elif family == "nqr":
+        r = need_int("r")
+        deflation_steps(p, r)                 # r must be a power p^j, j >= 1
+        for g in range(q, N + 1, r * q - 1):
+            raw.append((g, DiamondType.finite(-1, p)))
+            last_fake = min(g + (q - 1) + (r - 2) * q, N)
+            raw += [(m, DiamondType.fake1())
+                    for m in range(g + q - 1, last_fake + 1, q)]
     else:
         raise PatternError(f"unknown family {family!r}")
     return normalize([e for e in raw if e[0] <= N], p, q)
@@ -436,12 +505,19 @@ def family_pattern_from_json(doc: dict, N: int | None = None) -> DiamondPattern:
     "params": {...}}; sequence parameters are given inline as sequence JSON."""
     try:
         family, p, q = doc["family"], doc["p"], doc["q"]
-        params = dict(doc.get("params", {}))
+        params = doc.get("params", {})
         if N is None:
             N = doc["N"]
     except (KeyError, TypeError) as e:
         raise PatternError(f"malformed family spec: missing or misplaced "
                            f"field {e}") from None
+    if not isinstance(params, dict):
+        raise PatternError("family spec field 'params' must be an object")
+    unknown = sorted(set(params) - FAMILY_PARAMS, key=str)
+    if unknown:
+        raise PatternError(f"unknown family parameter {unknown[0]!r}; "
+                           f"known are {sorted(FAMILY_PARAMS)}")
+    params = dict(params)
     if "sequence" in params:
         params["sequence"] = CentralizerSequence.from_json(params["sequence"])
     return family_pattern(family, p, q, N, **params)
@@ -455,16 +531,11 @@ def uniqueness_sequence(p: int, s: int, length: int) -> CentralizerSequence:
     found (by exhaustive Jacobi search at desk scale) to realize the
     hypothesis pattern.
     """
-    period = p ** s
+    # p^s > length + 1 leaves no 'X' in range: capping s keeps p ** s small
+    period = p ** min(s, (length + 1).bit_length())
     entries = ["X" if i % period == 0 and i >= 2 * period else "Y"
                for i in range(2, length + 2)]
     return CentralizerSequence(p, entries)
-
-
-def _is_ppower(q: int, p: int) -> bool:
-    while q % p == 0:
-        q //= p
-    return q == 1
 
 
 # -- computed-identity suite (general calculations) -----------------------------

@@ -1,11 +1,17 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thinlie.cli import main
+from thinlie.cli import FAMILIES, main
 
 
 def run(argv):
@@ -226,6 +232,13 @@ def test_input_side_errors_are_bad_spec(tmp_path, capsys):
                      "entries": [{"degree": 7, "type": "finite:6"},
                                  {"degree": "13", "type": "infinite"}]},
         "seq5.json": {"p": 7, "entries": 5},
+        "seq7.json": {"p": 7, "entries": "Y" * 30},
+        "s_string.json": {"family": "c", "p": 7, "q": 7, "N": 30,
+                          "params": {"s": "1"}},
+        "r_string.json": {"family": "nqr", "p": 7, "q": 7, "N": 30,
+                          "params": {"r": "7"}},
+        "q_param.json": {"family": "a", "p": 7, "q": 7, "N": 30,
+                         "params": {"q": 7}},
     }
     for name, doc in docs.items():
         (tmp_path / name).write_text(json.dumps(doc))
@@ -254,7 +267,25 @@ def test_input_side_errors_are_bad_spec(tmp_path, capsys):
             (["export", "--family", "a", "--q", "7", "--N", "0"],
              "--N must be at least 1"),
             (["roundtrip", "--family", "uniqueness", "--q", "7", "--N", "60",
-              "--compare-N", "0"], "--compare-N must be at least 1")]:
+              "--compare-N", "0"], "--compare-N must be at least 1"),
+            (["detect", "--family", "nqr", "--q", "7", "--r", "6",
+              "--N", "20"], "r must be a positive power of p"),
+            (["detect", "--family", "nqr", "--q", "7", "--r", "1",
+              "--N", "20"], "r must be a positive power of p"),
+            (["detect", "--family", "nqr", "--q", "9", "--r", "3",
+              "--N", "20"], "p must be a prime > 3, got 3"),
+            (["build", "--sequence", f["seq7.json"], "--q", "9", "--N", "30"],
+             "q must be a power of p greater than 5"),
+            (["build", "--sequence", f["seq7.json"], "--q", "5", "--N", "30"],
+             "q must be a power of p greater than 5"),
+            (["detect", "--family-spec", f["s_string.json"], "--N", "30"],
+             "parameter 's' must be an integer"),
+            (["detect", "--family-spec", f["r_string.json"], "--N", "30"],
+             "parameter 'r' must be an integer"),
+            (["detect", "--family-spec", f["q_param.json"], "--N", "30"],
+             "unknown family parameter 'q'"),
+            (["export", "--family", "c", "--q", "7", "--s", "-1", "--N", "30"],
+             "parameter 's' must be at least 1")]:
         assert run(argv) == 2, argv
         assert message in capsys.readouterr().err, argv
 
@@ -270,3 +301,103 @@ def test_internal_value_error_is_not_bad_spec(monkeypatch):
     monkeypatch.setattr(thinlie.cli, "compile_pattern", broken)
     with pytest.raises(ValueError, match="internal fault"):
         run(["build", "--family", "a", "--q", "7", "--N", "30"])
+
+
+def test_nqr_family_spec_matches_flags(tmp_path):
+    spec = tmp_path / "nqr.json"
+    spec.write_text(json.dumps({"family": "nqr", "p": 7, "q": 7, "N": 60,
+                                "params": {"r": 7}}))
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(["export", "--family-spec", str(spec), "--N", "60",
+                "--out", str(a)]) == 0
+    assert run(["export", "--family", "nqr", "--q", "7", "--r", "7",
+                "--N", "60", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_nqr_detect_sha256(tmp_path):
+    # the detect output of N(7, 49) to degree 20, byte for byte as it was
+    # when the CLI still built family nqr by deflation
+    out = tmp_path / "p.json"
+    assert run(["detect", "--family", "nqr", "--q", "7", "--r", "49",
+                "--N", "20", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "a265c6e8f2d63ebd0cdf1ae59012ff11396426e6cc9a0ccfdf9c111e78171c39"
+
+
+def test_deflate_source_over_budget(monkeypatch, tmp_path, capsys):
+    # N(7, 49) to degree 20 deflates a source compiled to degree
+    # 7 (7 (20 + 2) + 7 + 2) + 7 = 1148, over the default cap of 1000
+    argv = ["deflate", "--q", "7", "--r", "49", "--N", "20",
+            "--out", str(tmp_path / "d.json")]
+    monkeypatch.delenv("THINLIE_MAX_DEGREE", raising=False)
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert "1148" in err and "THINLIE_MAX_DEGREE=1000" in err
+    monkeypatch.setenv("THINLIE_MAX_DEGREE", "1200")
+    assert run(argv) == 0
+
+
+def test_huge_s_equals_a_large_one(tmp_path):
+    # p^s (q - 1) > N already at s = 3 for q = 7, N = 30: a larger s names
+    # the same algebra and must not compute p ** s in full
+    for family in ("c", "uniqueness"):
+        docs = []
+        for s in ("3", str(10 ** 12)):
+            out = tmp_path / f"{family}{s}.json"
+            assert run(["export", "--family", family, "--q", "7", "--s", s,
+                        "--N", "30", "--out", str(out)]) == 0
+            docs.append(out.read_bytes())
+        assert docs[0] == docs[1], family
+
+
+# -- fuzzing the job surface ----------------------------------------------------
+
+SUBCOMMANDS = ("build", "verify", "detect", "roundtrip", "deflate", "diagram",
+               "export")
+# valid values first, then out-of-range ones; family specs add strings,
+# booleans and nulls
+FLAG_VALUES = st.one_of(st.sampled_from([5, 7, 11, 13, 25, 49]),
+                        st.integers(-2, 50),
+                        st.sampled_from([121, 125, 169, 343, 2401]))
+SPEC_VALUES = st.one_of(FLAG_VALUES, st.sampled_from(["1", "7", "x", ""]),
+                        st.booleans(), st.none())
+FLAGS = ("p", "q", "s", "r", "step", "start_type")
+
+
+@st.composite
+def jobs(draw):
+    """argv and the family-spec document (or None) of a random job."""
+    argv = [draw(st.sampled_from(SUBCOMMANDS))]
+    spec = None
+    source = draw(st.sampled_from(("family", "family", "spec", "none")))
+    if source == "family":
+        argv += ["--family", draw(st.sampled_from(FAMILIES))]
+    elif source == "spec":
+        names = st.sampled_from(FLAGS[2:] + ("x",))
+        spec = {"family": draw(st.sampled_from(FAMILIES)),
+                "p": draw(SPEC_VALUES), "q": draw(SPEC_VALUES),
+                "params": {k: draw(SPEC_VALUES)
+                           for k in draw(st.lists(names, unique=True))}}
+    for flag in draw(st.lists(st.sampled_from(FLAGS), unique=True)):
+        argv += ["--" + flag.replace("_", "-"), str(draw(FLAG_VALUES))]
+    N = draw(st.one_of(st.integers(9, 40), st.integers(0, 40)))
+    return argv + ["--N", str(N)], spec
+
+
+@settings(max_examples=100, deadline=None)
+@given(job=jobs())
+def test_job_surface_exits_cleanly(job):
+    # every job ends with a documented exit code, never with a traceback
+    argv, spec = job
+    with tempfile.TemporaryDirectory() as tmp:
+        if spec is not None:
+            path = os.path.join(tmp, "spec.json")
+            with open(path, "w") as fh:
+                json.dump(spec, fh)
+            argv = argv[:1] + ["--family-spec", path] + argv[1:]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(argv + ["--out", os.path.join(tmp, "out")])
+    assert code in (0, 2, 3, 4), (argv, spec)
+    assert "Traceback" not in err.getvalue()

@@ -244,6 +244,27 @@ def test_n77_structure_sha256():
         "c1bc1ff63df16e1329372b8e84ed382b4b6ed60c942ff9883c2a17e9aa49f499"
 
 
+def _structure_sha256(L):
+    text = json.dumps(L.to_structure_json(), sort_keys=True, indent=2) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("p,q,r,N", [
+    (7, 7, 7, 200), (7, 7, 49, 100), (7, 7, 343, 40),
+    (5, 25, 5, 100), (5, 25, 25, 100), (5, 25, 125, 60),
+    (11, 11, 11, 100), (13, 13, 13, 100), (7, 49, 7, 100)])
+def test_nqr_closed_form_matches_deflation(p, q, r, N):
+    # the CLI compiles family nqr from its closed-form pattern; deflation,
+    # the independent construction, must build the same algebra: by the
+    # uniqueness theorem, at this finite degree
+    D, dpat, _ = nottingham_Nqr(q, r, N, p=p, run_validation=False)
+    C, _ = compile_pattern(family_pattern("nqr", p, q, N + q + 4, r=r), N,
+                           run_validation=False)
+    assert _structure_sha256(C) == _structure_sha256(D)
+    cpat, _ = detect(C)
+    assert cpat.entries == dpat.entries and cpat.q == dpat.q == q
+
+
 def test_deflation_cycle():
     # deflating the once-deflated parameter-(7,7) algebra climbs back up to
     # the q = 49 type-(-1) family: repeated deflation cycles
