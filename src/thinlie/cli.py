@@ -101,26 +101,29 @@ def _family_params(args):
     return kw
 
 
-def make_algebra(args, guard=2, run_validation=False):
-    """Resolve --family/--pattern/--sequence into a built algebra."""
+def make_algebra(args, guard=lambda q: 2, run_validation=False):
+    """Resolve --family/--pattern/--sequence into a built algebra, built
+    guard(q) degrees past --N, where q is the job's q as resolved here."""
     N = _checked_N(args)
     if args.pattern:
         pattern = DiamondPattern.from_json(_load_json(args.pattern))
-        return compile_pattern(pattern, N, guard=guard,
+        return compile_pattern(pattern, N, guard=guard(pattern.q),
                                run_validation=run_validation)
     if args.family_spec:
         doc = _load_json(args.family_spec)
         if not isinstance(doc, dict) or not isinstance(doc.get("q"), int):
             raise PatternError("family spec needs an integer field 'q'")
-        pat = family_pattern_from_json(doc, N + guard + doc["q"] + 2)
-        return compile_pattern(pat, N, guard=guard,
+        g = guard(doc["q"])
+        pat = family_pattern_from_json(doc, N + g + doc["q"] + 2)
+        return compile_pattern(pat, N, guard=g,
                                run_validation=run_validation)
     if args.family:
         q = args.q or args.p or 7
         p = args.p or smallest_prime_factor(q)
-        pat = family_pattern(args.family, p, q, N + guard + q + 2,
+        g = guard(q)
+        pat = family_pattern(args.family, p, q, N + g + q + 2,
                              **_family_params(args))
-        return compile_pattern(pat, N, guard=guard,
+        return compile_pattern(pat, N, guard=g,
                                run_validation=run_validation)
     if args.sequence:
         seq = CentralizerSequence.from_json(_load_json(args.sequence))
@@ -128,9 +131,10 @@ def make_algebra(args, guard=2, run_validation=False):
         if not q:
             raise PatternError("--sequence needs --q")
         check_q(seq.p, q)
-        need = -(-(N + guard) // (q - 1)) + 2
+        g = guard(q)
+        need = -(-(N + g) // (q - 1)) + 2
         M = build_maxclass(seq, need + 1)
-        tc = tensor_construct(M, q, N, guard=guard,
+        tc = tensor_construct(M, q, N, guard=g,
                               run_validation=run_validation)
         return tc.algebra, tc.report
     raise PatternError("specify one of --family, --family-spec, --pattern, "
@@ -194,7 +198,8 @@ def cmd_roundtrip(args):
     if args.compare_N is not None and args.compare_N < 1:
         raise PatternError(f"--compare-N must be at least 1, got "
                            f"{args.compare_N}")
-    L, _ = make_algebra(args, guard=(args.q or 7) + 2, run_validation=False)
+    # D raises degrees by q - 1: a guard of q + 2 keeps it defined past --N
+    L, _ = make_algebra(args, guard=lambda q: q + 2, run_validation=False)
     try:
         rep = roundtrip_check(L, compare_N=args.compare_N)
     except (ClassGateError, ExtractionError) as e:

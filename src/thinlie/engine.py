@@ -13,12 +13,21 @@ the letter z to u's word.  Bracket values are read off the ad rows: the
 recursion combines rows of ad t with coordinates of earlier values, sums
 integers and reduces mod p once per value, and a bracket with a generator
 is its ad row.  The antisymmetry check compares these values with a second
-recursion, on the first argument's word (_mirror_basis), that keeps its own
-memo and never reads the bracket memo, so the two evaluation orders stay
-independent.
+recursion, on the first argument's word (_mirror_basis), that never reads
+the first one's values, so the two evaluation orders stay independent.
+
+Bracket values come two ways.  bracket_basis memoizes each value it
+computes and serves the callers that need a few pairs: bracket, the lemma
+suite, derivations and the constructions.  The O(N^2) values for all pairs,
+which validate's pair checks and the structure export read, come from a
+sweep of bracket columns in ascending degree (bracket_columns,
+mirror_rows, bracket_rows): column c = [a, t] is built from column a
+alone, so the sweep keeps two degrees of columns, O(N) values, and leaves
+the memo empty.
 
 A GradedAlgebra is immutable after construction.  Concurrent readers are
-safe; the bracket memo table is a plain dict (GIL-guarded).
+safe; the bracket memo table is a plain dict (GIL-guarded), and a sweep
+holds its columns in its own generator.
 
 An OperatorFamily is a graded linear map on such an algebra, one matrix per
 degree.  It is the derivation type: ad z for z in L_1, the outer derivation
@@ -311,6 +320,112 @@ class GradedAlgebra:
         memo[(gi, gj)] = out
         return out
 
+    # -- bracket sweeps -----------------------------------------------------
+
+    def bracket_columns(self, bound: int):
+        """Yield the bracket columns of L_1, L_2, ... while 2 deg <= bound,
+        one layer per degree d: a list of the columns of the basis elements
+        of L_d, in basis order.  The column of c holds bracket_basis(g, c)
+        at index g - comp_gids[d][0], for every g with deg g >= d and
+        deg g + d <= bound, in ascending gid.
+
+        These are bracket_basis's own values, computed in another order.
+        A degree-1 column is c's ad rows.  For c = [a, t], the entry at g
+        is bracket_basis's recursion
+
+            [g, [a, t]] = [[g, a], t] - [[g, t], a],
+
+        the coordinates of [g, a] against the ad t rows, minus e_g's ad t
+        row against the [e_h, a] over the e_h of degree deg g + 1, summed
+        as integers and reduced mod p once.  As deg g >= deg c > deg a,
+        each of [g, a] and [e_h, a] is bracket_basis's recursion on a, so
+        it is an entry of column a, which holds every partner degree the
+        recursion reads (up to bound - d + 1).  So a layer is built from
+        the layer before it alone, and the sweep keeps only those two:
+        O(N) values where the bracket_basis memo keeps O(N^2).
+        """
+        return self._sweep(bound, 1)
+
+    def mirror_rows(self, bound: int):
+        """Yield the mirror rows of L_1, L_2, ... while 2 deg <= bound, one
+        layer per degree d: the row of r holds _mirror_basis(r, g) at index
+        g - comp_gids[d][0], for every g with deg g >= d and
+        deg g + d <= bound, in ascending gid.
+
+        A degree-1 row is minus r's ad rows.  For r = [a, t],
+        _mirror_basis's recursion
+
+            [[a, t], v] = [[a, v], t] - [a, [v, t]]
+
+        reads [a, v] and the [a, e_h] over the e_h of degree deg v + 1:
+        entries of row a.  It is the recursion of bracket_columns with the
+        two arguments exchanged, so the same sweep builds the rows from
+        their own first layer, and a row never reads a column.
+        """
+        return self._sweep(bound, -1)
+
+    def _sweep(self, bound, sign):
+        """The layers of bracket_columns (sign 1) or mirror_rows (sign -1):
+        the degree-1 layer is sign times the ad rows, and each later layer
+        is formed from the one before it by the recursion both share."""
+        if bound > self.N_built:
+            raise DegreeOverflowError(bound, self.N_built)
+        comp, elements, ad, p = self.comp_gids, self.elements, self.ad, self.p
+        prev = None
+        for d in range(1, bound // 2 + 1):
+            top = bound - d         # the highest partner degree
+            layer = []
+            for c in comp[d]:
+                ec = elements[c]
+                if d == 1:
+                    rows = [r for k in range(1, top + 1)
+                            for r in ad[ec.word][k]]
+                    layer.append(rows if sign == 1 else
+                                 [tuple(-v % p for v in r) for r in rows])
+                    continue
+                pa = prev[elements[ec.parent_gid].index]
+                off, ad_t = comp[d - 1][0], ad[ec.letter]
+                col = []
+                for k in range(d, top + 1):
+                    rows_t, up = ad_t[k + d - 1], comp[k + 1]
+                    n = len(comp[k + d])
+                    for g, tg in zip(comp[k], ad_t[k]):
+                        acc = [0] * n
+                        for cf, row in zip(pa[g - off], rows_t):
+                            if cf:
+                                for s, r in enumerate(row):
+                                    acc[s] += cf * r
+                        for cf, h in zip(tg, up):
+                            if cf:
+                                for s, r in enumerate(pa[h - off]):
+                                    acc[s] -= cf * r
+                        col.append(tuple([v % p for v in acc]))
+                layer.append(col)
+            yield layer
+            prev = layer
+
+    def bracket_rows(self, bound: int):
+        """Yield (gi, row) in ascending gid for every gi with
+        2 deg gi <= bound: row[j] is bracket_basis(gi, gi + j) for every
+        gi + j of degree <= bound - deg gi.
+
+        Read off bracket_columns as bracket_basis defines the value: a
+        partner of the same degree gives column gi + j at gi, and a
+        partner of higher degree gives minus column gi at gi + j, mod p.
+        Only one degree's columns and rows are alive at a time.
+        """
+        for d, layer in enumerate(self.bracket_columns(bound), 1):
+            yield from self._layer_rows(d, layer)
+
+    def _layer_rows(self, d, layer):
+        """[(gi, row)] of bracket_rows for the gi of degree d, read off the
+        degree-d layer of bracket_columns."""
+        comp, p = self.comp_gids, self.p
+        lo, dim = comp[d][0], len(comp[d])
+        return [(gi, [layer[j][gi - lo] for j in range(i, dim)]
+                 + [tuple([-v % p for v in w]) for w in layer[i][dim:]])
+                for i, gi in enumerate(comp[d])]
+
     def ad_operator(self, z_coords):
         """ad z for z in L_1: the derivation of shift 1 with x -> [x, z] and
         y -> [y, z], as an OperatorFamily."""
@@ -331,9 +446,12 @@ class GradedAlgebra:
         no trailing newline.  Of the O(N^2) brackets only one row is held
         at a time: [e_i, e_j] for the e_j of one e_i, in
         to_structure_json's order (gid-major, j >= i, zeros skipped), each
-        formatted from a fixed template as soon as bracket_basis returns
-        it.  The other values are O(N) in size.  Words are over {x, y}
-        and values are ints, so nothing needs JSON escaping.
+        formatted from a fixed template.  The rows come from bracket_rows,
+        which holds two degrees of bracket columns and leaves the
+        bracket_basis memo empty, so the values to_structure_json reads
+        from bracket_basis are written in O(N) memory.  The other values
+        are O(N) in size.  Words are over {x, y} and values are ints, so
+        nothing needs JSON escaping.
         """
         nl = ["\n" + "  " * (depth + k) for k in range(6)]
 
@@ -357,19 +475,13 @@ class GradedAlgebra:
                     + '"i": %d,' + n3 + '"j": %d' + n2 + "}"
                     for n in (1, 2)}
         # sep opens the array until the first row is written
-        bracket_basis, sep = self.bracket_basis, "[" + n2
-        for k in range(1, self.N):
-            # partners of degree <= N - k: the gids up to comp_gids[N - k]
-            hi = self.comp_gids[self.N - k][-1] + 1
-            for gi in self.comp_gids[k]:
-                row = []
-                for gj in range(gi, hi):
-                    c = bracket_basis(gi, gj)
-                    if any(c):
-                        row.append(template[len(c)] % (*c, gi, gj))
-                if row:
-                    out.write(sep + ("," + n2).join(row))
-                    sep = "," + n2
+        sep = "[" + n2
+        for gi, values in self.bracket_rows(self.N):
+            row = [template[len(c)] % (*c, gi, gi + j)
+                   for j, c in enumerate(values) if any(c)]
+            if row:
+                out.write(sep + ("," + n2).join(row))
+                sep = "," + n2
         out.write("[]" if sep[0] == "[" else nl[1] + "]")
         comps = []
         for k in range(1, self.N + 1):
@@ -633,6 +745,8 @@ NOTTINGHAM_CHECKS = ("dimensions", "covering", "words", "antisymmetry",
                      "jacobi", "sandwich_y", "ad_x_power_q", "bidegree")
 MAXCLASS_CHECKS = ("dimensions", "covering", "words", "antisymmetry",
                    "jacobi", "bidegree")
+# the checks over basis pairs, which validate runs in one sweep of columns
+PAIR_CHECKS = ("antisymmetry", "jacobi", "bidegree")
 
 
 def validate(L: GradedAlgebra, checks=None, limit: int | None = None,
@@ -659,23 +773,33 @@ def validate(L: GradedAlgebra, checks=None, limit: int | None = None,
     suite, as an independent oracle.
 
     "words", "antisymmetry" and "jacobi" work on basis gids and ad rows,
-    not on elements: they visit the same pairs in the same order as loops
-    that bracket unit vectors through the bilinear bracket, and compute the
-    same values, so they find the same witnesses.  A bracket of unit vectors
-    is the bracket_basis value (see there for why reading ad rows and
-    reducing once gives the same residues), and antisymmetry compares it
-    with _mirror_basis.  J(a, b, s) is summed unreduced from bracket_basis
+    not on elements: they visit the same pairs as loops that bracket unit
+    vectors through the bilinear bracket, and compute the same values, so
+    they find the same witnesses.  A bracket of unit vectors is the
+    bracket_basis value (see there for why reading ad rows and reducing
+    once gives the same residues), and antisymmetry compares it with
+    _mirror_basis.  J(a, b, s) is summed unreduced from bracket_basis
     values and ad s rows, then tested mod p once: the residue of the sum of
     reduced terms.  "words" evaluates each element as its parent's value
     times its last letter, which is the evaluation of its word from scratch
     because _check_wellformed makes every word its parent's word plus that
     letter and lists parents first.
+
+    The pair checks ("antisymmetry", "jacobi", "bidegree") read the
+    bracket_basis and _mirror_basis values off one sweep of
+    L.bracket_columns and L.mirror_rows (see _pair_checks), which holds
+    two degrees of columns at a time: O(N) memory, and the bracket_basis
+    memo, which serves few-pair callers, stays empty.  Their witnesses are
+    those of the loops over all pairs: antisymmetry and bidegree in
+    ascending gid pair, jacobi by (total degree, deg a, gid_a, gid_b,
+    gid_s), each cut to the first max_witnesses.
     """
     if checks is None:
         checks = NOTTINGHAM_CHECKS if L.kind == "nottingham" else MAXCLASS_CHECKS
     B = min(limit if limit is not None else L.N, L.N_built)
     p = L.p
     out = []
+    pairs = None    # the pair checks' witnesses, from one sweep
 
     def lines_of(dim):
         if dim == 1:
@@ -708,23 +832,10 @@ def validate(L: GradedAlgebra, checks=None, limit: int | None = None,
                 if got != L.as_element(e.gid):
                     witnesses.append(e.gid)
             ok = not witnesses
-        elif name == "antisymmetry":
-            mirror_memo = {}
-            for e1 in L.elements:
-                if 2 * e1.degree > B:
-                    break
-                g1 = e1.gid
-                for e2 in L.elements[g1:]:
-                    if e1.degree + e2.degree > B:
-                        break
-                    lhs = L.bracket_basis(g1, e2.gid)
-                    if lhs != L._mirror_basis(g1, e2.gid, mirror_memo):
-                        witnesses.append((g1, e2.gid))
-                    if e2.gid == g1 and not vec_is_zero(lhs):
-                        witnesses.append((g1, g1))
-            ok = not witnesses
-        elif name == "jacobi":
-            witnesses = _jacobi_generators(L, B, max_witnesses)
+        elif name in PAIR_CHECKS:
+            if pairs is None:
+                pairs = _pair_checks(L, B, checks, max_witnesses)
+            witnesses = pairs[name]
             ok = not witnesses
         elif name == "jacobi_triples":
             witnesses = _jacobi_triples(L, B, max_witnesses)
@@ -746,68 +857,162 @@ def validate(L: GradedAlgebra, checks=None, limit: int | None = None,
                         if not vec_is_zero(L.apply_word(u, "x" * qq)[1]):
                             witnesses.append((k, s))
                 ok = not witnesses
-        elif name == "bidegree":
-            for e1 in L.elements:
-                for e2 in L.elements:
-                    if e2.gid < e1.gid or e1.degree + e2.degree > B:
-                        continue
-                    w = L.bracket_basis(e1.gid, e2.gid)
-                    want = (e1.bidegree[0] + e2.bidegree[0],
-                            e1.bidegree[1] + e2.bidegree[1])
-                    tgt = L.basis(e1.degree + e2.degree)
-                    for s, c in enumerate(w):
-                        if c and tgt[s].bidegree != want:
-                            witnesses.append((e1.gid, e2.gid, s))
-            ok = not witnesses
         else:
             raise ValueError(f"unknown check {name!r}")
         out.append(CheckResult(name, ok, witnesses[:max_witnesses]))
     return ValidationReport(out)
 
 
-def _jacobi_generators(L: GradedAlgebra, B: int, max_witnesses: int) -> list:
-    """Witnesses (gid_a, gid_b, gid_s) of J(a, b, s) != 0 over basis pairs
-    gid_a <= gid_b and generators s, with deg a + deg b + 1 <= B, in
-    ascending total degree.  [s, a] is taken as -[a, s], which antisymmetry
-    justifies, so J(a, b, s) = [[a,b],s] + [[b,s],a] - [[a,s],b]: the
-    coordinates of [a, b] against the ad s rows, plus the ad s row of b
-    against the [e_g, a], minus the ad s row of a against the [e_g, b].
-    The sum is tested mod p once."""
+def _pair_checks(L: GradedAlgebra, B: int, names, max_witnesses: int) -> dict:
+    """{name: witnesses} for the checks of PAIR_CHECKS among names, from
+    one sweep of L.bracket_columns(B), and of L.mirror_rows(B) for
+    antisymmetry.
+
+    At degree d the sweep holds the column layers of degrees d and d + 1:
+    it checks the bracket rows of the e_gi of degree d (antisymmetry and
+    bidegree) and the Jacobi pairs with deg a = d, then drops layer d.
+    The checks read the bracket_basis values of the pairs they visit (see
+    bracket_rows and _jacobi_degree), so they find the witnesses of loops
+    over bracket_basis: antisymmetry and bidegree in ascending gid pair,
+    complete up to the first max_witnesses, and jacobi the max_witnesses
+    smallest keys.  The sweep stops once no check can change its list."""
+    cap = max(max_witnesses, 1)
+    anti = [] if "antisymmetry" in names else None
+    bideg = [] if "bidegree" in names else None
+    kept = [] if "jacobi" in names else None    # jacobi's smallest keys
+    mirror = L.mirror_rows(B) if anti is not None else None
+    layers = L.bracket_columns(B)
+    cur, d = next(layers, None), 1
+    while cur is not None:
+        todo_anti = anti is not None and len(anti) < cap
+        todo_bideg = bideg is not None and len(bideg) < cap
+        todo_jac = (kept is not None
+                    and 2 * d + 1 <= _jacobi_bound(kept, cap, B))
+        if not (todo_anti or todo_bideg or todo_jac):
+            break
+        nxt = next(layers, None)    # None past the last layer
+        if todo_anti or todo_bideg:
+            rows = L._layer_rows(d, cur)
+            if todo_anti:
+                _antisymmetry_degree(L, rows, next(mirror), anti)
+            if todo_bideg:
+                _bidegree_degree(L, rows, bideg)
+        if todo_jac:
+            _jacobi_degree(L, B, d, cur, nxt, kept, cap)
+        cur, d = nxt, d + 1
+    found = {"antisymmetry": anti, "bidegree": bideg}
+    if kept is not None:
+        found["jacobi"] = [key[2:] for key in sorted(kept)]
+    return found
+
+
+def _antisymmetry_degree(L: GradedAlgebra, rows, mirror_layer, witnesses):
+    """Append the antisymmetry witnesses of one degree's bracket rows, in
+    ascending gid pair: (gi, gj) when [e_gi, e_gj] differs from
+    _mirror_basis(gi, gj), the entry gj of gi's mirror row, and (gi, gi)
+    after the pair (gi, gi) when [e_gi, e_gi] != 0."""
+    lo = L.comp_gids[L.elements[rows[0][0]].degree][0]
+    for (gi, row), mirror in zip(rows, mirror_layer):
+        off = gi - lo
+        for j, lhs in enumerate(row):
+            if lhs != mirror[off + j]:
+                witnesses.append((gi, gi + j))
+            if not j and any(lhs):
+                witnesses.append((gi, gi))
+
+
+def _bidegree_degree(L: GradedAlgebra, rows, witnesses):
+    """Append the bidegree witnesses of one degree's bracket rows, in
+    ascending order: (gi, gj, s) when coordinate s of [e_gi, e_gj] is
+    nonzero on a basis element whose bidegree is not the sum of e_gi's
+    and e_gj's."""
+    comp, elements = L.comp_gids, L.elements
+    for gi, row in rows:
+        (xi, yi), di = elements[gi].bidegree, elements[gi].degree
+        for j, w in enumerate(row):
+            if not any(w):
+                continue
+            ej = elements[gi + j]
+            want = (xi + ej.bidegree[0], yi + ej.bidegree[1])
+            tgt = comp[di + ej.degree]
+            for s, c in enumerate(w):
+                if c and elements[tgt[s]].bidegree != want:
+                    witnesses.append((gi, gi + j, s))
+
+
+def _jacobi_bound(kept, cap: int, B: int) -> int:
+    """The highest total degree at which a Jacobi witness can still enter
+    the kept keys."""
+    return max(kept)[0] if len(kept) >= cap else B
+
+
+def _jacobi_degree(L: GradedAlgebra, B: int, da: int, cur, nxt, kept,
+                   cap: int):
+    """Test J(a, b, s) != 0 over basis pairs gid_a <= gid_b with
+    deg a = da, and generators s, with deg a + deg b + 1 <= B, keeping
+    in kept the cap smallest keys (total degree, deg a, gid_a, gid_b,
+    gid_s).  cur and nxt are the column layers of degrees da and
+    da + 1 (nxt is None when no pair needs it).
+
+    [s, a] is taken as -[a, s], which antisymmetry justifies, so
+    J(a, b, s) = [[a,b],s] + [[b,s],a] - [[a,s],b]: the coordinates of
+    [a, b] against the ad s rows, plus the ad s row of b against the
+    [e_h, a], minus the ad s row of a against the [e_h, b].  The sum is
+    tested mod p once.  The values are bracket_basis's, read off the
+    columns as bracket_rows reads them and entered with their sign:
+    [e_h, a] with deg e_h = deg b + 1 > da is column a at e_h; [a, b] is
+    column b at a when deg b = da, and minus column a at b otherwise;
+    [e_h, b] with deg e_h = da + 1 is column b at e_h when deg b <= da + 1,
+    and minus column e_h at b otherwise.  Once kept is full, totals
+    above its largest key's are skipped."""
     p = L.p
     elements, comp = L.elements, L.comp_gids
-    bb = L.bracket_basis
     gens = [(g, L.ad[elements[g].word]) for g in comp[1]]
-    witnesses = []
-    for total in range(3, B + 1):
-        dim = len(comp[total])
-        for da in range(1, (total - 1) // 2 + 1):
-            db = total - 1 - da
-            for ga in comp[da]:
-                ia = elements[ga].index
-                for gb in comp[db]:
-                    if gb < ga:
-                        continue
-                    ib = elements[gb].index
-                    ab = bb(ga, gb)
-                    for gs, ad_s in gens:
-                        acc = [0] * dim
-                        for c, row in zip(ab, ad_s[da + db]):
-                            if c:
-                                for t, r in enumerate(row):
-                                    acc[t] += c * r
-                        for c, g in zip(ad_s[db][ib], comp[db + 1]):
-                            if c:
-                                for t, r in enumerate(bb(g, ga)):
-                                    acc[t] += c * r
-                        for c, g in zip(ad_s[da][ia], comp[da + 1]):
-                            if c:
-                                for t, r in enumerate(bb(g, gb)):
-                                    acc[t] -= c * r
-                        if any(c % p for c in acc):
-                            witnesses.append((ga, gb, gs))
-                            if len(witnesses) >= max_witnesses:
-                                return witnesses
-    return witnesses
+    lo_a, up = comp[da][0], comp[da + 1]
+    lo_b = up[0]
+    for ia, ga in enumerate(comp[da]):
+        col_a = cur[ia]
+        for db in range(da, B - da):
+            total = da + db + 1
+            if total > _jacobi_bound(kept, cap, B):
+                break
+            dim, nb = len(comp[total]), comp[db + 1]
+            for gb in comp[db]:
+                if gb < ga:
+                    continue
+                ib = elements[gb].index
+                if db == da:
+                    ab, sab = cur[ib][ga - lo_a], 1
+                    bh, sbh = [cur[ib][h - lo_a] for h in up], -1
+                else:
+                    ab, sab = col_a[gb - lo_a], -1
+                    if db == da + 1:
+                        bh, sbh = [nxt[ib][h - lo_b] for h in up], -1
+                    else:
+                        bh = [nxt[ih][gb - lo_b] for ih in range(len(up))]
+                        sbh = 1
+                for gs, ad_s in gens:
+                    acc = [0] * dim
+                    for c, row in zip(ab, ad_s[total - 1]):
+                        if c:
+                            c *= sab
+                            for t, r in enumerate(row):
+                                acc[t] += c * r
+                    for c, h in zip(ad_s[db][ib], nb):
+                        if c:
+                            for t, r in enumerate(col_a[h - lo_a]):
+                                acc[t] += c * r
+                    for c, w in zip(ad_s[da][ia], bh):
+                        if c:
+                            c *= sbh
+                            for t, r in enumerate(w):
+                                acc[t] += c * r
+                    if any(c % p for c in acc):
+                        key = (total, da, ga, gb, gs)
+                        if len(kept) < cap:
+                            kept.append(key)
+                        elif key < max(kept):
+                            kept[kept.index(max(kept))] = key
 
 
 def _jacobi_triples(L: GradedAlgebra, B: int, max_witnesses: int) -> list:

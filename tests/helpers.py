@@ -129,12 +129,12 @@ def build_corpus():
     return out
 
 
-def corrupt_ad_x(L, k=20):
-    """L with entry (0, 0) of ad x on degree k moved by one: no longer Lie,
+def corrupt_ad_x(L, k=20, i=0, s=0):
+    """L with entry (i, s) of ad x on degree k moved by one: no longer Lie,
     still well formed."""
     ad_x = [None if rows is None else [list(r) for r in rows]
             for rows in L.ad["x"]]
-    ad_x[k][0][0] = (ad_x[k][0][0] + 1) % L.p
+    ad_x[k][i][s] = (ad_x[k][i][s] + 1) % L.p
     return GradedAlgebra(L.field, L.elements, L.comp_gids,
                          [rows if rows is None else tuple(map(tuple, rows))
                           for rows in ad_x],
@@ -271,3 +271,64 @@ class ReducingKernel:
                             if not vec_is_zero(j):
                                 jac.append((ga, gb, gs))
         return {"words": words, "antisymmetry": anti, "jacobi": jac}
+
+
+def memo_pair_witnesses(L, B):
+    """Uncapped witness lists of the antisymmetry, jacobi and bidegree
+    checks up to total degree B, by the loops validate ran before it swept
+    bracket columns: every pair through the bracket_basis memo and the
+    _mirror_basis recursion.  A list cut to its first k entries is what
+    those loops returned with max_witnesses = k."""
+    p, elements, comp = L.p, L.elements, L.comp_gids
+    bb = L.bracket_basis
+    anti, mirror_memo = [], {}
+    for e1 in elements:
+        if 2 * e1.degree > B:
+            break
+        g1 = e1.gid
+        for e2 in elements[g1:]:
+            if e1.degree + e2.degree > B:
+                break
+            lhs = bb(g1, e2.gid)
+            if lhs != L._mirror_basis(g1, e2.gid, mirror_memo):
+                anti.append((g1, e2.gid))
+            if e2.gid == g1 and not vec_is_zero(lhs):
+                anti.append((g1, g1))
+    jac = []
+    gens = [(g, L.ad[elements[g].word]) for g in comp[1]]
+    for total in range(3, B + 1):
+        dim = len(comp[total])
+        for da in range(1, (total - 1) // 2 + 1):
+            db = total - 1 - da
+            for ga in comp[da]:
+                ia = elements[ga].index
+                for gb in comp[db]:
+                    if gb < ga:
+                        continue
+                    ib = elements[gb].index
+                    ab = bb(ga, gb)
+                    for gs, ad_s in gens:
+                        acc = [0] * dim
+                        for c, row in zip(ab, ad_s[da + db]):
+                            for t, r in enumerate(row):
+                                acc[t] += c * r
+                        for c, g in zip(ad_s[db][ib], comp[db + 1]):
+                            for t, r in enumerate(bb(g, ga)):
+                                acc[t] += c * r
+                        for c, g in zip(ad_s[da][ia], comp[da + 1]):
+                            for t, r in enumerate(bb(g, gb)):
+                                acc[t] -= c * r
+                        if any(c % p for c in acc):
+                            jac.append((ga, gb, gs))
+    bideg = []
+    for e1 in elements:
+        for e2 in elements[e1.gid:]:
+            if e1.degree + e2.degree > B:
+                continue
+            want = (e1.bidegree[0] + e2.bidegree[0],
+                    e1.bidegree[1] + e2.bidegree[1])
+            tgt = L.basis(e1.degree + e2.degree)
+            for s, c in enumerate(bb(e1.gid, e2.gid)):
+                if c and tgt[s].bidegree != want:
+                    bideg.append((e1.gid, e2.gid, s))
+    return {"antisymmetry": anti, "jacobi": jac, "bidegree": bideg}

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thinlie.cli import FAMILIES, main
+from thinlie.patterns import family_pattern
 
 
 def run(argv):
@@ -401,3 +402,109 @@ def test_job_surface_exits_cleanly(job):
             code = run(argv + ["--out", os.path.join(tmp, "out")])
     assert code in (0, 2, 3, 4), (argv, spec)
     assert "Traceback" not in err.getvalue()
+
+
+# pattern and sequence documents: a valid document with some parts broken
+DOC_VALUES = st.one_of(SPEC_VALUES, st.sampled_from([[], {}, [7], {"p": 7}]))
+TYPE_VALUES = st.one_of(
+    st.sampled_from(["infinite", "fake1", "fake0", "finite:-1", "finite:2",
+                     "finite:6", "finite:7", "finite:", "finite:x",
+                     "finite:1.5", "fake2", "Infinite", ""]),
+    DOC_VALUES)
+BASE_PATTERNS = [("uniqueness", 7, 7, {"s": 1}), ("e", 7, 7, {}),
+                 ("a", 5, 25, {}), ("c", 11, 11, {"s": 1})]
+
+
+def _break_entries(draw, entries):
+    """entries with one part broken: an entry's key dropped or its value
+    replaced, an entry replaced, entries swapped, duplicated or cleared."""
+    how = draw(st.sampled_from(("drop_key", "degree", "type", "entry",
+                                "swap", "duplicate", "clear")))
+    if how == "clear" or not entries:
+        return []
+    i = draw(st.integers(0, len(entries) - 1))
+    j = draw(st.integers(0, len(entries) - 1))
+    entry = dict(entries[i]) if isinstance(entries[i], dict) else {}
+    if how == "drop_key":
+        entry.pop(draw(st.sampled_from(("degree", "type"))), None)
+    elif how == "degree":
+        entry["degree"] = draw(st.one_of(st.integers(-2, 60), DOC_VALUES))
+    elif how == "type":
+        entry["type"] = draw(TYPE_VALUES)
+    elif how == "entry":
+        entry = draw(DOC_VALUES)
+    elif how == "swap":
+        entries[i], entries[j] = entries[j], entries[i]
+        return entries
+    elif how == "duplicate":
+        return entries[:i + 1] + entries[i:]
+    entries[i] = entry
+    return entries
+
+
+@st.composite
+def document_jobs(draw):
+    """argv and the pattern or sequence document of a random job."""
+    family, p, q, kw = draw(st.sampled_from(BASE_PATTERNS))
+    if draw(st.booleans()):
+        flag = "--pattern"
+        doc = family_pattern(family, p, q, 60, **kw).to_json()
+        for _ in range(draw(st.integers(0, 2))):
+            doc["entries"] = _break_entries(draw, doc["entries"])
+    else:
+        flag = "--sequence"
+        entries = draw(st.one_of(
+            st.just("Y" * 20 + "X" + "Y" * 20),
+            st.text(alphabet="XYxy Z0", max_size=60)))
+        doc = {"schema": "thinlie.sequence.v1", "p": p, "entries": entries}
+    broken = draw(st.integers(0, 9))
+    if broken == 0:
+        doc = draw(DOC_VALUES)
+    elif broken <= 3:
+        key = draw(st.sampled_from(sorted(doc)))
+        if draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw(DOC_VALUES)
+    argv = [draw(st.sampled_from(SUBCOMMANDS)), flag]
+    if flag == "--sequence" and draw(st.integers(0, 3)):
+        argv += ["--q", str(draw(st.sampled_from([q, 7, 25, 49, 11, 5])))]
+    for name in draw(st.lists(st.sampled_from(FLAGS), unique=True,
+                              max_size=2)):
+        argv += ["--" + name.replace("_", "-"), str(draw(FLAG_VALUES))]
+    N = draw(st.one_of(st.integers(9, 40), st.integers(0, 40)))
+    return argv + ["--N", str(N)], doc
+
+
+@settings(max_examples=80, deadline=None)
+@given(job=document_jobs())
+def test_document_surface_exits_cleanly(job):
+    # malformed pattern and sequence documents are bad specifications,
+    # never tracebacks
+    argv, doc = job
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        argv = argv[:2] + [path] + argv[2:]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(argv + ["--out", os.path.join(tmp, "out")])
+    assert code in (0, 2, 3, 4), (argv, doc)
+    assert "Traceback" not in err.getvalue()
+
+
+def test_roundtrip_guard_comes_from_the_pattern(tmp_path):
+    # the pattern fixes q = 25, so --q 25 must not change the job: both
+    # build q + 2 degrees past --N
+    pfile = tmp_path / "u25.json"
+    pfile.write_text(json.dumps(
+        family_pattern("uniqueness", 5, 25, 400, s=1).to_json()))
+    docs = []
+    for extra in ([], ["--q", "25"]):
+        out = tmp_path / f"r{len(extra)}.json"
+        assert run(["roundtrip", "--pattern", str(pfile), "--N", "150",
+                    *extra, "--out", str(out)]) == 0
+        docs.append(json.loads(out.read_text()))
+    assert docs[0] == docs[1]
+    assert docs[0]["pass"] and docs[0]["compare_N"] == 94
