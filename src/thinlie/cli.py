@@ -38,7 +38,12 @@ class BudgetError(Exception):
 
 
 def max_degree() -> int:
-    return int(os.environ.get("THINLIE_MAX_DEGREE", "1000"))
+    raw = os.environ.get("THINLIE_MAX_DEGREE", "1000")
+    try:
+        return int(raw)
+    except ValueError:
+        raise PatternError(f"THINLIE_MAX_DEGREE must be an integer, got "
+                           f"{raw!r}") from None
 
 
 def _checked_N(args) -> int:
@@ -56,7 +61,12 @@ def _checked_N(args) -> int:
 def _write(path, write):
     """Call write(fh) on the --out file, or on stdout without --out."""
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(path, "w", encoding="utf-8")
+        except OSError as e:
+            raise PatternError(
+                f"cannot write --out {path}: {e.strerror}") from None
+        with fh:
             write(fh)
     else:
         write(sys.stdout)
@@ -118,8 +128,8 @@ def make_algebra(args, guard=lambda q: 2, run_validation=False):
         return compile_pattern(pat, N, guard=g,
                                run_validation=run_validation)
     if args.family:
-        q = args.q or args.p or 7
-        p = args.p or smallest_prime_factor(q)
+        q = args.q if args.q is not None else (7 if args.p is None else args.p)
+        p = args.p if args.p is not None else smallest_prime_factor(q)
         g = guard(q)
         pat = family_pattern(args.family, p, q, N + g + q + 2,
                              **_family_params(args))
@@ -128,7 +138,7 @@ def make_algebra(args, guard=lambda q: 2, run_validation=False):
     if args.sequence:
         seq = CentralizerSequence.from_json(_load_json(args.sequence))
         q = args.q
-        if not q:
+        if q is None:
             raise PatternError("--sequence needs --q")
         check_q(seq.p, q)
         g = guard(q)

@@ -12,18 +12,17 @@ brackets use the right-action convention [u, z]: applying ad z to u appends
 the letter z to u's word.  Bracket values are read off the ad rows: the
 recursion combines rows of ad t with coordinates of earlier values, sums
 integers and reduces mod p once per value, and a bracket with a generator
-is its ad row.  The antisymmetry check compares these values with a second
-recursion, on the first argument's word (_mirror_basis), that never reads
-the first one's values, so the two evaluation orders stay independent.
+is its ad row.  _mirror_basis (behind bracket_mirror) recurses on the
+first argument's word instead; it is the tests' oracle (see validate).
 
 Bracket values come two ways.  bracket_basis memoizes each value it
 computes and serves the callers that need a few pairs: bracket, the lemma
 suite, derivations and the constructions.  The O(N^2) values for all pairs,
-which validate's pair checks and the structure export read, come from a
+which validate's pair checks and the structure export read, come from one
 sweep of bracket columns in ascending degree (bracket_columns,
-mirror_rows, bracket_rows): column c = [a, t] is built from column a
-alone, so the sweep keeps two degrees of columns, O(N) values, and leaves
-the memo empty.
+bracket_rows): column c = [a, t] is built from column a alone, so the
+sweep keeps two degrees of columns, O(N) values, and leaves the memo
+empty.
 
 A GradedAlgebra is immutable after construction.  Concurrent readers are
 safe; the bracket memo table is a plain dict (GIL-guarded), and a sweep
@@ -249,15 +248,12 @@ class GradedAlgebra:
         """Bilinear bracket of two elements given as (degree, coords)."""
         return self._bilinear(u, v, self.bracket_basis)
 
-    # bench/tracing.py counts bracket_mirror calls by name; validate's
-    # antisymmetry check calls _mirror_basis directly
-    def bracket_mirror(self, u, v, _memo=None):
-        """[u, v] recomputed by recursion on the first argument's word.
-
-        Independent evaluation order (see _mirror_basis); never consults
-        the memo table of bracket_basis.
-        """
-        memo = {} if _memo is None else _memo
+    # bench/tracing.py counts bracket_mirror calls by name; only the tests
+    # call it, as an oracle
+    def bracket_mirror(self, u, v):
+        """[u, v] by recursion on the first argument's word (see
+        _mirror_basis); never consults the memo table of bracket_basis."""
+        memo = {}
         return self._bilinear(
             u, v, lambda gi, gj: self._mirror_basis(gi, gj, memo))
 
@@ -284,8 +280,8 @@ class GradedAlgebra:
 
     def _mirror_basis(self, gi, gj, memo):
         """[e_gi, e_gj] by recursion on the first argument's word, with its
-        own memo: the evaluation order the antisymmetry check compares
-        bracket_basis against.  With e_gi = [a, t]:
+        own memo: the oracle for bracket_basis's recursion on the second
+        argument's word.  With e_gi = [a, t]:
 
             [[a, t], v] = [a, [t, v]] + [[a, v], t] = -[a, [v, t]] + [[a, v], t],
 
@@ -344,30 +340,6 @@ class GradedAlgebra:
         the layer before it alone, and the sweep keeps only those two:
         O(N) values where the bracket_basis memo keeps O(N^2).
         """
-        return self._sweep(bound, 1)
-
-    def mirror_rows(self, bound: int):
-        """Yield the mirror rows of L_1, L_2, ... while 2 deg <= bound, one
-        layer per degree d: the row of r holds _mirror_basis(r, g) at index
-        g - comp_gids[d][0], for every g with deg g >= d and
-        deg g + d <= bound, in ascending gid.
-
-        A degree-1 row is minus r's ad rows.  For r = [a, t],
-        _mirror_basis's recursion
-
-            [[a, t], v] = [[a, v], t] - [a, [v, t]]
-
-        reads [a, v] and the [a, e_h] over the e_h of degree deg v + 1:
-        entries of row a.  It is the recursion of bracket_columns with the
-        two arguments exchanged, so the same sweep builds the rows from
-        their own first layer, and a row never reads a column.
-        """
-        return self._sweep(bound, -1)
-
-    def _sweep(self, bound, sign):
-        """The layers of bracket_columns (sign 1) or mirror_rows (sign -1):
-        the degree-1 layer is sign times the ad rows, and each later layer
-        is formed from the one before it by the recursion both share."""
         if bound > self.N_built:
             raise DegreeOverflowError(bound, self.N_built)
         comp, elements, ad, p = self.comp_gids, self.elements, self.ad, self.p
@@ -378,10 +350,8 @@ class GradedAlgebra:
             for c in comp[d]:
                 ec = elements[c]
                 if d == 1:
-                    rows = [r for k in range(1, top + 1)
-                            for r in ad[ec.word][k]]
-                    layer.append(rows if sign == 1 else
-                                 [tuple(-v % p for v in r) for r in rows])
+                    layer.append([r for k in range(1, top + 1)
+                                  for r in ad[ec.word][k]])
                     continue
                 pa = prev[elements[ec.parent_gid].index]
                 off, ad_t = comp[d - 1][0], ad[ec.letter]
@@ -749,13 +719,13 @@ MAXCLASS_CHECKS = ("dimensions", "covering", "words", "antisymmetry",
 PAIR_CHECKS = ("antisymmetry", "jacobi", "bidegree")
 
 
-def validate(L: GradedAlgebra, checks=None, limit: int | None = None,
+def validate(L: GradedAlgebra, checks=None,
              max_witnesses: int = 10) -> ValidationReport:
     """Run the axiom suite on a built algebra.
 
-    limit bounds the total degree B used for pair/triple checks; it defaults
-    to L.N.  Failures carry witnesses (degrees / basis gids) rather than
-    raising.
+    The pair and triple checks run up to total degree B = L.N, which
+    _check_wellformed keeps within the built range.  Failures carry
+    witnesses (degrees / basis gids) rather than raising.
 
     The "jacobi" check tests J(a, b, s) = [[a,b],s] + [[b,s],a] + [[s,a],b]
     = 0 only for basis pairs a, b and generators s in {x, y}, with
@@ -772,31 +742,49 @@ def validate(L: GradedAlgebra, checks=None, limit: int | None = None,
     stays available as the opt-in check "jacobi_triples", in no default
     suite, as an independent oracle.
 
-    "words", "antisymmetry" and "jacobi" work on basis gids and ad rows,
-    not on elements: they visit the same pairs as loops that bracket unit
-    vectors through the bilinear bracket, and compute the same values, so
-    they find the same witnesses.  A bracket of unit vectors is the
-    bracket_basis value (see there for why reading ad rows and reducing
-    once gives the same residues), and antisymmetry compares it with
-    _mirror_basis.  J(a, b, s) is summed unreduced from bracket_basis
-    values and ad s rows, then tested mod p once: the residue of the sum of
+    "words" and "jacobi" work on basis gids and ad rows, not on elements:
+    they visit the same pairs as loops that bracket unit vectors through
+    the bilinear bracket, and compute the same values, so they find the
+    same witnesses.  A bracket of unit vectors is the bracket_basis value
+    (see there for why reading ad rows and reducing once gives the same
+    residues).  J(a, b, s) is summed unreduced from bracket_basis values
+    and ad s rows, then tested mod p once: the residue of the sum of
     reduced terms.  "words" evaluates each element as its parent's value
     times its last letter, which is the evaluation of its word from scratch
     because _check_wellformed makes every word its parent's word plus that
     letter and lists parents first.
 
+    "antisymmetry" visits only the pairs of one degree, yet finds the
+    witnesses of the loop that compared bracket_basis(gi, gj) with
+    _mirror_basis(gi, gj), the recursion on the first argument's word, on
+    every pair gi <= gj of total degree <= B, and reported (gi, gi) once
+    more when [e_gi, e_gi] != 0.  Lemma: _mirror_basis(r, g) =
+    -bracket_basis(g, r) mod p whenever deg g >= deg r, on any ad data.
+    By induction on deg r: for deg r = 1 both are minus e_g's ad r row;
+    for r = [a, t] the two terms of _mirror_basis's recursion read
+    _mirror_basis(a, .) at partners of degree >= deg g > deg a, so by
+    hypothesis they are congruent to minus the two terms of bracket_basis's
+    recursion for [g, [a, t]], and both sums are reduced once.  On a pair
+    of distinct degrees both sides of the loop's comparison are
+    -bracket_basis(gj, gi), by definition and by the lemma: it found
+    nothing there.  On a pair of one degree they are column gj at gi and
+    minus column gi at gj, which for gi = gj differ exactly when
+    [e_gi, e_gi] != 0, as p is odd.  Pairs of distinct degrees anticommute
+    by definition, so a passing check makes the bracket alternating up to
+    degree B: the premise of the Jacobi argument above.
+
     The pair checks ("antisymmetry", "jacobi", "bidegree") read the
-    bracket_basis and _mirror_basis values off one sweep of
-    L.bracket_columns and L.mirror_rows (see _pair_checks), which holds
-    two degrees of columns at a time: O(N) memory, and the bracket_basis
-    memo, which serves few-pair callers, stays empty.  Their witnesses are
-    those of the loops over all pairs: antisymmetry and bidegree in
-    ascending gid pair, jacobi by (total degree, deg a, gid_a, gid_b,
-    gid_s), each cut to the first max_witnesses.
+    bracket_basis values off one sweep of L.bracket_columns (see
+    _pair_checks), which holds two degrees of columns at a time: O(N)
+    memory, and the bracket_basis memo, which serves few-pair callers,
+    stays empty.  Their witnesses are those of the loops over all pairs:
+    antisymmetry and bidegree in ascending gid pair, jacobi by (total
+    degree, deg a, gid_a, gid_b, gid_s), each cut to the first
+    max_witnesses.
     """
     if checks is None:
         checks = NOTTINGHAM_CHECKS if L.kind == "nottingham" else MAXCLASS_CHECKS
-    B = min(limit if limit is not None else L.N, L.N_built)
+    B = L.N
     p = L.p
     out = []
     pairs = None    # the pair checks' witnesses, from one sweep
@@ -865,13 +853,12 @@ def validate(L: GradedAlgebra, checks=None, limit: int | None = None,
 
 def _pair_checks(L: GradedAlgebra, B: int, names, max_witnesses: int) -> dict:
     """{name: witnesses} for the checks of PAIR_CHECKS among names, from
-    one sweep of L.bracket_columns(B), and of L.mirror_rows(B) for
-    antisymmetry.
+    one sweep of L.bracket_columns(B).
 
     At degree d the sweep holds the column layers of degrees d and d + 1:
-    it checks the bracket rows of the e_gi of degree d (antisymmetry and
-    bidegree) and the Jacobi pairs with deg a = d, then drops layer d.
-    The checks read the bracket_basis values of the pairs they visit (see
+    it checks the pairs of degree d (antisymmetry), the bracket rows of
+    the e_gi of degree d (bidegree) and the Jacobi pairs with deg a = d,
+    then drops layer d.  They read bracket_basis values (see validate,
     bracket_rows and _jacobi_degree), so they find the witnesses of loops
     over bracket_basis: antisymmetry and bidegree in ascending gid pair,
     complete up to the first max_witnesses, and jacobi the max_witnesses
@@ -880,7 +867,6 @@ def _pair_checks(L: GradedAlgebra, B: int, names, max_witnesses: int) -> dict:
     anti = [] if "antisymmetry" in names else None
     bideg = [] if "bidegree" in names else None
     kept = [] if "jacobi" in names else None    # jacobi's smallest keys
-    mirror = L.mirror_rows(B) if anti is not None else None
     layers = L.bracket_columns(B)
     cur, d = next(layers, None), 1
     while cur is not None:
@@ -891,12 +877,10 @@ def _pair_checks(L: GradedAlgebra, B: int, names, max_witnesses: int) -> dict:
         if not (todo_anti or todo_bideg or todo_jac):
             break
         nxt = next(layers, None)    # None past the last layer
-        if todo_anti or todo_bideg:
-            rows = L._layer_rows(d, cur)
-            if todo_anti:
-                _antisymmetry_degree(L, rows, next(mirror), anti)
-            if todo_bideg:
-                _bidegree_degree(L, rows, bideg)
+        if todo_anti:
+            _antisymmetry_degree(L, d, cur, anti)
+        if todo_bideg:
+            _bidegree_degree(L, L._layer_rows(d, cur), bideg)
         if todo_jac:
             _jacobi_degree(L, B, d, cur, nxt, kept, cap)
         cur, d = nxt, d + 1
@@ -906,18 +890,19 @@ def _pair_checks(L: GradedAlgebra, B: int, names, max_witnesses: int) -> dict:
     return found
 
 
-def _antisymmetry_degree(L: GradedAlgebra, rows, mirror_layer, witnesses):
-    """Append the antisymmetry witnesses of one degree's bracket rows, in
-    ascending gid pair: (gi, gj) when [e_gi, e_gj] differs from
-    _mirror_basis(gi, gj), the entry gj of gi's mirror row, and (gi, gi)
-    after the pair (gi, gi) when [e_gi, e_gi] != 0."""
-    lo = L.comp_gids[L.elements[rows[0][0]].degree][0]
-    for (gi, row), mirror in zip(rows, mirror_layer):
-        off = gi - lo
-        for j, lhs in enumerate(row):
-            if lhs != mirror[off + j]:
-                witnesses.append((gi, gi + j))
-            if not j and any(lhs):
+def _antisymmetry_degree(L: GradedAlgebra, d: int, layer, witnesses):
+    """Append the antisymmetry witnesses among the pairs gi <= gj of
+    degree d, read off the degree-d column layer, in ascending gid pair:
+    (gi, gj) when [e_gi, e_gj], column gj at gi, differs from
+    -[e_gj, e_gi], minus column gi at gj mod p, and (gi, gi) after the
+    pair (gi, gi) when [e_gi, e_gi] != 0 (see validate)."""
+    p, gids = L.p, L.comp_gids[d]
+    for i, gi in enumerate(gids):
+        for j in range(i, len(gids)):
+            lhs = layer[j][i]
+            if lhs != tuple([-v % p for v in layer[i][j]]):
+                witnesses.append((gi, gids[j]))
+            if i == j and any(lhs):
                 witnesses.append((gi, gi))
 
 

@@ -224,12 +224,12 @@ def normalize(raw_entries, p: int, q: int) -> DiamondPattern:
 # -- compilation -------------------------------------------------------------
 
 def compile_pattern(pattern: DiamondPattern, N: int, guard: int = 2,
-                    run_validation: bool = True, validation_limit: int | None = None,
-                    validation_checks=None):
+                    run_validation: bool = True):
     """Build the graded algebra a normalized pattern describes.
 
     The algebra is over-built to N + guard internally.  The pattern must
-    cover the built range.  Returns (algebra, ValidationReport or None).
+    cover the built range.  Returns (algebra, validate(algebra) if
+    run_validation else None).
     """
     p, q = pattern.p, pattern.q
     field = PrimeField(p)
@@ -278,7 +278,7 @@ def compile_pattern(pattern: DiamondPattern, N: int, guard: int = 2,
     L = b.finish(N, meta={"pattern": pattern.to_json()})
     report = None
     if run_validation:
-        report = validate(L, checks=validation_checks, limit=validation_limit)
+        report = validate(L)
     return L, report
 
 
@@ -294,7 +294,7 @@ class DetectionReport:
         return not self.untypable
 
 
-def detect(L: GradedAlgebra, limit: int | None = None):
+def detect(L: GradedAlgebra):
     """Read the diamond pattern off a built algebra.
 
     Returns (DiamondPattern, DetectionReport).  2-dimensional components are
@@ -303,7 +303,7 @@ def detect(L: GradedAlgebra, limit: int | None = None):
     """
     p = L.p
     q = L.q
-    limit = min(limit if limit is not None else L.N, L.N_built - 1)
+    limit = min(L.N, L.N_built - 1)
     raw = []
     sites = []
     untypable = []

@@ -123,6 +123,16 @@ def test_budget_exit_code(monkeypatch):
     assert run(["build", "--family", "a", "--q", "7", "--N", "60"]) == 3
 
 
+def test_malformed_budget_is_bad_spec(monkeypatch, capsys):
+    monkeypatch.setenv("THINLIE_MAX_DEGREE", "abc")
+    want = ("bad job specification: THINLIE_MAX_DEGREE must be an integer, "
+            "got 'abc'\n")
+    for argv in (["build", "--family", "a", "--q", "7", "--N", "10"],
+                 ["deflate", "--q", "7", "--r", "7", "--N", "10"]):
+        assert run(argv) == 2, argv
+        assert capsys.readouterr().err == want, argv
+
+
 def test_deflate_without_N_is_bad_spec(capsys):
     assert run(["deflate", "--q", "7", "--r", "7"]) == 2
     assert "--N is required" in capsys.readouterr().err
@@ -241,6 +251,7 @@ def test_input_side_errors_are_bad_spec(tmp_path, capsys):
         "q_param.json": {"family": "a", "p": 7, "q": 7, "N": 30,
                          "params": {"q": 7}},
     }
+    missing, here = str(tmp_path / "missing" / "x.json"), str(tmp_path)
     for name, doc in docs.items():
         (tmp_path / name).write_text(json.dumps(doc))
     f = {name: str(tmp_path / name) for name in docs}
@@ -286,9 +297,24 @@ def test_input_side_errors_are_bad_spec(tmp_path, capsys):
             (["detect", "--family-spec", f["q_param.json"], "--N", "30"],
              "unknown family parameter 'q'"),
             (["export", "--family", "c", "--q", "7", "--s", "-1", "--N", "30"],
-             "parameter 's' must be at least 1")]:
+             "parameter 's' must be at least 1"),
+            # 0 is a value to check, not a missing flag meaning q = 7
+            (["build", "--family", "a", "--q", "0", "--N", "10"],
+             "p must be a prime > 3, got 0"),
+            (["export", "--family", "a", "--p", "0", "--N", "10"],
+             "p must be a prime > 3, got 0"),
+            (["build", "--family", "a", "--p", "7", "--q", "0", "--N", "10"],
+             "q must be a power of p greater than 5, got 0"),
+            (["build", "--sequence", f["seq7.json"], "--q", "0", "--N", "10"],
+             "q must be a power of p greater than 5, got 0"),
+            (["build", "--family", "a", "--q", "7", "--N", "10",
+              "--out", missing],
+             f"cannot write --out {missing}: No such file or directory"),
+            (["deflate", "--q", "7", "--r", "7", "--N", "10", "--out", here],
+             f"cannot write --out {here}: Is a directory")]:
         assert run(argv) == 2, argv
-        assert message in capsys.readouterr().err, argv
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1, argv
 
 
 def test_internal_value_error_is_not_bad_spec(monkeypatch):

@@ -1,10 +1,12 @@
-"""The pair checks and the structure writer read bracket values off a
-sweep of bracket columns (GradedAlgebra.bracket_columns and mirror_rows)
-that keeps two degrees at a time.  The columns equal bracket_basis, the
-mirror rows equal _mirror_basis, and the witness lists equal those of the
-loops over the bracket_basis memo (helpers.memo_pair_witnesses), capped
-and uncapped, on the corpus and on algebras that fail the checks; the
-memo stays empty and the memory they take stays O(N)."""
+"""The pair checks and the structure writer read bracket values off one
+sweep of bracket columns (GradedAlgebra.bracket_columns) that keeps two
+degrees at a time.  The columns equal bracket_basis; _mirror_basis is
+minus bracket_basis with the arguments exchanged (the lemma in validate's
+docstring that lets antisymmetry visit only same-degree pairs); and the
+witness lists equal those of the loops over the bracket_basis memo and
+_mirror_basis (helpers.memo_pair_witnesses), capped and uncapped, on the
+corpus and on algebras that fail the checks.  The memo stays empty and
+the memory they take stays O(N)."""
 
 import functools
 import tracemalloc
@@ -54,18 +56,20 @@ def failing(name):
 
 
 def assert_sweeps_match_memo(L):
-    """Every column entry is bracket_basis and every mirror row entry is
-    _mirror_basis, on every pair of total degree <= N_built."""
-    B, comp = L.N_built, L.comp_gids
+    """Every column entry is bracket_basis, and _mirror_basis(c, g) is
+    -bracket_basis(g, c) mod p, on every pair with deg g >= deg c of total
+    degree <= N_built: the pairs the columns hold."""
+    B, comp, p = L.N_built, L.comp_gids, L.p
     mirror = {}
-    sweeps = zip(L.bracket_columns(B), L.mirror_rows(B))
-    for d, (columns, rows) in enumerate(sweeps, 1):
+    for d, columns in enumerate(L.bracket_columns(B), 1):
         lo = comp[d][0]
-        for c, column, row in zip(comp[d], columns, rows, strict=True):
-            assert len(column) == len(row) == comp[B - d][-1] + 1 - lo
-            for g, (value, mirrored) in enumerate(zip(column, row), lo):
-                assert value == L.bracket_basis(g, c), (g, c)
-                assert mirrored == L._mirror_basis(c, g, mirror), (c, g)
+        for c, column in zip(comp[d], columns, strict=True):
+            assert len(column) == comp[B - d][-1] + 1 - lo
+            for g, value in enumerate(column, lo):
+                want = L.bracket_basis(g, c)
+                assert value == want, (g, c)
+                assert L._mirror_basis(c, g, mirror) == \
+                    tuple(-v % p for v in want), (c, g)
     assert d == B // 2
 
 
