@@ -4,26 +4,29 @@ for identical job specifications.
 
 Exit codes: 0 success, 2 malformed job, 3 degree budget exceeded,
 4 verification or round-trip failure.
+
+Every job loads the engine, the pattern layer and the maximal-class
+layer.  The construction and derivation layers are imported where they
+run (deflate, --sequence, roundtrip), so the other jobs start without
+compiling them.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
+import stat
 import sys
 
-from .constructions import (ConstructionError, nottingham_Nqr,
-                            nqr_source_degree, tensor_construct)
-from .derivations import ClassGateError, ExtractionError, roundtrip_check
 from .engine import DegreeOverflowError, validate
-from .gf import smallest_prime_factor
 from .maxclass import (CentralizerSequence, SequenceError,
                        UnrealizableSequenceError, build_maxclass)
-from .patterns import (DiamondPattern, PatternError, check_q,
-                       classify_regularity, compile_pattern, detect,
-                       family_pattern, family_pattern_from_json,
-                       verify_lemma_suite)
+from .patterns import (ConstructionError, DiamondPattern, PatternError,
+                       char_of_q, check_q, classify_regularity,
+                       compile_pattern, detect, family_pattern,
+                       family_pattern_from_json, verify_lemma_suite)
 
 EXIT_OK = 0
 EXIT_BADSPEC = 2
@@ -58,14 +61,33 @@ def _checked_N(args) -> int:
     return args.N
 
 
+def _bad_out(path, strerror) -> PatternError:
+    return PatternError(f"cannot write --out {path}: {strerror}")
+
+
+def _check_out(path):
+    """Reject an --out path in a directory that does not exist, or naming
+    a directory, before the job builds anything.  The file itself is
+    opened, and an existing one truncated, only once the output exists."""
+    if not path:
+        return
+    try:
+        parent = os.stat(os.path.dirname(path) or ".")
+    except OSError as e:
+        raise _bad_out(path, e.strerror) from None
+    if not stat.S_ISDIR(parent.st_mode):
+        raise _bad_out(path, os.strerror(errno.ENOTDIR))
+    if os.path.isdir(path):
+        raise _bad_out(path, os.strerror(errno.EISDIR))
+
+
 def _write(path, write):
     """Call write(fh) on the --out file, or on stdout without --out."""
     if path:
         try:
             fh = open(path, "w", encoding="utf-8")
         except OSError as e:
-            raise PatternError(
-                f"cannot write --out {path}: {e.strerror}") from None
+            raise _bad_out(path, e.strerror) from None
         with fh:
             write(fh)
     else:
@@ -115,6 +137,7 @@ def make_algebra(args, guard=lambda q: 2, run_validation=False):
     """Resolve --family/--pattern/--sequence into a built algebra, built
     guard(q) degrees past --N, where q is the job's q as resolved here."""
     N = _checked_N(args)
+    _check_out(args.out)
     if args.pattern:
         pattern = DiamondPattern.from_json(_load_json(args.pattern))
         return compile_pattern(pattern, N, guard=guard(pattern.q),
@@ -129,13 +152,14 @@ def make_algebra(args, guard=lambda q: 2, run_validation=False):
                                run_validation=run_validation)
     if args.family:
         q = args.q if args.q is not None else (7 if args.p is None else args.p)
-        p = args.p if args.p is not None else smallest_prime_factor(q)
+        p = args.p if args.p is not None else char_of_q(q)
         g = guard(q)
         pat = family_pattern(args.family, p, q, N + g + q + 2,
                              **_family_params(args))
         return compile_pattern(pat, N, guard=g,
                                run_validation=run_validation)
     if args.sequence:
+        from .constructions import tensor_construct
         seq = CentralizerSequence.from_json(_load_json(args.sequence))
         q = args.q
         if q is None:
@@ -208,6 +232,7 @@ def cmd_roundtrip(args):
     if args.compare_N is not None and args.compare_N < 1:
         raise PatternError(f"--compare-N must be at least 1, got "
                            f"{args.compare_N}")
+    from .derivations import ClassGateError, ExtractionError, roundtrip_check
     # D raises degrees by q - 1: a guard of q + 2 keeps it defined past --N
     L, _ = make_algebra(args, guard=lambda q: q + 2, run_validation=False)
     try:
@@ -221,7 +246,8 @@ def cmd_roundtrip(args):
 
 
 def cmd_deflate(args):
-    if not (args.q and args.r):
+    from .constructions import nottingham_Nqr, nqr_source_degree
+    if args.q is None or args.r is None:
         raise PatternError("deflate needs --q and --r")
     N = _checked_N(args)
     _, _, n_src = nqr_source_degree(args.q, args.r, N, p=args.p)
@@ -229,6 +255,7 @@ def cmd_deflate(args):
     if n_src > cap:
         raise BudgetError(f"deflate to --N {N} compiles its source to degree "
                           f"{n_src}, over THINLIE_MAX_DEGREE={cap}")
+    _check_out(args.out)
     L, pattern, report = nottingham_Nqr(args.q, args.r, N, p=args.p)
 
     def nested(doc):

@@ -5,18 +5,12 @@ algebra, deflation, and the iterated-deflation family N(q, r).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .engine import AlgebraBuilder, GradedAlgebra, OperatorFamily, validate
-from .gf import (PrimeField, echelon_add, lucas_binom, smallest_prime_factor,
-                 solve_or_kernel)
+from .gf import PrimeField, echelon_add, lucas_binom, solve_or_kernel
 from .maxclass import MaxClassAlgebra
-from .patterns import (check_p, check_q, compile_pattern, deflation_steps,
-                       detect, family_pattern)
-
-
-class ConstructionError(Exception):
-    pass
+from .patterns import (ConstructionError, char_of_q, check_p, check_q,
+                       compile_pattern, deflation_steps, detect,
+                       family_pattern)
 
 
 # -- divided power algebra -----------------------------------------------------
@@ -103,12 +97,14 @@ def engine_from_abstract(field: PrimeField, q, n_built: int, N: int,
 
 # -- tensor construction ---------------------------------------------------------
 
-@dataclass
 class TensorConstruction:
-    algebra: GradedAlgebra
-    ambient: dict          # gid -> ambient vector {('e', m_gid, j) | ('d',): coeff}
-    maxclass: MaxClassAlgebra
-    report: object
+    def __init__(self, algebra: GradedAlgebra, ambient: dict,
+                 maxclass: MaxClassAlgebra, report):
+        self.algebra = algebra
+        # gid -> ambient vector {('e', m_gid, j) | ('d',): coeff}
+        self.ambient = ambient
+        self.maxclass = maxclass
+        self.report = report
 
 
 def tensor_construct(M: MaxClassAlgebra, q: int, N: int, guard: int = 2,
@@ -326,7 +322,7 @@ def nqr_source_degree(q: int, r: int, N: int, p: int | None = None):
     n_src applies that once per step, starting from N.  Checks p, r and
     q r before anything is built."""
     if p is None:
-        p = smallest_prime_factor(q)
+        p = char_of_q(q)
     check_p(p)
     steps = deflation_steps(p, r)
     check_q(p, q * r)

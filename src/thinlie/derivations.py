@@ -12,8 +12,6 @@ recursion U_{j+1} = [U_j X].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .engine import GradedAlgebra, OperatorFamily
 from .gf import vec_add, vec_is_zero, vec_scale
 from .maxclass import CentralizerSequence, build_maxclass
@@ -57,11 +55,12 @@ def build_D(L: GradedAlgebra, pattern: DiamondPattern | None = None,
     return OperatorFamily(L, q - 1, {1: (L.zero(q)[1], dy[1])})
 
 
-@dataclass
 class LeibnizReport:
-    pairs_checked: int
-    failures: list
-    instance_checks: list       # (label, degree, ok)
+    def __init__(self, pairs_checked: int, failures: list,
+                 instance_checks: list):
+        self.pairs_checked = pairs_checked
+        self.failures = failures
+        self.instance_checks = instance_checks   # (label, degree, ok)
 
     @property
     def ok(self) -> bool:
@@ -180,14 +179,17 @@ def extract_M(L: GradedAlgebra, D: OperatorFamily, N_M: int | None = None):
     return M, seq
 
 
-@dataclass
 class RoundtripReport:
-    stages: list = dc_field(default_factory=list)
-    extracted_sequence: str = ""
-    pattern_L: dict | None = None
-    pattern_T: dict | None = None
-    passed: bool = False
-    compare_N: int = 0
+    def __init__(self, stages: list | None = None,
+                 extracted_sequence: str = "", pattern_L: dict | None = None,
+                 pattern_T: dict | None = None, passed: bool = False,
+                 compare_N: int = 0):
+        self.stages = [] if stages is None else stages
+        self.extracted_sequence = extracted_sequence
+        self.pattern_L = pattern_L
+        self.pattern_T = pattern_T
+        self.passed = passed
+        self.compare_N = compare_N
 
     def to_json(self) -> dict:
         return {

@@ -42,7 +42,6 @@ algebra and zero tests read.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
 
 from .gf import (
     PrimeField,
@@ -65,14 +64,15 @@ class DegreeOverflowError(Exception):
         self.built = built
 
 
-@dataclass(frozen=True)
 class BasisElement:
-    gid: int
-    degree: int
-    index: int            # 0 or 1 within its component
-    word: str             # defining left-normed word over {x, y}
-    parent_gid: int | None
-    letter: str | None    # last letter of word; None for the two generators
+    def __init__(self, gid: int, degree: int, index: int, word: str,
+                 parent_gid: int | None, letter: str | None):
+        self.gid = gid
+        self.degree = degree
+        self.index = index        # 0 or 1 within its component
+        self.word = word          # defining left-normed word over {x, y}
+        self.parent_gid = parent_gid
+        self.letter = letter      # last letter of word; None for x and y
 
     @functools.cached_property
     def bidegree(self):
@@ -654,17 +654,18 @@ class AlgebraBuilder:
 
 # -- validation ----------------------------------------------------------------
 
-@dataclass
 class CheckResult:
-    name: str
-    ok: bool
-    witnesses: list = dc_field(default_factory=list)
-    detail: str = ""
+    def __init__(self, name: str, ok: bool, witnesses: list | None = None,
+                 detail: str = ""):
+        self.name = name
+        self.ok = ok
+        self.witnesses = [] if witnesses is None else witnesses
+        self.detail = detail
 
 
-@dataclass
 class ValidationReport:
-    checks: list
+    def __init__(self, checks: list):
+        self.checks = checks
 
     @property
     def ok(self) -> bool:

@@ -8,7 +8,6 @@ point anywhere in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 def is_prime(n: int) -> bool:
@@ -183,7 +182,6 @@ def echelon_add(basis: list, v: dict, p: int) -> bool:
     return True
 
 
-@dataclass
 class LinearSolution:
     """Outcome of solving A x = b over F_p.
 
@@ -191,9 +189,11 @@ class LinearSolution:
     solution and `kernel` is a basis of the solution space of A x = 0.
     """
 
-    consistent: bool
-    solution: tuple | None
-    kernel: list
+    def __init__(self, consistent: bool, solution: tuple | None,
+                 kernel: list):
+        self.consistent = consistent
+        self.solution = solution
+        self.kernel = kernel
 
 
 def solve_or_kernel(a_rows, b, p: int) -> LinearSolution:

@@ -12,8 +12,6 @@ entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .engine import (
     MAXCLASS_CHECKS,
     AlgebraBuilder,
@@ -99,10 +97,10 @@ def metabelian_sequence(p: int, length: int) -> CentralizerSequence:
     return CentralizerSequence(p, "Y" * length)
 
 
-@dataclass
 class MaxClassAlgebra:
-    algebra: GradedAlgebra
-    sequence: CentralizerSequence
+    def __init__(self, algebra: GradedAlgebra, sequence: CentralizerSequence):
+        self.algebra = algebra
+        self.sequence = sequence
 
     @property
     def N(self):

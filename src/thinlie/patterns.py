@@ -10,18 +10,31 @@ gap of q allowed only immediately after a type-1 fake.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .engine import AlgebraBuilder, GradedAlgebra, validate
-from .gf import (PrimeField, is_field_char, vec_add, vec_is_zero, vec_neg,
-                 vec_scale)
+from .gf import (PrimeField, is_field_char, smallest_prime_factor, vec_add,
+                 vec_is_zero, vec_neg, vec_scale)
 from .maxclass import CentralizerSequence
 
 
-@dataclass(frozen=True)
 class DiamondType:
-    kind: str            # "finite" | "infinite" | "fake1" | "fake0"
-    mu: int | None = None
+    """A diamond type, equal and hashable by value."""
+
+    __slots__ = ("kind", "mu")
+
+    def __init__(self, kind: str, mu: int | None = None):
+        self.kind = kind     # "finite" | "infinite" | "fake1" | "fake0"
+        self.mu = mu
+
+    def __eq__(self, other):
+        if other.__class__ is not DiamondType:
+            return NotImplemented
+        return self.kind == other.kind and self.mu == other.mu
+
+    def __hash__(self):
+        return hash((self.kind, self.mu))
+
+    def __repr__(self):
+        return f"DiamondType(kind={self.kind!r}, mu={self.mu!r})"
 
     @staticmethod
     def finite(mu: int, p: int) -> "DiamondType":
@@ -79,14 +92,29 @@ class DiamondType:
         raise PatternError(f"unknown diamond type {s!r}")
 
 
-@dataclass
 class DiamondPattern:
-    """Normalized diamond pattern: entries (degree, type), starting at (q, -1)."""
+    """Normalized diamond pattern: entries (degree, type), starting at (q, -1).
 
-    p: int
-    q: int
-    entries: list            # [(degree, DiamondType), ...] strictly increasing
-    alternates: list = dc_field(default_factory=list, compare=False)
+    Patterns are equal when p, q and the entries are; `alternates` is not
+    compared."""
+
+    def __init__(self, p: int, q: int, entries: list,
+                 alternates: list | None = None):
+        self.p = p
+        self.q = q
+        # [(degree, DiamondType), ...], degrees strictly increasing
+        self.entries = entries
+        self.alternates = [] if alternates is None else alternates
+
+    def __eq__(self, other):
+        if other.__class__ is not DiamondPattern:
+            return NotImplemented
+        return ((self.p, self.q, self.entries)
+                == (other.p, other.q, other.entries))
+
+    def __repr__(self):
+        return (f"DiamondPattern(p={self.p!r}, q={self.q!r}, "
+                f"entries={self.entries!r})")
 
     def truncate(self, N: int) -> "DiamondPattern":
         return DiamondPattern(self.p, self.q,
@@ -123,6 +151,11 @@ class PatternError(ValueError):
     pass
 
 
+class ConstructionError(Exception):
+    """A construction or deflation cannot proceed on its input; defined
+    here so that the CLI maps it without importing constructions."""
+
+
 def check_p(p):
     """Reject a characteristic given by a job unless it is a prime > 3."""
     if not is_field_char(p):
@@ -134,7 +167,20 @@ def check_q(p, q):
     greater than 5."""
     check_p(p)
     if not _is_int(q) or q < 7 or not _is_ppower(q, p):
-        raise PatternError(f"q must be a power of p greater than 5, got {q!r}")
+        raise _bad_q(q)
+
+
+def char_of_q(q) -> int:
+    """The characteristic of a job that gives q but not p: q's least prime
+    factor.  q is checked first, so that a q with no prime factor (below 2,
+    or not an integer) is reported as the bad q, not as the p it gives."""
+    if not _is_int(q) or q < 2:
+        raise _bad_q(q)
+    return smallest_prime_factor(q)
+
+
+def _bad_q(q) -> PatternError:
+    return PatternError(f"q must be a power of p greater than 5, got {q!r}")
 
 
 def deflation_steps(p: int, r) -> int:
@@ -284,10 +330,10 @@ def compile_pattern(pattern: DiamondPattern, N: int, guard: int = 2,
 
 # -- detection ---------------------------------------------------------------
 
-@dataclass
 class DetectionReport:
-    sites: list                      # fake sites, by type-1 reading degree
-    untypable: list                  # witnesses (degree, reason)
+    def __init__(self, sites: list, untypable: list):
+        self.sites = sites               # fake sites, by type-1 reading degree
+        self.untypable = untypable       # witnesses (degree, reason)
 
     @property
     def ok(self) -> bool:
@@ -353,12 +399,17 @@ def detect(L: GradedAlgebra):
 
 # -- regularity ----------------------------------------------------------------
 
-@dataclass
 class RegularityReport:
-    regular: bool
-    violations: list                 # bidegrees outside S_<=(q)
-    contains_strict: bool            # S_<(q) cap {degrees <= N} inside support
-    equals_wide: bool                # support == S_<=(q) cap {degrees <= N}
+    """`violations`: the bidegrees outside S_<=(q); `contains_strict`:
+    S_<(q) cap {degrees <= N} lies inside the support; `equals_wide`: the
+    support is S_<=(q) cap {degrees <= N}."""
+
+    def __init__(self, regular: bool, violations: list,
+                 contains_strict: bool, equals_wide: bool):
+        self.regular = regular
+        self.violations = violations
+        self.contains_strict = contains_strict
+        self.equals_wide = equals_wide
 
 
 def classify_regularity(L: GradedAlgebra) -> RegularityReport:
@@ -540,18 +591,19 @@ def uniqueness_sequence(p: int, s: int, length: int) -> CentralizerSequence:
 
 # -- computed-identity suite (general calculations) -----------------------------
 
-@dataclass
 class LemmaInstance:
-    lemma: str
-    degree: int
-    identity: str
-    status: str          # "pass" | "fail" | "skip"
-    detail: str = ""
+    def __init__(self, lemma: str, degree: int, identity: str, status: str,
+                 detail: str = ""):
+        self.lemma = lemma
+        self.degree = degree
+        self.identity = identity
+        self.status = status     # "pass" | "fail" | "skip"
+        self.detail = detail
 
 
-@dataclass
 class LemmaReport:
-    instances: list
+    def __init__(self, instances: list):
+        self.instances = instances
 
     @property
     def ok(self) -> bool:

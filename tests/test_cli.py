@@ -298,9 +298,22 @@ def test_input_side_errors_are_bad_spec(tmp_path, capsys):
              "unknown family parameter 'q'"),
             (["export", "--family", "c", "--q", "7", "--s", "-1", "--N", "30"],
              "parameter 's' must be at least 1"),
-            # 0 is a value to check, not a missing flag meaning q = 7
+            # 0 is a value to check, not a missing flag meaning q = 7; a q
+            # with no prime factor is reported as q, not as the p it gives
             (["build", "--family", "a", "--q", "0", "--N", "10"],
-             "p must be a prime > 3, got 0"),
+             "q must be a power of p greater than 5, got 0"),
+            (["build", "--family", "a", "--q", "1", "--N", "10"],
+             "q must be a power of p greater than 5, got 1"),
+            (["build", "--family", "a", "--q", "-7", "--N", "10"],
+             "q must be a power of p greater than 5, got -7"),
+            (["deflate", "--q", "0", "--r", "7", "--N", "10"],
+             "q must be a power of p greater than 5, got 0"),
+            (["deflate", "--p", "7", "--q", "0", "--r", "7", "--N", "10"],
+             "q must be a power of p greater than 5, got 0"),
+            (["deflate", "--q", "7", "--r", "0", "--N", "10"],
+             "r must be a positive power of p"),
+            (["deflate", "--q", "7", "--N", "10"],
+             "deflate needs --q and --r"),
             (["export", "--family", "a", "--p", "0", "--N", "10"],
              "p must be a prime > 3, got 0"),
             (["build", "--family", "a", "--p", "7", "--q", "0", "--N", "10"],
@@ -328,6 +341,44 @@ def test_internal_value_error_is_not_bad_spec(monkeypatch):
     monkeypatch.setattr(thinlie.cli, "compile_pattern", broken)
     with pytest.raises(ValueError, match="internal fault"):
         run(["build", "--family", "a", "--q", "7", "--N", "30"])
+
+
+def test_bad_out_is_rejected_before_the_build(monkeypatch, tmp_path, capsys):
+    # an --out that cannot be written exits 2 before anything is built, and
+    # a job that exits 2 or 3 leaves an existing --out file as it was
+    import thinlie.cli
+    import thinlie.constructions
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the job was built")
+
+    monkeypatch.setattr(thinlie.cli, "compile_pattern", unreachable)
+    monkeypatch.setattr(thinlie.constructions, "nottingham_Nqr", unreachable)
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"p": 7, "entries": "Y" * 30}))
+    missing, here = str(tmp_path / "missing" / "x.json"), str(tmp_path)
+    under_file = str(seq / "x.json")
+    for argv, out, reason in [
+            (["build", "--family", "a", "--q", "7", "--N", "1000"], missing,
+             "No such file or directory"),
+            (["verify", "--family", "c", "--q", "7", "--N", "30"], here,
+             "Is a directory"),
+            (["export", "--sequence", str(seq), "--q", "7", "--N", "30"],
+             under_file, "Not a directory"),
+            (["deflate", "--q", "7", "--r", "7", "--N", "10"], missing,
+             "No such file or directory")]:
+        assert run(argv + ["--out", out]) == 2, argv
+        assert capsys.readouterr().err == (
+            f"bad job specification: cannot write --out {out}: {reason}\n")
+
+    kept = tmp_path / "kept.json"
+    kept.write_text("kept\n")
+    monkeypatch.setenv("THINLIE_MAX_DEGREE", "50")
+    for argv, code in [(["build", "--family", "a", "--q", "0", "--N", "10"], 2),
+                       (["build", "--family", "a", "--q", "7", "--N", "60"], 3),
+                       (["deflate", "--q", "7", "--r", "7", "--N", "10"], 3)]:
+        assert run(argv + ["--out", str(kept)]) == code, argv
+        assert kept.read_text() == "kept\n", argv
 
 
 def test_nqr_family_spec_matches_flags(tmp_path):

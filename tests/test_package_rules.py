@@ -1,9 +1,19 @@
 """Rules the package source keeps.  No check that matters may be a bare
 assert, because python -O removes assert statements: the package raises
-instead."""
+instead.  Starting the CLI loads only what every job runs: the records are
+plain classes, so `dataclasses` (and `inspect`, which it pulls in) stays
+unloaded, and the construction and derivation layers are imported by the
+subcommands that run them."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+from thinlie.derivations import RoundtripReport
+from thinlie.engine import BasisElement, CheckResult, ValidationReport
+from thinlie.patterns import DiamondPattern, DiamondType, LemmaInstance
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "thinlie"
 
@@ -17,3 +27,45 @@ def test_no_assert_statements_in_the_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_cli_start_up_leaves_unused_modules_unloaded():
+    unwanted = ("dataclasses", "inspect", "thinlie.constructions",
+                "thinlie.derivations")
+    code = ("import sys, thinlie.cli; "
+            f"print(' '.join(m for m in {unwanted!r} if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == []
+
+
+def test_record_semantics():
+    # DiamondType is a value: equal and hashable by (kind, mu)
+    a, b = DiamondType.finite(3, 7), DiamondType("finite", 3)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != DiamondType.finite(4, 7) and a != DiamondType.infinite()
+    assert DiamondType.fake1() == DiamondType("fake1")
+    # patterns compare p, q and entries, never alternates
+    entries = [(7, DiamondType.infinite())]
+    one = DiamondPattern(7, 7, list(entries))
+    other = DiamondPattern(7, 7, list(entries), [(13, DiamondType.fake0())])
+    assert one == other and one != DiamondPattern(7, 13, list(entries))
+    # mutable defaults are per instance
+    assert one.alternates == [] and one.alternates is not \
+        DiamondPattern(7, 7, []).alternates
+    assert CheckResult("x", True).witnesses is not \
+        CheckResult("y", True).witnesses
+    assert RoundtripReport().stages is not RoundtripReport().stages
+    # bidegree is a cached_property, stored in the element's __dict__
+    e = BasisElement(2, 2, 0, "yx", 1, "x")
+    assert e.bidegree == (1, 1) and vars(e)["bidegree"] == (1, 1)
+    # the report is taken positionally, as bench/tracing.py builds it
+    checks = [CheckResult("jacobi", True), CheckResult("words", False, [3])]
+    rep = ValidationReport(checks)
+    assert rep.checks is checks and not rep.ok
+    assert [c.name for c in rep.failures()] == ["words"]
+    # a lemma instance serializes as exactly its five fields
+    assert vars(LemmaInstance("distance", 9, "id", "pass")) == {
+        "lemma": "distance", "degree": 9, "identity": "id",
+        "status": "pass", "detail": ""}
