@@ -3,7 +3,8 @@ export.  All artifacts are JSON (DOT/plain text for diagrams), byte-stable
 for identical job specifications.
 
 Exit codes: 0 success, 2 malformed job, 3 degree budget exceeded,
-4 verification or round-trip failure.
+4 verification or round-trip failure.  build and deflate validate the
+algebra they write, and write it even when a check fails.
 
 Every job loads the engine, the pattern layer and the maximal-class
 layer.  The construction and derivation layers are imported where they
@@ -133,31 +134,30 @@ def _family_params(args):
     return kw
 
 
-def make_algebra(args, guard=lambda q: 2, run_validation=False):
+def make_algebra(args, guard=lambda q: 2):
     """Resolve --family/--pattern/--sequence into a built algebra, built
-    guard(q) degrees past --N, where q is the job's q as resolved here."""
+    guard(q) degrees past --N, where q is the job's q as resolved here.
+    It is not validated here; build and verify call validate on it."""
     N = _checked_N(args)
     _check_out(args.out)
     if args.pattern:
         pattern = DiamondPattern.from_json(_load_json(args.pattern))
         return compile_pattern(pattern, N, guard=guard(pattern.q),
-                               run_validation=run_validation)
+                               run_validation=False)[0]
     if args.family_spec:
         doc = _load_json(args.family_spec)
         if not isinstance(doc, dict) or not isinstance(doc.get("q"), int):
             raise PatternError("family spec needs an integer field 'q'")
         g = guard(doc["q"])
         pat = family_pattern_from_json(doc, N + g + doc["q"] + 2)
-        return compile_pattern(pat, N, guard=g,
-                               run_validation=run_validation)
+        return compile_pattern(pat, N, guard=g, run_validation=False)[0]
     if args.family:
         q = args.q if args.q is not None else (7 if args.p is None else args.p)
         p = args.p if args.p is not None else char_of_q(q)
         g = guard(q)
         pat = family_pattern(args.family, p, q, N + g + q + 2,
                              **_family_params(args))
-        return compile_pattern(pat, N, guard=g,
-                               run_validation=run_validation)
+        return compile_pattern(pat, N, guard=g, run_validation=False)[0]
     if args.sequence:
         from .constructions import tensor_construct
         seq = CentralizerSequence.from_json(_load_json(args.sequence))
@@ -168,31 +168,27 @@ def make_algebra(args, guard=lambda q: 2, run_validation=False):
         g = guard(q)
         need = -(-(N + g) // (q - 1)) + 2
         M = build_maxclass(seq, need + 1)
-        tc = tensor_construct(M, q, N, guard=g,
-                              run_validation=run_validation)
-        return tc.algebra, tc.report
+        return tensor_construct(M, q, N, guard=g).algebra
     raise PatternError("specify one of --family, --family-spec, --pattern, "
                        "--sequence")
 
 
 def cmd_build(args):
-    L, report = make_algebra(args, run_validation=True)
+    L = make_algebra(args)
+    report = validate(L)
     _dump_structure(L, args.out)
-    if report is not None:
-        print(report.summary(), file=sys.stderr)
-        if not report.ok:
-            return EXIT_FAILED
-    return EXIT_OK
+    print(report.summary(), file=sys.stderr)
+    return EXIT_OK if report.ok else EXIT_FAILED
 
 
 def cmd_export(args):
-    L, _ = make_algebra(args, run_validation=False)
+    L = make_algebra(args)
     _dump_structure(L, args.out)
     return EXIT_OK
 
 
 def cmd_verify(args):
-    L, _ = make_algebra(args, run_validation=False)
+    L = make_algebra(args)
     doc = {"schema": "thinlie.verify.v1", "checks": {}}
     failed = False
     if args.check in ("all", "jacobi"):
@@ -219,7 +215,7 @@ def cmd_verify(args):
 
 
 def cmd_detect(args):
-    L, _ = make_algebra(args, run_validation=False)
+    L = make_algebra(args)
     pattern, rep = detect(L)
     doc = pattern.to_json()
     doc["fake_sites"] = rep.sites
@@ -234,7 +230,7 @@ def cmd_roundtrip(args):
                            f"{args.compare_N}")
     from .derivations import ClassGateError, ExtractionError, roundtrip_check
     # D raises degrees by q - 1: a guard of q + 2 keeps it defined past --N
-    L, _ = make_algebra(args, guard=lambda q: q + 2, run_validation=False)
+    L = make_algebra(args, guard=lambda q: q + 2)
     try:
         rep = roundtrip_check(L, compare_N=args.compare_N)
     except (ClassGateError, ExtractionError) as e:
@@ -256,7 +252,8 @@ def cmd_deflate(args):
         raise BudgetError(f"deflate to --N {N} compiles its source to degree "
                           f"{n_src}, over THINLIE_MAX_DEGREE={cap}")
     _check_out(args.out)
-    L, pattern, report = nottingham_Nqr(args.q, args.r, N, p=args.p)
+    L, pattern = nottingham_Nqr(args.q, args.r, N, p=args.p)
+    report = validate(L)
 
     def nested(doc):
         # JSON strings hold no raw newline, so this only re-indents
@@ -267,10 +264,9 @@ def cmd_deflate(args):
         fh.write('{\n  "pattern": ' + nested(pattern.to_json())
                  + ',\n  "schema": "thinlie.deflate.v1",\n  "structure": ')
         L.write_structure_json(fh, depth=1)
-        fh.write(',\n  "validation": '
-                 + nested(report.to_json() if report else None) + "\n}\n")
+        fh.write(',\n  "validation": ' + nested(report.to_json()) + "\n}\n")
     _write(args.out, write)
-    return EXIT_OK if (report is None or report.ok) else EXIT_FAILED
+    return EXIT_OK if report.ok else EXIT_FAILED
 
 
 def _diagram_txt(L, pattern):
@@ -337,7 +333,7 @@ def _diagram_json(L, pattern):
 
 
 def cmd_diagram(args):
-    L, _ = make_algebra(args, run_validation=False)
+    L = make_algebra(args)
     pattern, _ = detect(L)
     if args.format == "json":
         _dump(_diagram_json(L, pattern), args.out)

@@ -5,7 +5,7 @@ algebra, deflation, and the iterated-deflation family N(q, r).
 
 from __future__ import annotations
 
-from .engine import AlgebraBuilder, GradedAlgebra, OperatorFamily, validate
+from .engine import AlgebraBuilder, GradedAlgebra, OperatorFamily
 from .gf import PrimeField, echelon_add, lucas_binom, solve_or_kernel
 from .maxclass import MaxClassAlgebra
 from .patterns import (ConstructionError, char_of_q, check_p, check_q,
@@ -99,19 +99,19 @@ def engine_from_abstract(field: PrimeField, q, n_built: int, N: int,
 
 class TensorConstruction:
     def __init__(self, algebra: GradedAlgebra, ambient: dict,
-                 maxclass: MaxClassAlgebra, report):
+                 maxclass: MaxClassAlgebra):
         self.algebra = algebra
         # gid -> ambient vector {('e', m_gid, j) | ('d',): coeff}
         self.ambient = ambient
         self.maxclass = maxclass
-        self.report = report
 
 
-def tensor_construct(M: MaxClassAlgebra, q: int, N: int, guard: int = 2,
-                     run_validation: bool = True) -> TensorConstruction:
+def tensor_construct(M: MaxClassAlgebra, q: int, N: int,
+                     guard: int = 2) -> TensorConstruction:
     """Subalgebra of M (x) F[eps; q] + F (1 (x) d) generated by
     x = -1 (x) d  and  y = X (x) eps^(q-2) + Y (x) eps^(q-1),
-    expressed as an engine algebra in the total grading.
+    expressed as an engine algebra in the total grading, built to
+    N + guard and not validated.
 
     Ambient keys: ('e', g, j) is (M basis element g) (x) eps^(j); ('d',) is x.
     """
@@ -170,11 +170,13 @@ def tensor_construct(M: MaxClassAlgebra, q: int, N: int, guard: int = 2,
     L, ambient = engine_from_abstract(
         field, q, n_built, N, x_vec, y_vec, bracket, lambda v: v,
         meta={"construction": "tensor", "q": q})
-    report = validate(L) if run_validation else None
-    return TensorConstruction(L, ambient, M, report)
+    return TensorConstruction(L, ambient, M)
 
 
 # -- deflation ---------------------------------------------------------------------
+
+DEFLATE_GUARD = 2   # degrees a deflated algebra is built past its N
+
 
 def _lines(p: int):
     return [(1, t) for t in range(p)] + [(0, 1)]
@@ -229,21 +231,21 @@ def generator_derivations(L: GradedAlgebra):
     return out
 
 
-def deflate(L: GradedAlgebra, N_out: int, guard: int = 2,
-            run_validation: bool = True):
+def deflate(L: GradedAlgebra, N_out: int) -> GradedAlgebra:
     """Deflation: the subalgebra of operators generated by (ad L_1)^p and
-    ad(L_p), with degrees divided by p, re-expressed as an engine algebra.
+    ad(L_p), with degrees divided by p, re-expressed as an engine algebra
+    built to N_out + DEFLATE_GUARD and not validated.
 
     Works in Der(L): elements of rescaled degree k are derivations of
     shift k p, identified by their values on x and y.  Requires L built to
-    at least p (N_out + guard) + p.
+    at least p (N_out + DEFLATE_GUARD) + p.
     """
     p = L.p
-    n_built = N_out + guard
+    n_built = N_out + DEFLATE_GUARD
     if L.N_built < p * n_built + p:
         raise ConstructionError(
-            f"input built to {L.N_built}; deflation to {N_out} (+{guard} guard) "
-            f"needs {p * n_built + p}")
+            f"input built to {L.N_built}; deflation to {N_out} "
+            f"(+{DEFLATE_GUARD} guard) needs {p * n_built + p}")
 
     ech = []
     basis1 = [op for op in generator_derivations(L)
@@ -259,8 +261,7 @@ def deflate(L: GradedAlgebra, N_out: int, guard: int = 2,
         L.field, q_out, n_built, N_out, xop, yop, OperatorFamily.op_bracket,
         OperatorFamily.coords,
         kind=L.kind, meta={"construction": "deflation", "source_q": L.q})
-    report = validate(Ld) if run_validation else None
-    return Ld, report
+    return Ld
 
 
 def _standard_generators(basis1, p: int, q_out):
@@ -318,9 +319,9 @@ def nqr_source_degree(q: int, r: int, N: int, p: int | None = None):
     characteristic (the least prime factor of q unless given), the number
     of deflation steps (r = p^steps), and the degree n_src its parameter-
     (q r) source of family a is compiled to.  Deflating to n needs the
-    input built to p (n + 2) + p (see deflate, at its default guard), so
-    n_src applies that once per step, starting from N.  Checks p, r and
-    q r before anything is built."""
+    input built to p (n + DEFLATE_GUARD) + p (see deflate), so n_src
+    applies that once per step, starting from N.  Checks p, r and q r
+    before anything is built."""
     if p is None:
         p = char_of_q(q)
     check_p(p)
@@ -328,15 +329,14 @@ def nqr_source_degree(q: int, r: int, N: int, p: int | None = None):
     check_q(p, q * r)
     n_src = N
     for _ in range(steps):
-        n_src = p * (n_src + 2) + p
+        n_src = p * (n_src + DEFLATE_GUARD) + p
     return p, steps, n_src
 
 
-def nottingham_Nqr(q: int, r: int, N: int, p: int | None = None,
-                   run_validation: bool = True):
+def nottingham_Nqr(q: int, r: int, N: int, p: int | None = None):
     """Iterated deflation of the type -1 family with parameter q r, giving
     the Nottingham algebra with second diamond q and fake diamonds between
-    the genuine ones.  Returns (algebra, detected pattern, report).
+    the genuine ones.  Returns (algebra, detected pattern), not validated.
 
     This is the existence construction, run by the deflate subcommand and
     used by the tests as the independent check of family_pattern's closed
@@ -344,11 +344,9 @@ def nottingham_Nqr(q: int, r: int, N: int, p: int | None = None,
     p, steps, n_src = nqr_source_degree(q, r, N, p)
     pat = family_pattern("a", p, q * r, n_src + q * r + 5)
     L, _ = compile_pattern(pat, n_src, run_validation=False)
-    report = None
-    for step in range(steps):
-        target = N if step == steps - 1 else (L.N_built - p) // p - 2
-        L, report = deflate(L, target,
-                            run_validation=run_validation and step == steps - 1)
+    for _ in range(steps - 1):
+        L = deflate(L, (L.N_built - p) // p - DEFLATE_GUARD)
+    L = deflate(L, N)
     pattern, _ = detect(L)
     L.meta["nqr"] = {"q": q, "r": r, "pattern": pattern.to_json()}
-    return L, pattern, report
+    return L, pattern

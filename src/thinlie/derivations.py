@@ -226,7 +226,7 @@ def roundtrip_check(L: GradedAlgebra, compare_N: int | None = None) -> Roundtrip
     n_cmp = min(compare_N if compare_N is not None else L.N,
                 L.N, (M.algebra.N_built - 2) * (q - 1) - 2)
     rep.compare_N = n_cmp
-    T = tensor_construct(M, q, n_cmp, run_validation=False)
+    T = tensor_construct(M, q, n_cmp)
     rep.stages.append(["tensor", f"rebuilt to degree {n_cmp}"])
     pat_T, _ = detect(T.algebra)
     rep.pattern_T = pat_T.to_json()

@@ -678,19 +678,17 @@ class ValidationReport:
         """Total degrees of the pair/triple witnesses, ascending: the
         empirical record of where an inconsistent structure first breaks.
 
-        A witness is a tuple of basis gids whose degrees are summed: a pair
-        (antisymmetry), the pair of a (gid_a, gid_b, s) bidegree witness, a
-        basis triple (jacobi_triples), or a basis pair and a generator
-        (gid_a, gid_b, gid_s) for jacobi, whose degree is deg a + deg b + 1.
-        Only as many witnesses as validate kept are read."""
+        A witness is a tuple of basis gids whose degrees are summed, as
+        many as CHECKS gives for its check: a pair (antisymmetry), the pair
+        of a (gid_a, gid_b, s) bidegree witness, a basis triple
+        (jacobi_triples), or a basis pair and a generator (gid_a, gid_b,
+        gid_s) for jacobi, whose degree is deg a + deg b + 1.  Only as many
+        witnesses as validate kept are read."""
         degs = set()
         for c in self.failures():
-            if c.name not in ("jacobi", "jacobi_triples", "antisymmetry",
-                              "bidegree"):
-                continue
-            for w in c.witnesses:
-                gids = w[:3] if c.name != "bidegree" else w[:2]
-                degs.add(sum(algebra.elements[g].degree for g in gids))
+            n = CHECKS[c.name][2]
+            degs.update(sum(algebra.elements[g].degree for g in w[:n])
+                        for w in c.witnesses if n)
         return sorted(degs)
 
     def summary(self) -> str:
@@ -716,8 +714,6 @@ NOTTINGHAM_CHECKS = ("dimensions", "covering", "words", "antisymmetry",
                      "jacobi", "sandwich_y", "ad_x_power_q", "bidegree")
 MAXCLASS_CHECKS = ("dimensions", "covering", "words", "antisymmetry",
                    "jacobi", "bidegree")
-# the checks over basis pairs, which validate runs in one sweep of columns
-PAIR_CHECKS = ("antisymmetry", "jacobi", "bidegree")
 
 
 def validate(L: GradedAlgebra, checks=None,
@@ -774,124 +770,110 @@ def validate(L: GradedAlgebra, checks=None,
     by definition, so a passing check makes the bracket alternating up to
     degree B: the premise of the Jacobi argument above.
 
-    The pair checks ("antisymmetry", "jacobi", "bidegree") read the
-    bracket_basis values off one sweep of L.bracket_columns (see
-    _pair_checks), which holds two degrees of columns at a time: O(N)
-    memory, and the bracket_basis memo, which serves few-pair callers,
-    stays empty.  Their witnesses are those of the loops over all pairs:
-    antisymmetry and bidegree in ascending gid pair, jacobi by (total
-    degree, deg a, gid_a, gid_b, gid_s), each cut to the first
-    max_witnesses.
+    Each check is an entry of CHECKS, and passes when it finds no
+    witness; an unknown name raises ValueError before any check runs.
+    The pair checks (PAIR_CHECKS) read the bracket_basis values off one
+    sweep of L.bracket_columns (see _pair_checks), which holds two degrees
+    of columns at a time: O(N) memory, and the bracket_basis memo, which
+    serves few-pair callers, stays empty.  Their witnesses are those of
+    the loops over all pairs: antisymmetry and bidegree in ascending gid
+    pair, jacobi by (total degree, deg a, gid_a, gid_b, gid_s), each cut
+    to the first max_witnesses.
     """
     if checks is None:
         checks = NOTTINGHAM_CHECKS if L.kind == "nottingham" else MAXCLASS_CHECKS
-    B = L.N
-    p = L.p
+    unknown = [name for name in checks if name not in CHECKS]
+    if unknown:
+        raise ValueError(f"unknown check {unknown[0]!r}")
+    B, cap = L.N, max(max_witnesses, 1)
+    swept = _pair_checks(L, B, checks, cap)
     out = []
-    pairs = None    # the pair checks' witnesses, from one sweep
-
-    def lines_of(dim):
-        if dim == 1:
-            return [(1,)]
-        return [(1, t) for t in range(p)] + [(0, 1)]
-
     for name in checks:
-        witnesses = []
-        if name == "dimensions":
-            ok = L.dim(1) == 2 and all(1 <= L.dim(k) <= 2 for k in range(1, B + 1))
-            if not ok:
-                witnesses = [k for k in range(1, B + 1) if not 1 <= L.dim(k) <= 2]
-        elif name == "covering":
-            for k in range(1, B):
-                dnext = L.dim(k + 1)
-                for ln in lines_of(L.dim(k)):
-                    u = (k, ln)
-                    rows = (L.apply_letter(u, "x")[1], L.apply_letter(u, "y")[1])
-                    if rank(rows, p) != dnext:
-                        witnesses.append((k, ln))
-            ok = not witnesses
-        elif name == "words":
-            # parents come first: each word evaluates to its parent's value
-            # times its last letter
-            vals = []
-            for e in L.elements:
-                got = L.eval_word(e.word) if e.parent_gid is None else \
-                    L.apply_letter(vals[e.parent_gid], e.letter)
-                vals.append(got)
-                if got != L.as_element(e.gid):
-                    witnesses.append(e.gid)
-            ok = not witnesses
-        elif name in PAIR_CHECKS:
-            if pairs is None:
-                pairs = _pair_checks(L, B, checks, max_witnesses)
-            witnesses = pairs[name]
-            ok = not witnesses
-        elif name == "jacobi_triples":
-            witnesses = _jacobi_triples(L, B, max_witnesses)
-            ok = not witnesses
-        elif name == "sandwich_y":
-            for k in range(1, L.N_built - 1):
-                for s in range(L.dim(k)):
-                    u = L.as_element(L.gid(k, s))
-                    if not vec_is_zero(L.apply_word(u, "yy")[1]):
-                        witnesses.append((k, s))
-            ok = not witnesses
-        elif name == "ad_x_power_q":
-            qq = L.q
-            ok = True
-            if qq:
-                for k in range(1, L.N_built + 1 - qq):
-                    for s in range(L.dim(k)):
-                        u = L.as_element(L.gid(k, s))
-                        if not vec_is_zero(L.apply_word(u, "x" * qq)[1]):
-                            witnesses.append((k, s))
-                ok = not witnesses
-        else:
-            raise ValueError(f"unknown check {name!r}")
-        out.append(CheckResult(name, ok, witnesses[:max_witnesses]))
+        run, in_sweep, _ = CHECKS[name]
+        witnesses = swept[name] if in_sweep else run(L, B, cap)
+        out.append(CheckResult(name, not witnesses, witnesses[:max_witnesses]))
     return ValidationReport(out)
 
 
-def _pair_checks(L: GradedAlgebra, B: int, names, max_witnesses: int) -> dict:
-    """{name: witnesses} for the checks of PAIR_CHECKS among names, from
-    one sweep of L.bracket_columns(B).
+def _dimensions(L: GradedAlgebra, B: int, cap: int) -> list:
+    """The degrees k <= B with dim L_k not in {1, 2}, or not 2 for k = 1."""
+    return [k for k in range(1, B + 1)
+            if not 1 <= L.dim(k) <= 2 or (k == 1 and L.dim(1) != 2)]
 
-    At degree d the sweep holds the column layers of degrees d and d + 1:
-    it checks the pairs of degree d (antisymmetry), the bracket rows of
-    the e_gi of degree d (bidegree) and the Jacobi pairs with deg a = d,
-    then drops layer d.  They read bracket_basis values (see validate,
-    bracket_rows and _jacobi_degree), so they find the witnesses of loops
-    over bracket_basis: antisymmetry and bidegree in ascending gid pair,
-    complete up to the first max_witnesses, and jacobi the max_witnesses
-    smallest keys.  The sweep stops once no check can change its list."""
-    cap = max(max_witnesses, 1)
-    anti = [] if "antisymmetry" in names else None
-    bideg = [] if "bidegree" in names else None
-    kept = [] if "jacobi" in names else None    # jacobi's smallest keys
+
+def _covering(L: GradedAlgebra, B: int, cap: int) -> list:
+    """(k, line) for each line of L_k, k < B, whose brackets with x and y
+    do not span L_{k+1}."""
+    p, witnesses = L.p, []
+    for k in range(1, B):
+        lines = [(1,)] if L.dim(k) == 1 else \
+            [(1, t) for t in range(p)] + [(0, 1)]
+        for ln in lines:
+            u = (k, ln)
+            rows = (L.apply_letter(u, "x")[1], L.apply_letter(u, "y")[1])
+            if rank(rows, p) != L.dim(k + 1):
+                witnesses.append((k, ln))
+    return witnesses
+
+
+def _words(L: GradedAlgebra, B: int, cap: int) -> list:
+    """The gids whose word does not evaluate to their basis element, each
+    word evaluated as its parent's value times its last letter."""
+    vals, witnesses = [], []
+    for e in L.elements:
+        got = L.eval_word(e.word) if e.parent_gid is None else \
+            L.apply_letter(vals[e.parent_gid], e.letter)
+        vals.append(got)
+        if got != L.as_element(e.gid):
+            witnesses.append(e.gid)
+    return witnesses
+
+
+def _not_killed(L: GradedAlgebra, suffix: str, top: int) -> list:
+    """(k, s) for each basis element of degree k < top that the suffix's
+    letters, applied in turn, do not send to zero."""
+    return [(k, s) for k in range(1, top) for s in range(L.dim(k))
+            if not vec_is_zero(L.apply_word(L.as_element(L.gid(k, s)),
+                                            suffix)[1])]
+
+
+def _sandwich_y(L: GradedAlgebra, B: int, cap: int) -> list:
+    """[u, y, y] = 0 for every u built with room for two letters."""
+    return _not_killed(L, "yy", L.N_built - 1)
+
+
+def _ad_x_power_q(L: GradedAlgebra, B: int, cap: int) -> list:
+    """(ad x)^q = 0 for a Nottingham algebra; nothing to test without q."""
+    return _not_killed(L, "x" * L.q, L.N_built + 1 - L.q) if L.q else []
+
+
+def _pair_checks(L: GradedAlgebra, B: int, names, cap: int) -> dict:
+    """{name: witnesses} for the sweep checks among names (PAIR_CHECKS),
+    from one sweep of L.bracket_columns(B).
+
+    At degree d the sweep hands the column layers of degrees d and d + 1
+    to each check's step in CHECKS (antisymmetry: the pairs of degree d;
+    bidegree: the bracket rows of degree d; jacobi: the pairs with
+    deg a = d), then drops layer d.  The steps read bracket_basis values
+    (see validate), so they find the witnesses of loops over bracket_basis:
+    antisymmetry and bidegree in ascending gid pair, complete up to the
+    first cap, and jacobi the cap smallest keys.  A step returns whether
+    its check can still change its list at degree d + 1; the sweep stops
+    once none can."""
+    found = {name: [] for name in names if CHECKS[name][1]}
+    active = list(found)
     layers = L.bracket_columns(B)
-    cur, d = next(layers, None), 1
-    while cur is not None:
-        todo_anti = anti is not None and len(anti) < cap
-        todo_bideg = bideg is not None and len(bideg) < cap
-        todo_jac = (kept is not None
-                    and 2 * d + 1 <= _jacobi_bound(kept, cap, B))
-        if not (todo_anti or todo_bideg or todo_jac):
-            break
+    cur, d = next(layers, None) if active else None, 1
+    while cur is not None and active:
         nxt = next(layers, None)    # None past the last layer
-        if todo_anti:
-            _antisymmetry_degree(L, d, cur, anti)
-        if todo_bideg:
-            _bidegree_degree(L, L._layer_rows(d, cur), bideg)
-        if todo_jac:
-            _jacobi_degree(L, B, d, cur, nxt, kept, cap)
+        active = [name for name in active
+                  if CHECKS[name][0](L, B, d, cur, nxt, found[name], cap)]
         cur, d = nxt, d + 1
-    found = {"antisymmetry": anti, "bidegree": bideg}
-    if kept is not None:
-        found["jacobi"] = [key[2:] for key in sorted(kept)]
     return found
 
 
-def _antisymmetry_degree(L: GradedAlgebra, d: int, layer, witnesses):
+def _antisymmetry_degree(L: GradedAlgebra, B: int, d: int, layer, nxt,
+                         witnesses, cap: int) -> bool:
     """Append the antisymmetry witnesses among the pairs gi <= gj of
     degree d, read off the degree-d column layer, in ascending gid pair:
     (gi, gj) when [e_gi, e_gj], column gj at gi, differs from
@@ -905,15 +887,17 @@ def _antisymmetry_degree(L: GradedAlgebra, d: int, layer, witnesses):
                 witnesses.append((gi, gids[j]))
             if i == j and any(lhs):
                 witnesses.append((gi, gi))
+    return len(witnesses) < cap
 
 
-def _bidegree_degree(L: GradedAlgebra, rows, witnesses):
-    """Append the bidegree witnesses of one degree's bracket rows, in
+def _bidegree_degree(L: GradedAlgebra, B: int, d: int, layer, nxt,
+                     witnesses, cap: int) -> bool:
+    """Append the bidegree witnesses of the bracket rows of degree d, in
     ascending order: (gi, gj, s) when coordinate s of [e_gi, e_gj] is
     nonzero on a basis element whose bidegree is not the sum of e_gi's
     and e_gj's."""
     comp, elements = L.comp_gids, L.elements
-    for gi, row in rows:
+    for gi, row in L._layer_rows(d, layer):
         (xi, yi), di = elements[gi].bidegree, elements[gi].degree
         for j, w in enumerate(row):
             if not any(w):
@@ -924,21 +908,28 @@ def _bidegree_degree(L: GradedAlgebra, rows, witnesses):
             for s, c in enumerate(w):
                 if c and elements[tgt[s]].bidegree != want:
                     witnesses.append((gi, gi + j, s))
+    return len(witnesses) < cap
 
 
-def _jacobi_bound(kept, cap: int, B: int) -> int:
-    """The highest total degree at which a Jacobi witness can still enter
-    the kept keys."""
-    return max(kept)[0] if len(kept) >= cap else B
+def _jacobi_key(L: GradedAlgebra, w) -> tuple:
+    """The order of jacobi witnesses (gid_a, gid_b, gid_s):
+    (total degree, deg a, gid_a, gid_b, gid_s)."""
+    da = L.elements[w[0]].degree
+    return (da + L.elements[w[1]].degree + 1, da, *w)
+
+
+def _jacobi_bound(L: GradedAlgebra, kept, cap: int, B: int) -> int:
+    """The highest total degree a new Jacobi witness can still have."""
+    return _jacobi_key(L, kept[-1])[0] if len(kept) >= cap else B
 
 
 def _jacobi_degree(L: GradedAlgebra, B: int, da: int, cur, nxt, kept,
-                   cap: int):
+                   cap: int) -> bool:
     """Test J(a, b, s) != 0 over basis pairs gid_a <= gid_b with
     deg a = da, and generators s, with deg a + deg b + 1 <= B, keeping
-    in kept the cap smallest keys (total degree, deg a, gid_a, gid_b,
-    gid_s).  cur and nxt are the column layers of degrees da and
-    da + 1 (nxt is None when no pair needs it).
+    in kept the cap witnesses (gid_a, gid_b, gid_s) of smallest
+    _jacobi_key, in that order.  cur and nxt are the column layers of
+    degrees da and da + 1 (nxt is None when no pair needs it).
 
     [s, a] is taken as -[a, s], which antisymmetry justifies, so
     J(a, b, s) = [[a,b],s] + [[b,s],a] - [[a,s],b]: the coordinates of
@@ -960,7 +951,7 @@ def _jacobi_degree(L: GradedAlgebra, B: int, da: int, cur, nxt, kept,
         col_a = cur[ia]
         for db in range(da, B - da):
             total = da + db + 1
-            if total > _jacobi_bound(kept, cap, B):
+            if total > _jacobi_bound(L, kept, cap, B):
                 break
             dim, nb = len(comp[total]), comp[db + 1]
             for gb in comp[db]:
@@ -994,14 +985,13 @@ def _jacobi_degree(L: GradedAlgebra, B: int, da: int, cur, nxt, kept,
                             for t, r in enumerate(w):
                                 acc[t] += c * r
                     if any(c % p for c in acc):
-                        key = (total, da, ga, gb, gs)
-                        if len(kept) < cap:
-                            kept.append(key)
-                        elif key < max(kept):
-                            kept[kept.index(max(kept))] = key
+                        kept.append((ga, gb, gs))
+                        kept.sort(key=functools.partial(_jacobi_key, L))
+                        del kept[cap:]
+    return 2 * (da + 1) + 1 <= _jacobi_bound(L, kept, cap, B)
 
 
-def _jacobi_triples(L: GradedAlgebra, B: int, max_witnesses: int) -> list:
+def _jacobi_triples(L: GradedAlgebra, B: int, cap: int) -> list:
     """Witnesses (gid_1, gid_2, gid_3) of J != 0 over all basis triples
     gid_1 <= gid_2 <= gid_3 of total degree <= B: the O(N^3) oracle."""
     p = L.p
@@ -1026,6 +1016,26 @@ def _jacobi_triples(L: GradedAlgebra, B: int, max_witnesses: int) -> list:
                 s = vec_add(s, L.bracket(L.bracket(c, a), b)[1], p)
                 if not vec_is_zero(s):
                     witnesses.append((e1.gid, e2.gid, e3.gid))
-                    if len(witnesses) >= max_witnesses:
+                    if len(witnesses) >= cap:
                         return witnesses
     return witnesses
+
+
+# The registry of checks: name -> (function, runs in the shared column sweep,
+# gids of a witness that failure_degrees sums).  A sweep check's function is
+# its step for _pair_checks, (L, B, d, layer d, layer d + 1, witnesses, cap)
+# -> wants degree d + 1; any other check's is (L, B, cap) -> witnesses.
+CHECKS = {
+    "dimensions": (_dimensions, False, 0),
+    "covering": (_covering, False, 0),
+    "words": (_words, False, 0),
+    "antisymmetry": (_antisymmetry_degree, True, 2),
+    "jacobi": (_jacobi_degree, True, 3),
+    "sandwich_y": (_sandwich_y, False, 0),
+    "ad_x_power_q": (_ad_x_power_q, False, 0),
+    "bidegree": (_bidegree_degree, True, 2),
+    "jacobi_triples": (_jacobi_triples, False, 3),
+}
+# the checks over basis pairs, which validate runs in one sweep of columns
+PAIR_CHECKS = tuple(name for name, (_, in_sweep, _) in CHECKS.items()
+                    if in_sweep)

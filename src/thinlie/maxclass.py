@@ -12,13 +12,7 @@ entry.
 
 from __future__ import annotations
 
-from .engine import (
-    MAXCLASS_CHECKS,
-    AlgebraBuilder,
-    GradedAlgebra,
-    ValidationReport,
-    validate,
-)
+from .engine import AlgebraBuilder, GradedAlgebra, ValidationReport, validate
 from .gf import PrimeField, is_field_char, vec_is_zero
 
 
@@ -107,17 +101,17 @@ class MaxClassAlgebra:
         return self.algebra.N
 
 
-def build_maxclass(seq: CentralizerSequence, N: int, guard: int = 2,
-                   run_validation: bool = True) -> MaxClassAlgebra:
+def build_maxclass(seq: CentralizerSequence, N: int) -> MaxClassAlgebra:
     """Build the maximal-class algebra of a centralizer sequence to degree N.
 
     Basis: X, Y in degree 1, then U_i with U_{i+1} = [U_i Z] where Z is the
-    generator NOT in C_i.  Raises UnrealizableSequenceError when the induced
-    brackets fail the Lie axioms (checked exhaustively to degree N).
+    generator NOT in C_i.  Always validated, as that is what realizes the
+    sequence: raises UnrealizableSequenceError when the induced brackets
+    fail the Lie axioms (checked exhaustively to degree N).
     """
     field = PrimeField(seq.p)
     p = seq.p
-    n_int = N + guard
+    n_int = N + 2
     if len(seq) < n_int - 1:
         raise SequenceError(f"sequence too short: need c_2..c_{n_int}")
     b = AlgebraBuilder(field, q=None, kind="maxclass")
@@ -133,10 +127,9 @@ def build_maxclass(seq: CentralizerSequence, N: int, guard: int = 2,
             b.add_degree([(u.word + "y", u.gid, "y")])
             b.set_ad(i, [(0,)], [(1,)])
     L = b.finish(N, meta={"sequence": seq.to_json()})
-    if run_validation:
-        report = validate(L, checks=MAXCLASS_CHECKS)
-        if not report.ok:
-            raise UnrealizableSequenceError(report)
+    report = validate(L)
+    if not report.ok:
+        raise UnrealizableSequenceError(report)
     return MaxClassAlgebra(L, seq.prefix(n_int - 1))
 
 

@@ -275,7 +275,8 @@ def compile_pattern(pattern: DiamondPattern, N: int, guard: int = 2,
 
     The algebra is over-built to N + guard internally.  The pattern must
     cover the built range.  Returns (algebra, validate(algebra) if
-    run_validation else None).
+    run_validation else None).  The package's callers pass False and
+    validate where they check; bench/tracing.py still reads the pair.
     """
     p, q = pattern.p, pattern.q
     field = PrimeField(p)

@@ -4,7 +4,7 @@ generation, and corpus construction."""
 
 from __future__ import annotations
 
-from thinlie.engine import DegreeOverflowError, GradedAlgebra
+from thinlie.engine import DegreeOverflowError, GradedAlgebra, validate
 from thinlie.gf import (lucas_binom, mat_apply_rows, solve_or_kernel,
                         vec_add, vec_is_zero, vec_neg, vec_scale, vec_sub,
                         vec_zero)
@@ -121,11 +121,10 @@ def build_corpus():
     L, rep = compile_pattern(pat, 200, guard=Q + 2)
     out["uniqueness"] = (L, rep, pat)
     M = build_maxclass(metabelian_sequence(P, 40), 30)
-    tc = tensor_construct(M, Q, N, guard=Q + 2)
-    out["T72_metabelian"] = (tc.algebra, tc.report,
-                             family_pattern("e", P, Q, N + 40))
-    Lq, patq, repq = nottingham_Nqr(Q, Q, N)
-    out["N77"] = (Lq, repq, patq)
+    T = tensor_construct(M, Q, N, guard=Q + 2).algebra
+    out["T72_metabelian"] = (T, validate(T), family_pattern("e", P, Q, N + 40))
+    Lq, patq = nottingham_Nqr(Q, Q, N)
+    out["N77"] = (Lq, validate(Lq), patq)
     return out
 
 

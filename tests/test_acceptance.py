@@ -11,6 +11,7 @@ import random
 from helpers import P, Q, coclass_excess, random_tq2_pattern
 from thinlie.constructions import deflate, tensor_construct
 from thinlie.derivations import build_D, roundtrip_check, verify_leibniz
+from thinlie.engine import validate
 from thinlie.gf import lucas_binom, vec_is_zero, vec_scale
 from thinlie.maxclass import build_maxclass, metabelian_sequence
 from thinlie.patterns import (DiamondType, classify_regularity,
@@ -115,7 +116,7 @@ def test_criterion_5_tensor_construction(corpus):
     tc = tensor_construct(M, Q, 100)
     pat, _ = detect(tc.algebra)
     want = family_pattern("e", P, Q, 100)
-    ok = tc.report.ok and pat.entries == want.truncate(100).entries
+    ok = validate(tc.algebra).ok and pat.entries == want.truncate(100).entries
     Ma = tc.maxclass.algebra
     (leg,) = [g for g in tc.algebra.comp_gids[Q]
               if tc.algebra.elements[g].word.endswith("y")]
@@ -180,9 +181,9 @@ def test_criterion_8_deflation(corpus):
     ok &= not classify_regularity(L).regular
     src = family_pattern("a", P, Q, 300)
     L7, _ = compile_pattern(src, 240, run_validation=False)
-    D7, rep7 = deflate(L7, 30)
+    D7 = deflate(L7, 30)
     d_pat, _ = detect(D7)
-    ok &= rep7.ok and d_pat.entries == src.truncate(30).entries
+    ok &= validate(D7).ok and d_pat.entries == src.truncate(30).entries
     _report(8, ok, "deflation: second diamond at 7, genuine -1 diamonds "
                    "exactly at degrees = 7 mod 48, type-1 fake at 13, "
                    "irregular; the q = p algebra re-detects as itself")

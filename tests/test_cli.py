@@ -112,6 +112,27 @@ def test_verify_failure_exit_code(tmp_path):
     assert not json.loads(out.read_text())["ok"]
 
 
+def test_build_writes_what_fails_validation(tmp_path, capsys):
+    # build validates the algebra it writes: a failing check prints the
+    # summary, the structure is written all the same, and the job exits 4.
+    # (deflate's embedded report is checked against validate in
+    # test_export.test_deflate_document_is_dumps_of_its_parts.)
+    from helpers import forbidden_continuations
+    _, pattern, N = forbidden_continuations()[0]    # finite at 92, N 112
+    pfile = tmp_path / "bad.json"
+    pfile.write_text(json.dumps(pattern.to_json()))
+    built, exported = tmp_path / "b.json", tmp_path / "e.json"
+    job = ["--pattern", str(pfile), "--N", str(N)]
+    assert run(["build", *job, "--out", str(built)]) == 4
+    assert capsys.readouterr().err == (
+        "dimensions: pass\ncovering: pass\nwords: pass\n"
+        "antisymmetry: FAIL (7 witnesses)\njacobi: FAIL (10 witnesses)\n"
+        "sandwich_y: pass\nad_x_power_q: pass\nbidegree: pass\n")
+    assert run(["export", *job, "--out", str(exported)]) == 0
+    assert capsys.readouterr().err == ""
+    assert built.read_bytes() == exported.read_bytes()
+
+
 def test_bad_spec_exit_code():
     assert run(["build", "--family", "tq2", "--q", "7", "--N", "30"]) == 2
     assert run(["build", "--q", "7", "--N", "30"]) == 2

@@ -9,6 +9,7 @@ from thinlie.constructions import (ConstructionError, deflate,
                                    divided_power_product,
                                    generator_derivations, nottingham_Nqr,
                                    tensor_construct)
+from thinlie.engine import validate
 from thinlie.gf import vec_add, vec_scale
 from thinlie.maxclass import (build_maxclass, extract_centralizer_sequence,
                               metabelian_sequence)
@@ -110,7 +111,7 @@ def test_tensor_v1y_coefficient(t72_metabelian):
 
 def test_tensor_detects_as_all_infinite(t72_metabelian):
     tc = t72_metabelian
-    assert tc.report.ok
+    assert validate(tc.algebra).ok
     pat, rep = detect(tc.algebra)
     assert rep.ok
     want = family_pattern("e", P, Q, 100)
@@ -122,7 +123,7 @@ def test_tensor_matches_sequence_pattern():
     seq = backbone_sequence(30)
     M = build_maxclass(seq, 26)
     tc = tensor_construct(M, Q, 140)
-    assert tc.report.ok
+    assert validate(tc.algebra).ok
     pat, _ = detect(tc.algebra)
     want = family_pattern("tq2", P, Q, 140,
                           sequence=extract_centralizer_sequence(M))
@@ -155,7 +156,7 @@ def test_tensor_equals_compiled_structure():
     # arithmetic vs the local diamond relation rules; the structure
     # constants must agree entry for entry
     M = build_maxclass(metabelian_sequence(P, 40), 30)
-    A = tensor_construct(M, Q, 100, run_validation=False).algebra
+    A = tensor_construct(M, Q, 100).algebra
     B, _ = compile_pattern(family_pattern("e", P, Q, 140), 100,
                            run_validation=False)
     assert [e.word for e in A.elements] == [e.word for e in B.elements]
@@ -167,7 +168,7 @@ def test_tensor_equals_compiled_structure():
 def test_tensor_backbone_equals_compiled_structure():
     from thinlie.patterns import uniqueness_sequence
     M = build_maxclass(uniqueness_sequence(P, 1, 40), 32)
-    A = tensor_construct(M, Q, 150, run_validation=False).algebra
+    A = tensor_construct(M, Q, 150).algebra
     B, _ = compile_pattern(family_pattern("uniqueness", P, Q, 200, s=1), 150,
                            run_validation=False)
     assert [e.word for e in A.elements] == [e.word for e in B.elements]
@@ -185,8 +186,8 @@ def test_tensor_needs_enough_maxclass_degrees():
 def test_deflate_fixed_point():
     pat = family_pattern("a", P, Q, 300)
     L, _ = compile_pattern(pat, 240, run_validation=False)
-    D, rep = deflate(L, 30)
-    assert rep.ok
+    D = deflate(L, 30)
+    assert validate(D).ok
     dpat, _ = detect(D)
     assert dpat.entries == pat.truncate(30).entries
 
@@ -206,8 +207,8 @@ def test_deflate_at_minimum_budget():
     docs = []
     for n in (54, 55):
         L, _ = compile_pattern(pat, n, run_validation=False)
-        D, rep = deflate(L, 5)
-        assert rep.ok and D.q == Q
+        D = deflate(L, 5)
+        assert validate(D).ok and D.q == Q
         docs.append(D.to_structure_json())
     assert L.N_built == 57 and docs[0] == docs[1]
 
@@ -218,8 +219,8 @@ def n77():
 
 
 def test_n77_pattern(n77):
-    L, pat, rep = n77
-    assert rep.ok
+    L, pat = n77
+    assert validate(L).ok
     by = dict(pat.entries)
     from thinlie.patterns import DiamondType
     genuine = [d for d, t in pat.entries if t.genuine]
@@ -230,7 +231,7 @@ def test_n77_pattern(n77):
 
 
 def test_n77_golden(n77):
-    _, pat, _ = n77
+    _, pat = n77
     golden = json.loads((GOLDEN / "n77_pattern.json").read_text())
     assert pat.to_json() == golden
 
@@ -238,7 +239,7 @@ def test_n77_golden(n77):
 def test_n77_structure_sha256():
     # the exported N(7, 7) structure to degree 60, byte for byte as the CLI
     # writes it, so a change inside deflation cannot alter it unseen
-    L, _, _ = nottingham_Nqr(Q, Q, 60, run_validation=False)
+    L, _ = nottingham_Nqr(Q, Q, 60)
     text = json.dumps(L.to_structure_json(), sort_keys=True, indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "c1bc1ff63df16e1329372b8e84ed382b4b6ed60c942ff9883c2a17e9aa49f499"
@@ -257,7 +258,7 @@ def test_nqr_closed_form_matches_deflation(p, q, r, N):
     # the CLI compiles family nqr from its closed-form pattern; deflation,
     # the independent construction, must build the same algebra: by the
     # uniqueness theorem, at this finite degree
-    D, dpat, _ = nottingham_Nqr(q, r, N, p=p, run_validation=False)
+    D, dpat = nottingham_Nqr(q, r, N, p=p)
     C, _ = compile_pattern(family_pattern("nqr", p, q, N + q + 4, r=r), N,
                            run_validation=False)
     assert _structure_sha256(C) == _structure_sha256(D)
@@ -270,17 +271,17 @@ def test_deflation_cycle():
     # the q = 49 type-(-1) family: repeated deflation cycles
     pat49 = family_pattern("a", P, 49, 2760)
     src = compile_pattern(pat49, 2667, run_validation=False)[0]
-    L77, _ = deflate(src, 378, run_validation=False)
-    back, rep = deflate(L77, 51)
-    assert rep.ok
+    L77 = deflate(src, 378)
+    back = deflate(L77, 51)
+    assert validate(back).ok
     bpat, _ = detect(back)
     assert bpat.entries == pat49.truncate(51).entries
 
 
 def test_double_deflation():
     # r = p^2: two deflation steps; the type-1 fake still lands at 2q-1
-    L, pat, rep = nottingham_Nqr(7, 49, 14)
-    assert rep.ok
+    L, pat = nottingham_Nqr(7, 49, 14)
+    assert validate(L).ok
     assert [(d, t.to_json()) for d, t in pat.entries] == \
         [(7, "finite:6"), (13, "fake1")]
 
@@ -289,8 +290,8 @@ def test_double_deflation_N200():
     # r = p^2 at a real N: it validates, agrees with test_double_deflation
     # up to degree 14, and then only fakes of type 1 follow, every q degrees
     # (28 entries; the next genuine diamond lies past q r)
-    L, pat, rep = nottingham_Nqr(7, 49, 200)
-    assert rep.ok
+    L, pat = nottingham_Nqr(7, 49, 200)
+    assert validate(L).ok
     assert [(d, t.to_json()) for d, t in pat.truncate(14).entries] == \
         [(7, "finite:6"), (13, "fake1")]
     assert [(d, t.to_json()) for d, t in pat.entries] == \
@@ -349,14 +350,14 @@ def test_lazy_derivations_match_eager_maps(p, q, n):
 def test_tensor_q49():
     M = build_maxclass(metabelian_sequence(P, 12), 8)
     tc = tensor_construct(M, 49, 150)
-    assert tc.report.ok
+    assert validate(tc.algebra).ok
     pat, _ = detect(tc.algebra)
     want = family_pattern("e", P, 49, 150)
     assert pat.entries == want.truncate(150).entries
 
 
 def test_deflated_second_diamond_relation(n77):
-    L, _, _ = n77
+    L, _ = n77
     v1 = L.eval_word("y" + "x" * (Q - 2))
     assert L.apply_word(v1, "yx")[1] == \
         vec_scale(-2, L.apply_word(v1, "xy")[1], P)

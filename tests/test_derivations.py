@@ -165,7 +165,7 @@ def test_roundtrip_branch_sequence():
     for j in xpos:
         ent[j - 2] = "X"
     M = build_maxclass(CentralizerSequence(P, ent), 76)
-    tc = tensor_construct(M, Q, 400, run_validation=False)
+    tc = tensor_construct(M, Q, 400)
     pat, _ = detect(tc.algebra)
     from thinlie.patterns import family_pattern
     want = family_pattern("tq2", P, Q, 400,

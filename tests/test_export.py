@@ -12,6 +12,7 @@ from helpers import P, Q, backbone_sequence
 from thinlie.cli import main
 from thinlie.constructions import (ConstructionError, deflate, nottingham_Nqr,
                                    tensor_construct)
+from thinlie.engine import validate
 from thinlie.maxclass import SequenceError, build_maxclass, metabelian_sequence
 from thinlie.patterns import PatternError, compile_pattern, family_pattern
 
@@ -48,12 +49,11 @@ def test_corpus_algebra(corpus, name):
 
 def test_tensor_construction():
     M = build_maxclass(backbone_sequence(60), 40)
-    assert_written_as_dumps(tensor_construct(M, Q, 120,
-                                             run_validation=False).algebra)
+    assert_written_as_dumps(tensor_construct(M, Q, 120).algebra)
 
 
 def test_nqr_algebra():
-    L, _, _ = nottingham_Nqr(7, 7, 60, run_validation=False)
+    L, _ = nottingham_Nqr(7, 7, 60)
     assert_written_as_dumps(L)
 
 
@@ -80,9 +80,9 @@ def test_smallest_N_of_each_builder():
     builders = [
         lambda N: compile_pattern(family_pattern("a", P, Q, N + 20), N,
                                   run_validation=False)[0],
-        lambda N: tensor_construct(M30, Q, N, run_validation=False).algebra,
-        lambda N: nottingham_Nqr(Q, Q, N, run_validation=False)[0],
-        lambda N: deflate(source, N, run_validation=False)[0],
+        lambda N: tensor_construct(M30, Q, N).algebra,
+        lambda N: nottingham_Nqr(Q, Q, N)[0],
+        lambda N: deflate(source, N),
     ]
     assert_written_as_dumps(M.algebra)
     for build in builders:
@@ -111,10 +111,10 @@ def test_stdout_matches_out_file(argv, tmp_path, capsys):
 def test_deflate_document_is_dumps_of_its_parts(tmp_path, capsys):
     _, written = _stdout_and_file(
         ["deflate", "--q", "7", "--r", "7", "--N", "20"], tmp_path, capsys)
-    L, pattern, report = nottingham_Nqr(7, 7, 20)
+    L, pattern = nottingham_Nqr(7, 7, 20)
     doc = {"schema": "thinlie.deflate.v1",
            "structure": L.to_structure_json(),
            "pattern": pattern.to_json(),
-           "validation": report.to_json()}
+           "validation": validate(L).to_json()}
     assert written == (json.dumps(doc, sort_keys=True, indent=2)
                        + "\n").encode()

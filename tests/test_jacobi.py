@@ -3,13 +3,19 @@
 import pytest
 
 from helpers import P, corrupt_ad_x, forbidden_continuations
-from thinlie.engine import MAXCLASS_CHECKS, NOTTINGHAM_CHECKS, validate
+from thinlie import engine
+from thinlie.engine import (CHECKS, MAXCLASS_CHECKS, NOTTINGHAM_CHECKS,
+                            PAIR_CHECKS, validate)
 from thinlie.patterns import compile_pattern, family_pattern
 
 UNCAPPED = 10 ** 9
 FORBIDDEN = forbidden_continuations()
 # first total degree in which each forbidden continuation breaks Jacobi
 FIRST_FAILURE = {"finite_at_92": 93, "no_fake_at_128": 128}
+# every total degree of their default-suite witnesses, at max_witnesses 10
+FAILURE_DEGREES = {"finite_at_92": [93, 94, 95, 104, 108, 110],
+                   "no_fake_at_128": [128, 129, 130, 131, 132, 133, 134, 135,
+                                      140]}
 
 
 def _verdicts(L):
@@ -64,3 +70,31 @@ def test_default_suites_pair_jacobi_with_antisymmetry():
     for suite in (NOTTINGHAM_CHECKS, MAXCLASS_CHECKS):
         assert {"antisymmetry", "jacobi"} <= set(suite)
         assert "jacobi_triples" not in suite
+
+
+def test_registry_holds_every_check_once():
+    # validate, _pair_checks and failure_degrees read their names off CHECKS
+    suites = set(NOTTINGHAM_CHECKS) | set(MAXCLASS_CHECKS)
+    assert suites | {"jacobi_triples"} <= set(CHECKS)
+    assert PAIR_CHECKS == tuple(name for name, (_, in_sweep, _)
+                                in CHECKS.items() if in_sweep)
+    assert set(PAIR_CHECKS) == {"antisymmetry", "jacobi", "bidegree"}
+
+
+def test_unknown_check_raises_before_any_check_runs(monkeypatch):
+    L, _ = compile_pattern(family_pattern("a", P, P, 40), 20,
+                           run_validation=False)
+
+    def ran(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setitem(CHECKS, "words", (ran, False, 0))
+    with pytest.raises(ValueError, match="'nope'"):
+        engine.validate(L, checks=("words", "nope"))
+
+
+@pytest.mark.parametrize("name,pattern,N", FORBIDDEN,
+                         ids=[name for name, _, _ in FORBIDDEN])
+def test_failure_degrees_on_forbidden(name, pattern, N):
+    L, _ = compile_pattern(pattern, N, run_validation=False)
+    assert validate(L).failure_degrees(L) == FAILURE_DEGREES[name]

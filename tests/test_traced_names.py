@@ -1,6 +1,8 @@
-"""bench/tracing.py wraps package functions by module and name.  Every name
-it wraps must resolve on the package, so a rename fails here, in the test
-suite, and not only when the traced benchmark runs.  bench/ is only read."""
+"""bench/tracing.py wraps package functions by module and name, and reads
+counts off some of their results.  Every name it wraps must resolve on the
+package, and every result it reads must have the shape it reads, so a
+rename or a changed return fails here, in the test suite, and not only when
+the traced benchmark runs.  bench/ is only read."""
 
 import importlib
 import inspect
@@ -9,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from helpers import P, Q
 from thinlie import engine
+from thinlie.patterns import compile_pattern, family_pattern
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -42,3 +46,24 @@ def test_traced_validate_contract(tracing):
     assert {"L", "checks"} <= set(params)
     suites = set(engine.NOTTINGHAM_CHECKS) | set(engine.MAXCLASS_CHECKS)
     assert suites <= set(tracing.CHECKS)
+
+
+def test_result_count_readers_accept_real_results(tracing):
+    # each RESULT_COUNTS reader runs on what the function it reads really
+    # returns, so a changed return shape fails here, not only when the
+    # traced benchmark runs
+    pattern = family_pattern("a", P, Q, 60)
+    L, _ = compile_pattern(pattern, 40, run_validation=False)
+    calls = {
+        "patterns.compile": lambda fn: fn(pattern, 40, run_validation=False),
+        "patterns.lemmas": lambda fn: fn(L),
+        "engine.export": lambda fn: fn(L),
+    }
+    assert set(calls) == set(tracing.RESULT_COUNTS)
+    traced = {span: key for key, span in tracing.SPANS.items()}
+    for span, (_, read) in tracing.RESULT_COUNTS.items():
+        module, path = traced[span]
+        owner, name = tracing._resolve(
+            importlib.import_module(f"thinlie.{module}"), path)
+        count = read(calls[span](getattr(owner, name)))
+        assert isinstance(count, int) and count > 0, span
