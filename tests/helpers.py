@@ -128,16 +128,20 @@ def build_corpus():
     return out
 
 
+def corrupt_ad(L, letter, k, i, s):
+    """L with entry (i, s) of ad letter on degree k moved by one: no longer
+    Lie, still well formed."""
+    ad = {t: [None if rows is None else [list(r) for r in rows]
+              for rows in L.ad[t]] for t in "xy"}
+    ad[letter][k][i][s] = (ad[letter][k][i][s] + 1) % L.p
+    ad_x, ad_y = ([rows if rows is None else tuple(map(tuple, rows))
+                   for rows in ad[t]] for t in "xy")
+    return GradedAlgebra(L.field, L.elements, L.comp_gids, ad_x, ad_y,
+                         N=L.N, q=L.q)
+
+
 def corrupt_ad_x(L, k=20, i=0, s=0):
-    """L with entry (i, s) of ad x on degree k moved by one: no longer Lie,
-    still well formed."""
-    ad_x = [None if rows is None else [list(r) for r in rows]
-            for rows in L.ad["x"]]
-    ad_x[k][i][s] = (ad_x[k][i][s] + 1) % L.p
-    return GradedAlgebra(L.field, L.elements, L.comp_gids,
-                         [rows if rows is None else tuple(map(tuple, rows))
-                          for rows in ad_x],
-                         L.ad["y"], N=L.N, q=L.q)
+    return corrupt_ad(L, "x", k, i, s)
 
 
 class ReducingKernel:
@@ -272,13 +276,34 @@ class ReducingKernel:
         return {"words": words, "antisymmetry": anti, "jacobi": jac}
 
 
+def jacobi_sum(L, ga, gb, gs):
+    """J(a, b, s) = [[a,b],s] + [[b,s],a] - [[a,s],b] through the
+    bracket_basis memo and the ad s rows, reduced mod p."""
+    p, elements, comp = L.p, L.elements, L.comp_gids
+    ea, eb = elements[ga], elements[gb]
+    da, db, ad_s = ea.degree, eb.degree, L.ad[elements[gs].word]
+    acc = [0] * len(comp[da + db + 1])
+    for c, row in zip(L.bracket_basis(ga, gb), ad_s[da + db]):
+        for t, r in enumerate(row):
+            acc[t] += c * r
+    for c, g in zip(ad_s[db][eb.index], comp[db + 1]):
+        for t, r in enumerate(L.bracket_basis(g, ga)):
+            acc[t] += c * r
+    for c, g in zip(ad_s[da][ea.index], comp[da + 1]):
+        for t, r in enumerate(L.bracket_basis(g, gb)):
+            acc[t] -= c * r
+    return tuple(c % p for c in acc)
+
+
 def memo_pair_witnesses(L, B):
     """Uncapped witness lists of the antisymmetry, jacobi and bidegree
     checks up to total degree B, by the loops validate ran before it swept
     bracket columns: every pair through the bracket_basis memo and the
     _mirror_basis recursion.  A list cut to its first k entries is what
-    those loops returned with max_witnesses = k."""
-    p, elements, comp = L.p, L.elements, L.comp_gids
+    those loops returned with max_witnesses = k.  The bidegree list is
+    that of the loop over every pair gi <= gj; the bidegree check reads
+    only the pairs with a generator, which come first."""
+    elements, comp = L.elements, L.comp_gids
     bb = L.bracket_basis
     anti, mirror_memo = [], {}
     for e1 in elements:
@@ -293,32 +318,10 @@ def memo_pair_witnesses(L, B):
                 anti.append((g1, e2.gid))
             if e2.gid == g1 and not vec_is_zero(lhs):
                 anti.append((g1, g1))
-    jac = []
-    gens = [(g, L.ad[elements[g].word]) for g in comp[1]]
-    for total in range(3, B + 1):
-        dim = len(comp[total])
-        for da in range(1, (total - 1) // 2 + 1):
-            db = total - 1 - da
-            for ga in comp[da]:
-                ia = elements[ga].index
-                for gb in comp[db]:
-                    if gb < ga:
-                        continue
-                    ib = elements[gb].index
-                    ab = bb(ga, gb)
-                    for gs, ad_s in gens:
-                        acc = [0] * dim
-                        for c, row in zip(ab, ad_s[da + db]):
-                            for t, r in enumerate(row):
-                                acc[t] += c * r
-                        for c, g in zip(ad_s[db][ib], comp[db + 1]):
-                            for t, r in enumerate(bb(g, ga)):
-                                acc[t] += c * r
-                        for c, g in zip(ad_s[da][ia], comp[da + 1]):
-                            for t, r in enumerate(bb(g, gb)):
-                                acc[t] -= c * r
-                        if any(c % p for c in acc):
-                            jac.append((ga, gb, gs))
+    jac = [(ga, gb, gs) for total in range(3, B + 1)
+           for da in range(1, (total - 1) // 2 + 1)
+           for ga in comp[da] for gb in comp[total - 1 - da] if gb >= ga
+           for gs in comp[1] if any(jacobi_sum(L, ga, gb, gs))]
     bideg = []
     for e1 in elements:
         for e2 in elements[e1.gid:]:

@@ -6,16 +6,18 @@ docstring that lets antisymmetry visit only same-degree pairs); and the
 witness lists equal those of the loops over the bracket_basis memo and
 _mirror_basis (helpers.memo_pair_witnesses), capped and uncapped, on the
 corpus and on algebras that fail the checks.  The memo stays empty and
-the memory they take stays O(N)."""
+the memory they take stays O(N).  The triples the Jacobi check skips are
+zero, and the bidegree check on the pairs with a generator agrees with
+the loop over every pair."""
 
 import functools
 import tracemalloc
 
 import pytest
 
-from helpers import (P, Q, corrupt_ad_x, forbidden_continuations,
-                     memo_pair_witnesses)
-from thinlie.engine import PAIR_CHECKS, validate
+from helpers import (P, Q, corrupt_ad, corrupt_ad_x, forbidden_continuations,
+                     jacobi_sum, memo_pair_witnesses)
+from thinlie.engine import PAIR_CHECKS, _defining, validate
 from thinlie.patterns import compile_pattern, family_pattern
 
 UNCAPPED = 10 ** 9
@@ -26,16 +28,17 @@ def _n7():
     return compile_pattern(family_pattern("a", P, P, 100), 60)[0]
 
 
-def _bidegree_breaking(L):
-    """L with one ad x entry moved onto a basis element of the wrong
-    bidegree."""
+def _bidegree_breaking(L, letter="x"):
+    """L with one ad letter entry on degree >= 2 moved onto a basis
+    element of the wrong bidegree."""
     for k in range(2, L.N - 1):
         for i, src in enumerate(L.basis(k)):
-            want = (src.bidegree[0] + 1, src.bidegree[1])
+            want = (src.bidegree[0] + (letter == "x"),
+                    src.bidegree[1] + (letter == "y"))
             for s, tgt in enumerate(L.basis(k + 1)):
                 if tgt.bidegree != want:
-                    return corrupt_ad_x(L, k, i, s)
-    raise AssertionError("no ad x entry to corrupt")
+                    return corrupt_ad(L, letter, k, i, s)
+    raise AssertionError(f"no ad {letter} entry to corrupt")
 
 
 # algebras that fail antisymmetry, jacobi or bidegree, and the checks they fail
@@ -74,14 +77,24 @@ def assert_sweeps_match_memo(L):
 
 
 def assert_witnesses_match_memo(L):
+    """The pair checks and bidegree find the memo loops' witnesses, the
+    latter restricted to the pairs with a generator, with bidegree's
+    verdict and first failing degree those of the loop over every pair."""
     B = min(L.N, L.N_built)
     want = memo_pair_witnesses(L, B)
+    found = dict(want, bidegree=[w for w in want["bidegree"]
+                                 if L.elements[w[0]].degree == 1])
     for cap in (1, 10, UNCAPPED):
-        rep = validate(L, checks=PAIR_CHECKS, max_witnesses=cap)
+        rep = validate(L, checks=PAIR_CHECKS + ("bidegree",),
+                       max_witnesses=cap)
         for check in rep.checks:
-            assert check.witnesses == want[check.name][:cap], \
+            assert check.witnesses == found[check.name][:cap], \
                 (check.name, cap)
             assert check.ok == (not want[check.name])
+    rep = validate(L, checks=("bidegree",), max_witnesses=UNCAPPED)
+    degs = sorted(L.elements[a].degree + L.elements[b].degree
+                  for a, b, _ in want["bidegree"])
+    assert rep.failure_degrees(L)[:1] == degs[:1]
     return want
 
 
@@ -105,6 +118,53 @@ def test_witnesses_match_memo_on_corpus(corpus):
 def test_witnesses_match_memo_on_failing(name):
     want = assert_witnesses_match_memo(failing(name))
     assert {check for check, w in want.items() if w} == FAILING[name]
+
+
+def assert_skipped_triples_vanish(L):
+    """Every triple the jacobi check skips, (a, b, s) with (a, s) a
+    defining pair and deg b >= deg a + 2, is 0 mod p through bracket_basis.
+    Returns how many there were."""
+    B, comp, elements = min(L.N, L.N_built), L.comp_gids, L.elements
+    skipped = 0
+    for ea in elements:
+        for gs in comp[1]:
+            if 2 * ea.degree + 3 > B or \
+                    not _defining(L, ea.gid, elements[gs].word):
+                continue
+            for db in range(ea.degree + 2, B - ea.degree):
+                for gb in comp[db]:
+                    assert not any(jacobi_sum(L, ea.gid, gb, gs)), \
+                        (ea.gid, gb, gs)
+                    skipped += 1
+    return skipped
+
+
+def test_skipped_jacobi_triples_vanish_on_corpus(corpus):
+    for name, (L, _, _) in corpus.items():
+        assert assert_skipped_triples_vanish(L) > 0, name
+
+
+@pytest.mark.parametrize("name", FAILING)
+def test_skipped_jacobi_triples_vanish_on_failing(name):
+    assert assert_skipped_triples_vanish(failing(name)) > 0
+
+
+# one ad entry moved, and whether bidegree still passes: a row of ad x or
+# ad y on degree >= 2, the ad y row of x, the ad x row of y, which no
+# bracket of a pair gi <= gj reads, and the ad y row of y ([y, y] != 0)
+CORRUPTED = {"ad_x_row": (lambda L: _bidegree_breaking(L, "x"), False),
+             "ad_y_row": (lambda L: _bidegree_breaking(L, "y"), False),
+             "ad_y_of_x": (lambda L: corrupt_ad(L, "y", 1, 0, 0), True),
+             "ad_x_of_y": (lambda L: corrupt_ad(L, "x", 1, 1, 0), True),
+             "ad_y_of_y": (lambda L: corrupt_ad(L, "y", 1, 1, 0), False)}
+
+
+@pytest.mark.parametrize("name", CORRUPTED)
+def test_bidegree_matches_pair_loop_on_corrupted_ad(name):
+    corrupt, ok = CORRUPTED[name]
+    L = corrupt(_n7())
+    assert_witnesses_match_memo(L)
+    assert validate(L, checks=("bidegree",)).ok is ok
 
 
 def test_jacobi_pair_at_the_last_degree():

@@ -12,7 +12,8 @@ from helpers import (P, Q, centralizer_in_L1, coclass_excess, corrupt_ad_x,
                      oracle_bracket)
 from thinlie.engine import (BasisElement, DegreeOverflowError, GradedAlgebra,
                             OperatorFamily, validate)
-from thinlie.gf import echelon_add, lucas_binom, vec_is_zero, vec_scale
+from thinlie.gf import (PrimeField, echelon_add, lucas_binom, vec_is_zero,
+                        vec_scale)
 from thinlie.maxclass import build_maxclass, metabelian_sequence
 from thinlie.patterns import compile_pattern, family_pattern
 
@@ -352,3 +353,33 @@ def test_elements_must_be_the_bases_in_degree_order(n7):
     with pytest.raises(ValueError, match="degree by degree"):
         GradedAlgebra(n7.field, n7.elements + (extra,), n7.comp_gids,
                       n7.ad["x"], n7.ad["y"], N=n7.N, q=n7.q)
+
+
+def _elements(words):
+    """Basis elements for words listed degree by degree, with parents
+    found by prefix."""
+    out, gid_of = [], {}
+    for w in words:
+        k = len(w)
+        index = sum(1 for e in out if e.degree == k)
+        out.append(BasisElement(len(out), k, index, w, gid_of.get(w[:-1]),
+                                w[-1] if k > 1 else None))
+        gid_of[w] = out[-1].gid
+    return out
+
+
+@pytest.mark.parametrize("words,comp_gids,message", [
+    (["x"], [(), (0,)], "degree 1 must have basis x, y"),
+    (["x", "y"], [(), (0, 1), ()], "component 2 has dim 0"),
+    (["x", "y", "xy", "yx", "xx"], [(), (0, 1), (2, 3, 4)],
+     "component 2 has dim 3"),
+])
+def test_constructor_refuses_what_dimensions_would_report(words, comp_gids,
+                                                          message):
+    # the dimensions check restates this invariant, so it passes on every
+    # GradedAlgebra that exists
+    N = len(comp_gids) - 1
+    ad = [None] * len(comp_gids)
+    with pytest.raises(ValueError, match=message):
+        GradedAlgebra(PrimeField(P), _elements(words), comp_gids, ad, ad,
+                      N=N, q=Q)

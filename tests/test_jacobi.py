@@ -78,7 +78,7 @@ def test_registry_holds_every_check_once():
     assert suites | {"jacobi_triples"} <= set(CHECKS)
     assert PAIR_CHECKS == tuple(name for name, (_, in_sweep, _)
                                 in CHECKS.items() if in_sweep)
-    assert set(PAIR_CHECKS) == {"antisymmetry", "jacobi", "bidegree"}
+    assert PAIR_CHECKS == ("antisymmetry", "jacobi")
 
 
 def test_unknown_check_raises_before_any_check_runs(monkeypatch):
