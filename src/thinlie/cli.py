@@ -288,20 +288,19 @@ def _diagram_dot(L, pattern):
     types = dict(pattern.entries)
     out = ["digraph double_grading {", "  rankdir=TB;",
            '  node [shape=circle, fontsize=10];']
-    for e in sorted(L.elements, key=lambda e: (e.degree, e.index)):
-        if e.degree > L.N:
-            continue
+    shown = L.elements[:L.comp_gids[L.N][-1] + 1]   # degrees 1..N, in order
+    for e in shown:
         r, s = e.bidegree
         label = f"({r},{s})"
         attrs = f'label="{label}"'
         if e.degree in types:
             attrs += f', xlabel="{types[e.degree].label(L.p)}"'
         elif e.degree == 1:
-            attrs += f', xlabel="{e.word}"'
+            attrs += f', xlabel="{e.letter}"'   # a generator's word
         out.append(f'  "n{r}_{s}" [{attrs}];')
-    for e in sorted(L.elements, key=lambda e: (e.degree, e.index)):
-        if e.degree >= L.N:
-            continue
+    for e in shown:
+        if e.degree == L.N:
+            break
         for letter, style in (("x", "solid"), ("y", "dashed")):
             img = L.apply_letter(L.as_element(e.gid), letter)
             tgt = L.basis(img[0])
@@ -318,11 +317,10 @@ def _diagram_dot(L, pattern):
 def _diagram_json(L, pattern):
     types = dict(pattern.entries)
     nodes = []
-    for e in sorted(L.elements, key=lambda e: (e.degree, e.index)):
-        if e.degree > L.N:
-            continue
+    words = (w for ws in L.basis_words(L.N) for w in ws)
+    for e, word in zip(L.elements, words):
         node = {"degree": e.degree, "bidegree": list(e.bidegree),
-                "word": e.word}
+                "word": word}
         if e.degree in types:
             node["diamond_type"] = types[e.degree].to_json()
         nodes.append(node)

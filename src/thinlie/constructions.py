@@ -42,18 +42,17 @@ def engine_from_abstract(field: PrimeField, q, n_built: int, N: int,
     Elements are opaque objects: `bracket` maps two of them to their
     bracket, and `coords` maps one to its coordinates {key: coefficient}
     (keys sortable, zero coefficients may be left out), which is all the
-    linear algebra reads.  Defining words are assigned greedily in an order
-    that reproduces the pattern compiler's basis convention.  Returns
+    linear algebra reads.  Parents and letters are assigned greedily in an
+    order that reproduces the pattern compiler's basis convention.  Returns
     (GradedAlgebra, {gid: element}).
     """
     p = field.p
     b = AlgebraBuilder(field, q=q, kind=kind)
-    b.add_degree([("x", None, None), ("y", None, None)])
+    b.add_degree([(None, "x"), (None, "y")])
     gens = {"x": x_gen, "y": y_gen}
     abs_of = {0: x_gen, 1: y_gen}
     cur = [x_gen, y_gen]
     for k in range(1, n_built):
-        cur_els = [b.elements[g] for g in b.comp_gids[k]]
         images, vecs = {}, {}
         for i, v in enumerate(cur):
             for t in ("x", "y"):
@@ -75,8 +74,7 @@ def engine_from_abstract(field: PrimeField, q, n_built: int, N: int,
         if len(chosen) > 2:
             raise ConstructionError(
                 f"degree {k + 1} has dimension {len(chosen)}; not thin")
-        gids = b.add_degree([(cur_els[i].word + t, cur_els[i].gid, t)
-                             for (i, t) in chosen])
+        gids = b.add_degree([(b.comp_gids[k][i], t) for (i, t) in chosen])
         keys = sorted({kk for v in vecs.values() for kk in v})
         rows = tuple(tuple(vecs[c].get(kk, 0) % p for c in chosen)
                      for kk in keys)
@@ -320,13 +318,16 @@ def nqr_source_degree(q: int, r: int, N: int, p: int | None = None):
     of deflation steps (r = p^steps), and the degree n_src its parameter-
     (q r) source of family a is compiled to.  Deflating to n needs the
     input built to p (n + DEFLATE_GUARD) + p (see deflate), so n_src
-    applies that once per step, starting from N.  Checks p, r and q r
-    before anything is built."""
+    applies that once per step, starting from N.  Checks p, r, q r and
+    N >= q (the second diamond's degree) before anything is built."""
     if p is None:
         p = char_of_q(q)
     check_p(p)
     steps = deflation_steps(p, r)
     check_q(p, q * r)
+    if N < q:
+        raise ConstructionError(f"--N {N} is below q = {q}; N(q, r) "
+                                f"needs --N >= q")
     n_src = N
     for _ in range(steps):
         n_src = p * (n_src + DEFLATE_GUARD) + p

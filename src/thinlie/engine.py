@@ -1,19 +1,20 @@
 """Truncated graded Lie algebras presented by generator adjoint actions.
 
-An algebra is stored as: per-degree ordered bases (each basis element carries
-its defining left-normed bracket word over the alphabet {x, y}), plus the
-matrices of ad x and ad y from each component to the next.  The full bracket
-is recovered from this data by the binary Jacobi recursion
+An algebra is stored as: per-degree ordered bases, each element above
+degree 1 the left-normed bracket [a, t] of its parent a and its letter t in
+{x, y} (x and y are their own letters), plus the matrices of ad x and ad y
+from each component to the next.  Only basis_words spells out the defining
+words.  The full bracket is recovered by the binary Jacobi recursion
 
     [u, [a, t]] = [[u, a], t] - [[u, t], a]
 
-where t is the last letter of the second argument's defining word.  All
-brackets use the right-action convention [u, z]: applying ad z to u appends
-the letter z to u's word.  Bracket values are read off the ad rows: the
+where a and t are the second argument's parent and letter.  All brackets
+use the right-action convention [u, z]: applying ad z to u appends the
+letter z to u's word.  Bracket values are read off the ad rows: the
 recursion combines rows of ad t with coordinates of earlier values, sums
 integers and reduces mod p once per value, and a bracket with a generator
 is its ad row.  _mirror_basis (behind bracket_mirror) recurses on the
-first argument's word instead; it is the tests' oracle (see validate).
+first argument instead; it is the tests' oracle (see validate).
 
 Bracket values come two ways.  bracket_basis memoizes each value it
 computes and serves the callers that need a few pairs: bracket, the lemma
@@ -65,18 +66,14 @@ class DegreeOverflowError(Exception):
 
 
 class BasisElement:
-    def __init__(self, gid: int, degree: int, index: int, word: str,
-                 parent_gid: int | None, letter: str | None):
+    def __init__(self, gid: int, degree: int, index: int,
+                 parent_gid: int | None, letter: str):
         self.gid = gid
         self.degree = degree
         self.index = index        # 0 or 1 within its component
-        self.word = word          # defining left-normed word over {x, y}
-        self.parent_gid = parent_gid
-        self.letter = letter      # last letter of word; None for x and y
-
-    @functools.cached_property
-    def bidegree(self):
-        return (self.word.count("x"), self.word.count("y"))
+        self.parent_gid = parent_gid  # None for x and y
+        self.letter = letter      # the last letter; x and y are their own
+        self.bidegree = None      # set by GradedAlgebra, from the parent's
 
 
 class GradedAlgebra:
@@ -105,8 +102,10 @@ class GradedAlgebra:
     def _check_wellformed(self):
         """Raise ValueError unless the presentation is a thin graded
         algebra's: bases of dimension 1 or 2, listed degree by degree as
-        the elements, whose words extend their parents' by one letter, and
-        ad matrices of matching shapes with entries in range(p)."""
+        the elements, with letters x or y: x then y in degree 1, with no
+        parent, and above it a parent one degree down; ad matrices of
+        matching shapes with entries in range(p).  This parents-first pass
+        sets each bidegree: the parent's, or (0, 0), plus the letter."""
         if not self.N_built >= self.N >= 1:
             raise ValueError(f"need N_built >= N >= 1, got N_built="
                              f"{self.N_built}, N={self.N}")
@@ -122,15 +121,22 @@ class GradedAlgebra:
                 raise ValueError(f"component {k} has dim {len(gids)}")
             for i, g in enumerate(gids):
                 e = self.elements[g]
-                if not (e.gid == g and e.degree == k and e.index == i
-                        and len(e.word) == k):
+                if not (e.gid == g and e.degree == k and e.index == i):
                     raise ValueError(f"basis element {g} is malformed for "
                                      f"position {i} of component {k}")
-                if k > 1:
-                    par = self.elements[e.parent_gid]
-                    if par.degree != k - 1 or e.word != par.word + e.letter:
-                        raise ValueError(f"basis element {g} does not extend "
-                                         f"its parent {e.parent_gid}")
+                if e.letter not in ("x", "y"):
+                    raise ValueError(f"basis element {g} has letter "
+                                     f"{e.letter!r}, not x or y")
+                if k == 1:
+                    if e.parent_gid is not None or e.letter != "xy"[i]:
+                        raise ValueError("degree 1 must have basis x, y")
+                    bx = by = 0
+                elif e.parent_gid in self.comp_gids[k - 1]:
+                    bx, by = self.elements[e.parent_gid].bidegree
+                else:
+                    raise ValueError(f"basis element {g} has no parent in "
+                                     f"degree {k - 1}")
+                e.bidegree = (bx + (e.letter == "x"), by + (e.letter == "y"))
         field = range(self.p)
         for k in range(1, self.N_built):
             for letter in ("x", "y"):
@@ -154,6 +160,17 @@ class GradedAlgebra:
 
     def basis(self, k: int):
         return [self.elements[g] for g in self.comp_gids[k]]
+
+    def basis_words(self, top: int):
+        """Yield the defining words of L_1, ..., L_top, a list per degree in
+        basis order: each is its parent's, from the list before, plus its
+        letter, so two degrees of words, O(top) characters, are held."""
+        words = []
+        for k in range(1, top + 1):
+            words = [("" if e.parent_gid is None else
+                      words[self.elements[e.parent_gid].index]) + e.letter
+                     for e in self.basis(k)]
+            yield words
 
     def gid(self, k: int, i: int) -> int:
         return self.comp_gids[k][i]
@@ -195,8 +212,8 @@ class GradedAlgebra:
     def bracket_basis(self, gi: int, gj: int):
         """Coordinates of [e_gi, e_gj] in L_{deg_i + deg_j}; memoized.
 
-        The recursion is on the second argument's defining word,
-        e_gj = [a, t]:
+        The recursion is on the second argument, e_gj = [a, t] with a its
+        parent and t its letter:
 
             [u, [a, t]] = [[u, a], t] - [[u, t], a],
 
@@ -226,7 +243,7 @@ class GradedAlgebra:
             raise DegreeOverflowError(dt, self.N_built)
         p = self.p
         if dj == 1:
-            out = self.ad[ej.word][di][ei.index]
+            out = self.ad[ej.letter][di][ei.index]
         elif di < dj:
             out = tuple(-c % p for c in self.bracket_basis(gj, gi))
         else:
@@ -251,8 +268,8 @@ class GradedAlgebra:
     # bench/tracing.py counts bracket_mirror calls by name; only the tests
     # call it, as an oracle
     def bracket_mirror(self, u, v):
-        """[u, v] by recursion on the first argument's word (see
-        _mirror_basis); never consults the memo table of bracket_basis."""
+        """[u, v] by recursion on the first argument (see _mirror_basis);
+        never consults the memo table of bracket_basis."""
         memo = {}
         return self._bilinear(
             u, v, lambda gi, gj: self._mirror_basis(gi, gj, memo))
@@ -279,9 +296,9 @@ class GradedAlgebra:
         return (dt, tuple(c % p for c in acc))
 
     def _mirror_basis(self, gi, gj, memo):
-        """[e_gi, e_gj] by recursion on the first argument's word, with its
-        own memo: the oracle for bracket_basis's recursion on the second
-        argument's word.  With e_gi = [a, t]:
+        """[e_gi, e_gj] by recursion on the first argument, with its own
+        memo: the oracle for bracket_basis's recursion on the second
+        argument.  With e_gi = [a, t]:
 
             [[a, t], v] = [a, [t, v]] + [[a, v], t] = -[a, [v, t]] + [[a, v], t],
 
@@ -300,7 +317,7 @@ class GradedAlgebra:
             raise DegreeOverflowError(dt, self.N_built)
         p = self.p
         if di == 1:
-            out = tuple(-c % p for c in self.ad[ei.word][dj][ej.index])
+            out = tuple(-c % p for c in self.ad[ei.letter][dj][ej.index])
         else:
             a, ad_t = ei.parent_gid, self.ad[ei.letter]
             acc = [0] * len(self.comp_gids[dt])
@@ -349,12 +366,12 @@ class GradedAlgebra:
             layer = []
             for c in comp[d]:
                 ec = elements[c]
+                ad_t = ad[ec.letter]
                 if d == 1:
                     layer.append([r for k in range(1, top + 1)
-                                  for r in ad[ec.word][k]])
+                                  for r in ad_t[k]])
                     continue
-                pa = prev[elements[ec.parent_gid].index]
-                off, ad_t = comp[d - 1][0], ad[ec.letter]
+                pa, off = prev[elements[ec.parent_gid].index], comp[d - 1][0]
                 col = []
                 for k in range(d, top + 1):
                     rows_t, up = ad_t[k + d - 1], comp[k + 1]
@@ -415,9 +432,10 @@ class GradedAlgebra:
         formatted from a fixed template.  The rows come from bracket_rows,
         which holds two degrees of bracket columns and leaves the
         bracket_basis memo empty, so the values to_structure_json reads
-        from bracket_basis are written in O(N) memory.  The other values
-        are O(N) in size.  Words are over {x, y} and values are ints, so
-        nothing needs JSON escaping.
+        from bracket_basis are written in O(N) memory.  So are the O(N^2)
+        characters of words: basis_words holds two degrees of them, and
+        each component is written as it comes.  The other values are O(N)
+        in size.  Words and ints need no JSON escaping.
         """
         nl = ["\n" + "  " * (depth + k) for k in range(6)]
 
@@ -448,39 +466,32 @@ class GradedAlgebra:
             if row:
                 out.write(sep + ("," + n2).join(row))
                 sep = "," + n2
-        out.write("[]" if sep[0] == "[" else nl[1] + "]")
-        comps = []
-        for k in range(1, self.N + 1):
+        out.write(("[]" if sep[0] == "[" else nl[1] + "]") + "," + nl[1]
+                  + '"components": [')
+        for k, words in enumerate(self.basis_words(self.N), 1):
             basis = self.basis(k)
-            comps.append(
-                "{" + nl[3] + '"basis_words": '
-                + arr(['"' + e.word + '"' for e in basis], 4) + "," + nl[3]
+            out.write(
+                ("," if k > 1 else "") + nl[2] + "{" + nl[3]
+                + '"basis_words": '
+                + arr(['"' + w + '"' for w in words], 4) + "," + nl[3]
                 + '"bidegrees": '
                 + arr([arr([str(b) for b in e.bidegree], 5)
                        for e in basis], 4) + "," + nl[3]
                 + '"degree": ' + str(k) + "," + nl[3]
                 + '"dims": ' + str(len(basis)) + nl[2] + "}")
-        out.write("," + nl[1] + '"components": ' + arr(comps, 2) + ","
-                  + nl[1] + '"p": ' + str(self.p) + "," + nl[1] + '"q": '
+        out.write(nl[1] + "]," + nl[1] + '"p": ' + str(self.p) + ","
+                  + nl[1] + '"q": '
                   + ("null" if self.q is None else str(self.q)) + ","
                   + nl[1] + '"schema": "thinlie.structure.v1"' + nl[0]
                   + "}")
 
     def to_structure_json(self) -> dict:
         """Structure-constant document (canonical interchange format)."""
-        comps = []
-        for k in range(1, self.N + 1):
-            basis = self.basis(k)
-            comps.append({
-                "degree": k,
-                "dims": len(basis),
-                "basis_words": [e.word for e in basis],
-                "bidegrees": [list(e.bidegree) for e in basis],
-            })
-        ad_x, ad_y = [], []
-        for k in range(1, self.N):
-            ad_x.append([list(r) for r in self.ad["x"][k]])
-            ad_y.append([list(r) for r in self.ad["y"][k]])
+        comps = [{"degree": k, "dims": len(words), "basis_words": words,
+                  "bidegrees": [list(e.bidegree) for e in self.basis(k)]}
+                 for k, words in enumerate(self.basis_words(self.N), 1)]
+        ad_x, ad_y = ([[list(r) for r in self.ad[t][k]]
+                       for k in range(1, self.N)] for t in "xy")
         brackets = []
         for e1 in self.elements:
             for e2 in self.elements:
@@ -538,7 +549,7 @@ class OperatorFamily:
         maps = self.maps
         if k in maps:
             return maps[k]
-        gen = {L.elements[g].word: (1 + self.shift, row)
+        gen = {L.elements[g].letter: (1 + self.shift, row)
                for g, row in zip(L.comp_gids[1], maps[1], strict=True)}
         for j in range(len(maps) + 1, k + 1):
             rows = []
@@ -620,13 +631,11 @@ class AlgebraBuilder:
         self.ad_y = [None]
 
     def add_degree(self, entries):
-        """entries: list of (word, parent_gid, letter); returns list of gids."""
-        k = len(self.comp_gids)
-        gids = []
-        for i, (word, parent, letter) in enumerate(entries):
-            gid = len(self.elements)
-            self.elements.append(BasisElement(gid, k, i, word, parent, letter))
-            gids.append(gid)
+        """entries: list of (parent_gid, letter); returns list of gids."""
+        k, n = len(self.comp_gids), len(self.elements)
+        self.elements += [BasisElement(n + i, k, i, parent, letter)
+                          for i, (parent, letter) in enumerate(entries)]
+        gids = list(range(n, len(self.elements)))
         self.comp_gids.append(tuple(gids))
         self.ad_x.append(None)
         self.ad_y.append(None)
@@ -743,13 +752,13 @@ def validate(L: GradedAlgebra, checks=None,
     residues).  J(a, b, s) is summed unreduced from bracket_basis values
     and ad s rows, then tested mod p once: the residue of the sum of
     reduced terms.  "words" evaluates each element as its parent's value
-    times its last letter, which is the evaluation of its word from scratch
-    because _check_wellformed makes every word its parent's word plus that
-    letter and lists parents first.
+    times its letter, which is the evaluation of its word from scratch
+    because the word is the parent's word plus that letter, and
+    _check_wellformed lists parents first.
 
     "antisymmetry" visits only the pairs of one degree, yet finds the
     witnesses of the loop that compared bracket_basis(gi, gj) with
-    _mirror_basis(gi, gj), the recursion on the first argument's word, on
+    _mirror_basis(gi, gj), the recursion on the first argument, on
     every pair gi <= gj of total degree <= B, and reported (gi, gi) once
     more when [e_gi, e_gi] != 0.  Lemma: _mirror_basis(r, g) =
     -bracket_basis(g, r) mod p whenever deg g >= deg r, on any ad data.
@@ -817,10 +826,10 @@ def _covering(L: GradedAlgebra, B: int, cap: int) -> list:
 
 def _words(L: GradedAlgebra, B: int, cap: int) -> list:
     """The gids whose word does not evaluate to their basis element, each
-    word evaluated as its parent's value times its last letter."""
+    evaluated as its parent's value times its letter: no word is spelled."""
     vals, witnesses = [], []
     for e in L.elements:
-        got = L.eval_word(e.word) if e.parent_gid is None else \
+        got = L.eval_word(e.letter) if e.parent_gid is None else \
             L.apply_letter(vals[e.parent_gid], e.letter)
         vals.append(got)
         if got != L.as_element(e.gid):
@@ -866,8 +875,8 @@ def _bidegree(L: GradedAlgebra, B: int, cap: int) -> list:
         for e in elements[g:]:
             if e.degree >= B:
                 break
-            row = L.ad[e.word][1][eg.index] if e.degree == 1 else \
-                L.ad[eg.word][e.degree][e.index]
+            row = L.ad[e.letter][1][eg.index] if e.degree == 1 else \
+                L.ad[eg.letter][e.degree][e.index]
             want = (eg.bidegree[0] + e.bidegree[0],
                     eg.bidegree[1] + e.bidegree[1])
             tgt = L.comp_gids[e.degree + 1]
@@ -959,13 +968,13 @@ def _jacobi_degree(L: GradedAlgebra, B: int, da: int, cur, nxt, kept,
     would need antisymmetry, so those triples stay."""
     p = L.p
     elements, comp = L.elements, L.comp_gids
-    gens = [(g, L.ad[elements[g].word]) for g in comp[1]]
+    gens = [(g, L.ad[elements[g].letter]) for g in comp[1]]
     lo_a, up = comp[da][0], comp[da + 1]
     lo_b = up[0]
     for ia, ga in enumerate(comp[da]):
         col_a = cur[ia]
         far = [(gs, ad_s) for gs, ad_s in gens
-               if not _defining(L, ga, elements[gs].word)]
+               if not _defining(L, ga, elements[gs].letter)]
         for db in range(da, B - da):
             total = da + db + 1
             pairs = gens if db <= da + 1 else far

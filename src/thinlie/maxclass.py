@@ -115,17 +115,14 @@ def build_maxclass(seq: CentralizerSequence, N: int) -> MaxClassAlgebra:
     if len(seq) < n_int - 1:
         raise SequenceError(f"sequence too short: need c_2..c_{n_int}")
     b = AlgebraBuilder(field, q=None, kind="maxclass")
-    b.add_degree([("x", None, None), ("y", None, None)])
-    b.add_degree([("yx", 1, "x")])
+    b.add_degree([(None, "x"), (None, "y")])
+    b.add_degree([(1, "x")])
     b.set_ad(1, [(0,), (1,)], [(p - 1,), (0,)])
     for i in range(2, n_int):
-        (u,) = [b.elements[g] for g in b.comp_gids[i]]
-        if seq.get(i) == "Y":
-            b.add_degree([(u.word + "x", u.gid, "x")])
-            b.set_ad(i, [(1,)], [(0,)])
-        else:
-            b.add_degree([(u.word + "y", u.gid, "y")])
-            b.set_ad(i, [(0,)], [(1,)])
+        (u,) = b.comp_gids[i]
+        z = "x" if seq.get(i) == "Y" else "y"   # the generator not in C_i
+        b.add_degree([(u, z)])
+        b.set_ad(i, [(int(z == "x"),)], [(int(z == "y"),)])
     L = b.finish(N, meta={"sequence": seq.to_json()})
     report = validate(L)
     if not report.ok:

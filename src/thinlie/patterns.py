@@ -293,34 +293,28 @@ def compile_pattern(pattern: DiamondPattern, N: int, guard: int = 2,
     fake0 = {d for d, t in pattern.entries if t.kind == "fake0"}
 
     b = AlgebraBuilder(field, q=q)
-    b.add_degree([("x", None, None), ("y", None, None)])
+    b.add_degree([(None, "x"), (None, "y")])
     for k in range(1, n_int):
         m = k + 1
-        basis_k = [b.elements[g] for g in b.comp_gids[k]]
+        w = b.comp_gids[k][0]
         if k == 1:
-            b.add_degree([("yx", b.comp_gids[1][1], "x")])
+            b.add_degree([(b.comp_gids[1][1], "x")])
             b.set_ad(1, [(0,), (1,)], [(p - 1,), (0,)])
         elif k in genuine:
-            t = genuine[k]
-            minv = t.mu_inv(p)
-            l1, l2 = basis_k
-            b.add_degree([(l1.word + "y", l1.gid, "y")])
+            minv = genuine[k].mu_inv(p)
+            b.add_degree([(w, "y")])
             b.set_ad(k, [(0,), ((minv - 1) % p,)], [(1,), (0,)])
         elif m in genuine:
-            (w,) = basis_k
-            b.add_degree([(w.word + "x", w.gid, "x"), (w.word + "y", w.gid, "y")])
+            b.add_degree([(w, "x"), (w, "y")])
             b.set_ad(k, [(1, 0)], [(0, 1)])
         elif m in fake1 or k in fake0:
-            (w,) = basis_k
-            b.add_degree([(w.word + "x", w.gid, "x")])
+            b.add_degree([(w, "x")])
             b.set_ad(k, [(1,)], [(0,)])
         elif k in fake1 or m in fake0:
-            (w,) = basis_k
-            b.add_degree([(w.word + "y", w.gid, "y")])
+            b.add_degree([(w, "y")])
             b.set_ad(k, [(0,)], [(1,)])
         else:
-            (w,) = basis_k
-            b.add_degree([(w.word + "x", w.gid, "x")])
+            b.add_degree([(w, "x")])
             b.set_ad(k, [(1,)], [(0,)])
     L = b.finish(N, meta={"pattern": pattern.to_json()})
     report = None

@@ -14,6 +14,12 @@ from thinlie.patterns import compile_pattern, family_pattern, uniqueness_sequenc
 P = Q = 7
 
 
+def words(L):
+    """The defining word of every basis element, indexed by gid, from the
+    engine's word view (the elements are listed degree by degree)."""
+    return [w for ws in L.basis_words(L.N_built) for w in ws]
+
+
 def oracle_bracket(L, u, v_word):
     """[u, value(v_word)] computed independently of the engine recursion.
 
@@ -165,12 +171,12 @@ class ReducingKernel:
         if dt > L.N_built:
             raise DegreeOverflowError(dt, L.N_built)
         if ej.degree == 1:
-            out = mat_apply_rows(L.ad[ej.word][ei.degree],
+            out = mat_apply_rows(L.ad[ej.letter][ei.degree],
                                  L.as_element(gi)[1], L.p)
         elif ei.degree < ej.degree:
             out = vec_neg(self.bracket_basis(gj, gi), L.p)
         else:
-            # split e_gj = [a, t] along its defining word
+            # split e_gj = [a, t] into its parent and letter
             a, t = ej.parent_gid, ej.letter
             w1 = (dt - 1, self.bracket_basis(gi, a))
             r1 = L.apply_letter(w1, t)[1]
@@ -218,7 +224,7 @@ class ReducingKernel:
             raise DegreeOverflowError(dt, L.N_built)
         if ei.degree == 1:
             # [g, v] = -[v, g] = -(ad g)(v)
-            out = vec_neg(mat_apply_rows(L.ad[ei.word][ej.degree],
+            out = vec_neg(mat_apply_rows(L.ad[ei.letter][ej.degree],
                                          L.as_element(gj)[1], p), p)
         else:
             # e_gi = [a, t]:  [[a,t], v] = [a, [t, v]] + [[a, v], t]
@@ -240,8 +246,8 @@ class ReducingKernel:
         """Uncapped witness lists of the words, antisymmetry and jacobi
         checks up to total degree B, by the per-pair loops."""
         L, p = self.L, self.L.p
-        words = [e.gid for e in L.elements
-                 if L.eval_word(e.word) != L.as_element(e.gid)]
+        bad = [g for g, w in enumerate(words(L))
+               if L.eval_word(w) != L.as_element(g)]
         anti, mirror_memo = [], {}
         for e1 in L.elements:
             for e2 in L.elements:
@@ -254,7 +260,7 @@ class ReducingKernel:
                 if e1.gid == e2.gid and not vec_is_zero(lhs):
                     anti.append((e1.gid, e1.gid))
         jac = []
-        gens = [(g, L.elements[g].word) for g in L.comp_gids[1]]
+        gens = [(g, L.elements[g].letter) for g in L.comp_gids[1]]
         for total in range(3, B + 1):
             for da in range(1, (total - 1) // 2 + 1):
                 db = total - 1 - da
@@ -273,7 +279,7 @@ class ReducingKernel:
                                 L.apply_letter(a, s), b)[1], p)
                             if not vec_is_zero(j):
                                 jac.append((ga, gb, gs))
-        return {"words": words, "antisymmetry": anti, "jacobi": jac}
+        return {"words": bad, "antisymmetry": anti, "jacobi": jac}
 
 
 def jacobi_sum(L, ga, gb, gs):
@@ -281,7 +287,7 @@ def jacobi_sum(L, ga, gb, gs):
     bracket_basis memo and the ad s rows, reduced mod p."""
     p, elements, comp = L.p, L.elements, L.comp_gids
     ea, eb = elements[ga], elements[gb]
-    da, db, ad_s = ea.degree, eb.degree, L.ad[elements[gs].word]
+    da, db, ad_s = ea.degree, eb.degree, L.ad[elements[gs].letter]
     acc = [0] * len(comp[da + db + 1])
     for c, row in zip(L.bracket_basis(ga, gb), ad_s[da + db]):
         for t, r in enumerate(row):

@@ -119,7 +119,7 @@ def test_criterion_5_tensor_construction(corpus):
     ok = validate(tc.algebra).ok and pat.entries == want.truncate(100).entries
     Ma = tc.maxclass.algebra
     (leg,) = [g for g in tc.algebra.comp_gids[Q]
-              if tc.algebra.elements[g].word.endswith("y")]
+              if tc.algebra.elements[g].letter == "y"]
     ok &= tc.ambient[leg] == {("e", Ma.gid(2, 0), Q - 1): (-2) % P}
     _report(5, ok, "tensor construction over the metabelian algebra detects "
                    "as the all-infinite pattern; [v1 y] = -2 U_2 (x) eps^(6)")

@@ -341,6 +341,16 @@ def test_input_side_errors_are_bad_spec(tmp_path, capsys):
              "q must be a power of p greater than 5, got 0"),
             (["build", "--sequence", f["seq7.json"], "--q", "0", "--N", "10"],
              "q must be a power of p greater than 5, got 0"),
+            # N(q, r) has its second diamond in degree q: a smaller --N
+            # is refused before anything is built
+            (["deflate", "--q", "7", "--r", "7", "--N", "4"],
+             "--N 4 is below q = 7"),
+            (["deflate", "--q", "7", "--r", "7", "--N", "5"],
+             "--N 5 is below q = 7"),
+            (["deflate", "--q", "7", "--r", "7", "--N", "6"],
+             "--N 6 is below q = 7"),
+            (["deflate", "--q", "25", "--r", "5", "--N", "24"],
+             "--N 24 is below q = 25"),
             (["build", "--family", "a", "--q", "7", "--N", "10",
               "--out", missing],
              f"cannot write --out {missing}: No such file or directory"),
@@ -349,6 +359,15 @@ def test_input_side_errors_are_bad_spec(tmp_path, capsys):
         assert run(argv) == 2, argv
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1, argv
+
+
+def test_deflate_accepts_N_equal_to_q(tmp_path):
+    # the boundary of the --N >= q rule above
+    for q, r in ((7, 7), (25, 5)):
+        out = tmp_path / f"d{q}.json"
+        assert run(["deflate", "--q", str(q), "--r", str(r), "--N", str(q),
+                    "--out", str(out)]) == 0, q
+        assert json.loads(out.read_text())["structure"]["N"] == q
 
 
 def test_internal_value_error_is_not_bad_spec(monkeypatch):

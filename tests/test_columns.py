@@ -129,7 +129,7 @@ def assert_skipped_triples_vanish(L):
     for ea in elements:
         for gs in comp[1]:
             if 2 * ea.degree + 3 > B or \
-                    not _defining(L, ea.gid, elements[gs].word):
+                    not _defining(L, ea.gid, elements[gs].letter):
                 continue
             for db in range(ea.degree + 2, B - ea.degree):
                 for gb in comp[db]:

@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from helpers import P, Q, backbone_sequence
+from helpers import P, Q, backbone_sequence, words
 from thinlie.constructions import (ConstructionError, deflate,
                                    divided_power_product,
                                    generator_derivations, nottingham_Nqr,
@@ -96,7 +96,7 @@ def test_tensor_v1_ambient(t72_metabelian):
     tc = t72_metabelian
     L, Ma = tc.algebra, tc.maxclass.algebra
     gid_v1 = L.gid(Q - 1, 0)
-    assert L.elements[gid_v1].word == "y" + "x" * (Q - 2)
+    assert words(L)[gid_v1] == "y" + "x" * (Q - 2)
     assert tc.ambient[gid_v1] == {("e", Ma.gid(1, 0), 0): 1,
                                   ("e", Ma.gid(1, 1), 1): 1}
 
@@ -105,7 +105,7 @@ def test_tensor_v1y_coefficient(t72_metabelian):
     tc = t72_metabelian
     L, Ma = tc.algebra, tc.maxclass.algebra
     (leg,) = [g for g in L.comp_gids[Q]
-              if L.elements[g].word.endswith("y")]
+              if L.elements[g].letter == "y"]
     assert tc.ambient[leg] == {("e", Ma.gid(2, 0), Q - 1): (-2) % P}
 
 
@@ -148,7 +148,7 @@ def test_tensor_bidegrees_match_ambient():
             _, g, j = key
             a, b = Ma.elements[g].bidegree   # counts of X and Y letters
             bids.add((a * (Q - 2) + b * (Q - 1) - j, a + b))
-        assert bids == {e.bidegree}, e.word
+        assert bids == {e.bidegree}, e.gid
 
 
 def test_tensor_equals_compiled_structure():
@@ -159,7 +159,7 @@ def test_tensor_equals_compiled_structure():
     A = tensor_construct(M, Q, 100).algebra
     B, _ = compile_pattern(family_pattern("e", P, Q, 140), 100,
                            run_validation=False)
-    assert [e.word for e in A.elements] == [e.word for e in B.elements]
+    assert words(A) == words(B)
     for k in range(1, 101):
         assert A.ad["x"][k] == B.ad["x"][k], k
         assert A.ad["y"][k] == B.ad["y"][k], k
@@ -171,7 +171,7 @@ def test_tensor_backbone_equals_compiled_structure():
     A = tensor_construct(M, Q, 150).algebra
     B, _ = compile_pattern(family_pattern("uniqueness", P, Q, 200, s=1), 150,
                            run_validation=False)
-    assert [e.word for e in A.elements] == [e.word for e in B.elements]
+    assert words(A) == words(B)
     for k in range(1, 151):
         assert A.ad["x"][k] == B.ad["x"][k], k
         assert A.ad["y"][k] == B.ad["y"][k], k

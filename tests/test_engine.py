@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (P, Q, centralizer_in_L1, coclass_excess, corrupt_ad_x,
-                     oracle_bracket)
-from thinlie.engine import (BasisElement, DegreeOverflowError, GradedAlgebra,
-                            OperatorFamily, validate)
+                     oracle_bracket, words)
+from thinlie.engine import (AlgebraBuilder, BasisElement, DegreeOverflowError,
+                            GradedAlgebra, OperatorFamily, validate)
 from thinlie.gf import (PrimeField, echelon_add, lucas_binom, vec_is_zero,
                         vec_scale)
 from thinlie.maxclass import build_maxclass, metabelian_sequence
@@ -58,10 +58,11 @@ def test_bracket_against_word_expansion_oracle(n7):
              if e1.degree + e2.degree <= 20]
     pairs += [(e1, e2) for e1 in n7.elements if e1.degree == 5
               for e2 in n7.elements if e2.degree == 9]
+    word = words(n7)
     for e1, e2 in pairs:
         got = n7.bracket(n7.as_element(e1.gid), n7.as_element(e2.gid))
-        want = oracle_bracket(n7, n7.as_element(e1.gid), e2.word)
-        assert got == want, (e1.word, e2.word)
+        want = oracle_bracket(n7, n7.as_element(e1.gid), word[e2.gid])
+        assert got == want, (word[e1.gid], word[e2.gid])
 
 
 def test_generalized_jacobi_identity(n7):
@@ -229,8 +230,10 @@ def test_memo_coherence(n7):
 
 
 def test_word_reproduction(n7):
+    word = words(n7)
+    assert len(word) == len(n7.elements)
     for e in n7.elements:
-        assert n7.eval_word(e.word) == n7.as_element(e.gid)
+        assert n7.eval_word(word[e.gid]) == n7.as_element(e.gid)
 
 
 def test_bidegree_additivity_spot(n7):
@@ -310,7 +313,7 @@ from thinlie.gf import PrimeField
 if not sys.flags.optimize:
     sys.exit("not optimized")
 b = AlgebraBuilder(PrimeField(7))
-b.add_degree([("x", None, None), ("y", None, None)])
+b.add_degree([(None, "x"), (None, "y")])
 {body}
 try:
     b.finish(N=2)
@@ -329,7 +332,7 @@ except ValueError as e:
 
 def test_malformed_algebra_raises_under_optimize():
     assert _finish_under_optimize("""
-b.add_degree([("xy", 0, "y"), ("yx", 1, "x"), ("xx", 0, "x")])
+b.add_degree([(0, "y"), (1, "x"), (0, "x")])
 b.set_ad(1, [(1, 0, 0), (0, 0, 1)], [(0, 1, 0), (0, 0, 0)])
 """) == "component 2 has dim 3"
 
@@ -340,7 +343,7 @@ def test_unreduced_ad_entry_raises_under_optimize(entry):
     # range(p) must be refused, not leak into results; [y, x] = 6 [x, y]
     # mod 7 is well formed
     body = """
-b.add_degree([("xy", 0, "y")])
+b.add_degree([(0, "y")])
 b.set_ad(1, [(0,), (ENTRY,)], [(1,), (0,)])
 """
     assert _finish_under_optimize(body.replace("ENTRY", "6")) == ""
@@ -349,7 +352,7 @@ b.set_ad(1, [(0,), (ENTRY,)], [(1,), (0,)])
 
 
 def test_elements_must_be_the_bases_in_degree_order(n7):
-    extra = BasisElement(len(n7.elements), 1, 0, "x", None, None)
+    extra = BasisElement(len(n7.elements), 1, 0, None, "x")
     with pytest.raises(ValueError, match="degree by degree"):
         GradedAlgebra(n7.field, n7.elements + (extra,), n7.comp_gids,
                       n7.ad["x"], n7.ad["y"], N=n7.N, q=n7.q)
@@ -362,8 +365,8 @@ def _elements(words):
     for w in words:
         k = len(w)
         index = sum(1 for e in out if e.degree == k)
-        out.append(BasisElement(len(out), k, index, w, gid_of.get(w[:-1]),
-                                w[-1] if k > 1 else None))
+        out.append(BasisElement(len(out), k, index, gid_of.get(w[:-1]),
+                                w[-1]))
         gid_of[w] = out[-1].gid
     return out
 
@@ -383,3 +386,27 @@ def test_constructor_refuses_what_dimensions_would_report(words, comp_gids,
     with pytest.raises(ValueError, match=message):
         GradedAlgebra(PrimeField(P), _elements(words), comp_gids, ad, ad,
                       N=N, q=Q)
+
+
+@pytest.mark.parametrize("degrees,message", [
+    ([[(None, "x"), (None, "y")], [(1, "z")]],
+     "basis element 2 has letter 'z', not x or y"),
+    ([[(None, "y"), (None, "x")], [(1, "x")]], "degree 1 must have basis x, y"),
+    ([[(None, "x"), (0, "y")], [(1, "x")]], "degree 1 must have basis x, y"),
+    ([[(None, "x"), (None, "y")], [(None, "x")]],
+     "basis element 2 has no parent in degree 1"),
+    ([[(None, "x"), (None, "y")], [(1, "x")], [(1, "x")]],
+     "basis element 3 has no parent in degree 2"),
+])
+def test_constructor_refuses_bad_parents_and_letters(degrees, message):
+    # (parent_gid, letter) is all an element records, so the constructor
+    # refuses any that the bracket cannot read: a letter other than x or y
+    # has no ad matrix, and a parent must sit one degree down
+    b = AlgebraBuilder(PrimeField(P))
+    for entries in degrees:
+        b.add_degree(entries)
+    for k in range(1, len(degrees)):
+        rows = [(0,) * len(degrees[k])] * len(degrees[k - 1])
+        b.set_ad(k, rows, rows)
+    with pytest.raises(ValueError, match=message):
+        b.finish(N=len(degrees))

@@ -12,7 +12,9 @@ import sys
 from pathlib import Path
 
 from thinlie.derivations import RoundtripReport
-from thinlie.engine import BasisElement, CheckResult, ValidationReport
+from thinlie.engine import (BasisElement, CheckResult, GradedAlgebra,
+                            ValidationReport)
+from thinlie.gf import PrimeField
 from thinlie.patterns import DiamondPattern, DiamondType, LemmaInstance
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "thinlie"
@@ -57,8 +59,15 @@ def test_record_semantics():
     assert CheckResult("x", True).witnesses is not \
         CheckResult("y", True).witnesses
     assert RoundtripReport().stages is not RoundtripReport().stages
-    # bidegree is a cached_property, stored in the element's __dict__
-    e = BasisElement(2, 2, 0, "yx", 1, "x")
+    # an element records its parent and letter, no word; bidegree is a
+    # plain attribute, None until the algebra's constructor sets it from
+    # the parent's bidegree and the letter
+    gens = [BasisElement(0, 1, 0, None, "x"), BasisElement(1, 1, 1, None, "y")]
+    e = BasisElement(2, 2, 0, 1, "x")
+    assert not hasattr(e, "word") and vars(e)["bidegree"] is None
+    GradedAlgebra(PrimeField(7), gens + [e], [(), (0, 1), (2,)],
+                  [None, ((0,), (1,))], [None, ((6,), (0,))], N=2)
+    assert [g.bidegree for g in gens] == [(1, 0), (0, 1)]
     assert e.bidegree == (1, 1) and vars(e)["bidegree"] == (1, 1)
     # the report is taken positionally, as bench/tracing.py builds it
     checks = [CheckResult("jacobi", True), CheckResult("words", False, [3])]

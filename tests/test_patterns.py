@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -302,3 +303,20 @@ def test_lemma_suite_distance_entries():
     # the window after the fake at 85 extends to 85 + q - 2
     fake_windows = [i for i in dist if i.degree == 85]
     assert fake_windows and "L_90" in fake_windows[0].identity
+
+
+def test_compile_memory_is_linear_in_the_degree():
+    # an element holds its parent and letter, not its word (O(n^2)
+    # characters in all), so a compile to degree 2n peaks at about twice
+    # the memory of one to n
+    def peak(n):
+        pat = family_pattern("a", 7, 343, n + 350)
+        tracemalloc.start()
+        try:
+            compile_pattern(pat, n, run_validation=False)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(1000), peak(2000)
+    assert large <= 2.5 * small, (small, large)
