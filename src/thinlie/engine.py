@@ -685,10 +685,10 @@ class ValidationReport:
 
         A witness is a tuple of basis gids whose degrees are summed, as
         many as CHECKS gives for its check: a pair (antisymmetry), the pair
-        of a (gid_a, gid_b, s) bidegree witness, a basis triple
-        (jacobi_triples), or a basis pair and a generator (gid_a, gid_b,
-        gid_s) for jacobi, whose degree is deg a + deg b + 1.  Only as many
-        witnesses as validate kept are read."""
+        of a (gid_a, gid_b, s) bidegree witness, or a basis pair and a
+        generator (gid_a, gid_b, gid_s) for jacobi, whose degree is
+        deg a + deg b + 1.  Only as many witnesses as validate kept are
+        read."""
         degs = set()
         for c in self.failures():
             n = CHECKS[c.name][2]
@@ -741,8 +741,8 @@ def validate(L: GradedAlgebra, checks=None,
     vanishes on A.  Applied with B one below the first failing degree of
     the generator check, the same argument shows that the two checks fail
     first in the same total degree.  The cubic loop over all basis triples
-    stays available as the opt-in check "jacobi_triples", in no default
-    suite, as an independent oracle.
+    is the independent oracle in tests/helpers.py (jacobi_triples), which
+    no job runs.
 
     "words" and "jacobi" work on basis gids and ad rows, not on elements:
     they visit the same pairs as loops that bracket unit vectors through
@@ -1028,36 +1028,6 @@ def _defining(L: GradedAlgebra, a: int, t: str) -> bool:
         for g, c in zip(L.comp_gids[ea.degree + 1], row))
 
 
-def _jacobi_triples(L: GradedAlgebra, B: int, cap: int) -> list:
-    """Witnesses (gid_1, gid_2, gid_3) of J != 0 over all basis triples
-    gid_1 <= gid_2 <= gid_3 of total degree <= B: the O(N^3) oracle."""
-    p = L.p
-    witnesses = []
-    for e1 in L.elements:
-        if 3 * e1.degree > B:
-            break
-        for e2 in L.elements:
-            if e2.gid < e1.gid or e1.degree + 2 * e2.degree > B:
-                continue
-            a = L.as_element(e1.gid)
-            b = L.as_element(e2.gid)
-            ab = L.bracket(a, b)
-            for e3 in L.elements:
-                if e3.gid < e2.gid:
-                    continue
-                if e1.degree + e2.degree + e3.degree > B:
-                    break
-                c = L.as_element(e3.gid)
-                s = L.bracket(ab, c)
-                s = vec_add(s[1], L.bracket(L.bracket(b, c), a)[1], p)
-                s = vec_add(s, L.bracket(L.bracket(c, a), b)[1], p)
-                if not vec_is_zero(s):
-                    witnesses.append((e1.gid, e2.gid, e3.gid))
-                    if len(witnesses) >= cap:
-                        return witnesses
-    return witnesses
-
-
 # The registry of checks: name -> (function, runs in the shared column sweep,
 # gids of a witness that failure_degrees sums).  A sweep check's function is
 # its step for _pair_checks, (L, B, d, layer d, layer d + 1, witnesses, cap)
@@ -1071,7 +1041,6 @@ CHECKS = {
     "sandwich_y": (_sandwich_y, False, 0),
     "ad_x_power_q": (_ad_x_power_q, False, 0),
     "bidegree": (_bidegree, False, 2),
-    "jacobi_triples": (_jacobi_triples, False, 3),
 }
 # the checks over basis pairs, which validate runs in one sweep of columns
 PAIR_CHECKS = tuple(name for name, (_, in_sweep, _) in CHECKS.items()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .engine import AlgebraBuilder, GradedAlgebra, validate
 from .gf import (PrimeField, is_field_char, smallest_prime_factor, vec_add,
-                 vec_is_zero, vec_neg, vec_scale)
+                 vec_is_zero, vec_scale)
 from .maxclass import CentralizerSequence
 
 
@@ -341,9 +341,12 @@ def detect(L: GradedAlgebra):
     Returns (DiamondPattern, DetectionReport).  2-dimensional components are
     classified by solving the type relations; 1-dimensional components where
     the x-chain breaks are fake sites, normalized to their canonical reading.
+    Raises PatternError when L stops below q, before its second diamond.
     """
     p = L.p
     q = L.q
+    if L.N < q:
+        raise PatternError(f"--N {L.N} is below q = {q}, the second diamond's degree")
     limit = min(L.N, L.N_built - 1)
     raw = []
     sites = []
@@ -619,36 +622,143 @@ class LemmaReport:
         }
 
 
+# The concluding calculations, one row per identity: (lemma, label, left
+# factor (element, suffix), right factor v1 or v2, right-hand terms), and
+# perhaps a condition.  A term (a, b, element, suffix) is (a mu^-1 + b)
+# [element suffix]; no terms is 0.  Elements are named as in _lemma_contexts
+# (lemma_type1 writes vb for vk).  A row runs where its lemma's hypothesis
+# holds and the condition it names, if any, holds too.
+LEMMA_TABLE = (
+    ("lemma_v1", "[vk v1] = (mu^-1+1) vk+1", ("vk", ""), "v1", ((1, 1, "vk+1", ""),)),
+    ("lemma_v1", "[vk x v1] = [vk+1 x]", ("vk", "x"), "v1", ((0, 1, "vk+1", "x"),)),
+    ("lemma_v1", "[vk y v1] = (1-mu^-1)[vk+1 y]", ("vk", "y"), "v1",
+     ((-1, 1, "vk+1", "y"),)),
+    ("lemma_v1", "[vk xy v1] = -(2[vk+1 yx]+[vk+1 xy])", ("vk", "xy"), "v1",
+     ((0, -2, "vk+1", "yx"), (0, -1, "vk+1", "xy"))),
+    ("lemma_v1", "[vk xyx v1] = -(3[vk+1 yxx]+2[vk+1 xyx])", ("vk", "xyx"), "v1",
+     ((0, -3, "vk+1", "yxx"), (0, -2, "vk+1", "xyx"))),
+    ("lemma_v1", "[vk^-1 v1] = (2mu^-1+1) vk+1^-1", ("vk^-1", ""), "v1",
+     ((2, 1, "vk+1^-1", ""),), "prev"),
+    ("rem_v1_mu0", "[vk^-1 v1] = 2 vk+1^-1", ("vk^-1", ""), "v1",
+     ((0, 2, "vk+1^-1", ""),), "prev"),
+    ("lemma_v2", "[vk v2] = mu^-1 vk+2", ("vk", ""), "v2", ((1, 0, "vk+2", ""),)),
+    ("lemma_v2", "[vk x v2] = 0", ("vk", "x"), "v2", ()),
+    ("lemma_v2", "[vk y v2] = 0", ("vk", "y"), "v2", ()),
+    ("lemma_v2", "[vk xy v2] = [vk+2 yx]+[vk+2 xy]", ("vk", "xy"), "v2",
+     ((0, 1, "vk+2", "yx"), (0, 1, "vk+2", "xy"))),
+    ("lemma_v2", "[vk xyx v2] = 2([vk+2 yxx]+[vk+2 xyx])", ("vk", "xyx"), "v2",
+     ((0, 2, "vk+2", "yxx"), (0, 2, "vk+2", "xyx"))),
+    ("lemma_v2ext", "[vk v2] = -2mu^-1 vk+2", ("vk", ""), "v2", ((-2, 0, "vk+2", ""),)),
+    ("lemma_v2ext", "[vk x v2] = -mu^-1 [vk+2 x]", ("vk", "x"), "v2",
+     ((-1, 0, "vk+2", "x"),)),
+    ("lemma_v2ext", "[vk y v2] = -mu^-1 [vk+2 y]", ("vk", "y"), "v2",
+     ((-1, 0, "vk+2", "y"),)),
+    ("lemma_v2ext", "[vk xy v2] = [vk+2 xy]+(2mu^-1+1)[vk+2 yx]", ("vk", "xy"), "v2",
+     ((0, 1, "vk+2", "xy"), (2, 1, "vk+2", "yx"))),
+    ("lemma_v2ext", "[vk xyx v2] = 2[vk+2 xyx]+(3mu^-1+2)[vk+2 yxx]",
+     ("vk", "xyx"), "v2", ((0, 2, "vk+2", "xyx"), (3, 2, "vk+2", "yxx"))),
+    ("lemma_v2ext", "[vk^-1 v2] = -3mu^-1 vk+2^-1", ("vk^-1", ""), "v2",
+     ((-3, 0, "vk+2^-1", ""),), "prev"),
+    ("rem_v2ext_mu0", "[vk v2] = -2 vk+2", ("vk", ""), "v2", ((0, -2, "vk+2", ""),)),
+    ("rem_v2ext_mu0", "[vk x v2] = -[vk+2 x]", ("vk", "x"), "v2",
+     ((0, -1, "vk+2", "x"),)),
+    ("rem_v2ext_mu0", "[vk y v2] = -[vk+2 y]", ("vk", "y"), "v2",
+     ((0, -1, "vk+2", "y"),)),
+    ("rem_v2ext_mu0", "[vk xy v2] = 2[vk+2 yx]", ("vk", "xy"), "v2",
+     ((0, 2, "vk+2", "yx"),)),
+    ("rem_v2ext_mu0", "[vk xyx v2] = 3[vk+2 yxx]", ("vk", "xyx"), "v2",
+     ((0, 3, "vk+2", "yxx"),)),
+    ("rem_v2ext_mu0", "[vk^-1 v2] = -3 vk+2^-1", ("vk^-1", ""), "v2",
+     ((0, -3, "vk+2^-1", ""),), "prev"),
+    ("lemma_type1", "[vb v1] = 2 vb+1^-1", ("vk", ""), "v1", ((0, 2, "vk+1^-1", ""),)),
+    ("lemma_type1", "[vb x v1] = vb+1", ("vk", "x"), "v1", ((0, 1, "vk+1", ""),)),
+    ("lemma_type1", "[vb xy v1] = -[vb+1 y]", ("vk", "xy"), "v1",
+     ((0, -1, "vk+1", "y"),), "L_{m+q+1}"),
+    ("lemma_type1", "[vb xy v2] = 0", ("vk", "xy"), "v2", (), "L_{m+2q-1}"),
+    ("lemma_type1", "[vb v2] = 2 vb+2^-1", ("vk", ""), "v2",
+     ((0, 2, "vk+2^-1", ""),), "infinite at m+q"),
+    ("lemma_type1", "[vb x v2] = vb+2", ("vk", "x"), "v2",
+     ((0, 1, "vk+2", ""),), "infinite at m+q"),
+)
+
+
+def _lemma_contexts(L: GradedAlgebra, entries: list, idx: int, has_v2: bool):
+    """{lemma: (mu^-1, steps, join, conditions)} for the lemmas whose
+    hypotheses hold at entries[idx] = (m, t), in the suite's order.
+
+    vk spans L_{m-1}, and vk+j is vk times the words steps[0..j-1].  With
+    join = (d, suffix) and root spanning L_d, vk+j^-1 is [root suffix
+    steps[0..j-1]] with its last x dropped (vk^-1 joins [root suffix]).
+    The root is the previous entry's vk, or vk itself for lemma_type1.
+    conditions are those the lemma's rows may name; "prev" holds when
+    there is an earlier entry."""
+    p, q, N = L.p, L.q, L.N_built
+    m, t = entries[idx]
+    nxt, nxt2 = (entries[idx + i] if idx + i < len(entries) else (None, None)
+                 for i in (1, 2))
+    step, step0, step1 = ("xy" + "x" * (q - 3), "y" + "x" * (q - 2),
+                          "xy" + "x" * (q - 2))
+    join = None
+    if idx > 0:
+        m_prev, t_prev = entries[idx - 1]
+        after_gap_q = t_prev.kind == "fake1" and m - m_prev == q
+        join = (m_prev - 1, step0 if t_prev.kind == "fake0"
+                else step1 if after_gap_q else step)
+    prev = {"prev": join is not None}
+    out = {}
+    if t.genuine and m + q + 1 <= N and nxt[0] == m + q - 1:
+        out["lemma_v1"] = (t.mu_inv(p), (step,), join, prev)
+    # mu = 0 variant of the v1 lemma at fake0 entries
+    if t.kind == "fake0" and m + q - 2 <= N:
+        out["rem_v1_mu0"] = (0, (step0,), join, prev)
+    # v2 across the next diamond, at m + q - 1
+    across = has_v2 and nxt[0] == m + q - 1 and m + 2 * q <= N
+    if t.genuine and across and nxt[1].kind == "infinite":
+        out["lemma_v2"] = (t.mu_inv(p), (step, step), join, prev)
+    # a finite-type successor (mu != 0), incl. mu = 1 read as a fake of
+    # type 1 followed at q-1 by a diamond
+    if t.kind == "infinite" and across and (
+            nxt[1].kind == "finite" or (nxt[1].kind == "fake1"
+                                        and nxt2[0] == m + 2 * q - 2)):
+        out["lemma_v2ext"] = (nxt[1].mu_inv(p), (step, step), join, prev)
+    # mu = 0 variant: an infinite diamond followed by a fake of type 0
+    if t.kind == "infinite" and across and nxt[1].kind == "fake0":
+        out["rem_v2ext_mu0"] = (0, (step, step0), join, prev)
+    # type-1 lemma at fakes followed at gap q
+    if t.kind == "fake1" and nxt[0] == m + q and m + q <= N:
+        out["lemma_type1"] = (0, (step1, step), (m - 1, ""), {
+            "L_{m+q+1}": m + q + 1 <= N,
+            "L_{m+2q-1}": has_v2 and m + 2 * q - 1 <= N,
+            "infinite at m+q": (nxt[1].kind == "infinite" and has_v2
+                                and m + 2 * q - 2 <= N)})
+    return out
+
+
 def verify_lemma_suite(L: GradedAlgebra, pattern: DiamondPattern | None = None) -> LemmaReport:
-    """Check every computed identity of the concluding-calculation lemmas at
-    every context of L matching its hypotheses, plus the second-diamond
-    relation and the post-diamond centralizing windows."""
+    """Check every computed identity of the concluding-calculation lemmas
+    (LEMMA_TABLE) at every context of L matching its hypotheses, plus the
+    second-diamond relation and the post-diamond centralizing windows."""
     p, q = L.p, L.q
     if pattern is None:
         pattern, _ = detect(L)
     inst = []
-
-    def elem_scale(c, e):
-        return (e[0], vec_scale(c, e[1], p))
-
-    def elem_add(e1, e2):
-        return (e1[0], vec_add(e1[1], e2[1], p))
-
-    def elem_neg(e):
-        return (e[0], vec_neg(e[1], p))
 
     def eq(tag, m, label, lhs, rhs):
         ok = lhs[0] == rhs[0] and lhs[1] == rhs[1]
         inst.append(LemmaInstance(tag, m, label, "pass" if ok else "fail",
                                   "" if ok else f"lhs={lhs} rhs={rhs}"))
 
+    def y_nonzero(j):
+        """The basis elements of L_j that ad y does not kill."""
+        return [i for i in range(L.dim(j)) if not vec_is_zero(
+            L.apply_letter(L.as_element(L.gid(j, i)), "y")[1])]
+
     v1g = L.eval_word("y" + "x" * (q - 2))
-    v2_word = "y" + "x" * (q - 2) + "xy" + "x" * (q - 3)
-    v2g = L.eval_word(v2_word) if len(v2_word) <= L.N_built else None
+    v2g = L.apply_word(v1g, "xy" + "x" * (q - 3)) if 2 * q - 2 <= L.N_built else None
 
     # second-diamond relation (standard-generator normalization)
-    eq("eq1", q, "[v1yx] = -2[v1xy]",
-       L.apply_word(v1g, "yx"), elem_scale(-2, L.apply_word(v1g, "xy")))
+    eq("eq1", q, "[v1yx] = -2[v1xy]", L.apply_word(v1g, "yx"),
+       (q + 1, vec_scale(-2, L.apply_word(v1g, "xy")[1], p)))
     eq("eq1", q, "[v1xx] = 0", L.apply_word(v1g, "xx"), L.zero(q + 1))
     eq("eq1", q, "[v1yy] = 0", L.apply_word(v1g, "yy"), L.zero(q + 1))
 
@@ -661,195 +771,45 @@ def verify_lemma_suite(L: GradedAlgebra, pattern: DiamondPattern | None = None) 
         hi = m + q - 3
         if nxt == m + q or (nxt is None and t.kind == "fake1"):
             hi = m + q - 2
-        bad = []
-        for j in range(m + 1, min(hi, L.N_built - 1) + 1):
-            for i in range(L.dim(j)):
-                u = L.as_element(L.gid(j, i))
-                if not vec_is_zero(L.apply_letter(u, "y")[1]):
-                    bad.append(j)
+        bad = [j for j in range(m + 1, min(hi, L.N_built - 1) + 1)
+               for _ in y_nonzero(j)]
         inst.append(LemmaInstance("distance", m,
                                   f"ad_y vanishes on L_{m+1}..L_{hi}",
                                   "pass" if not bad else "fail",
                                   "" if not bad else f"nonzero at {bad}"))
 
-    def prev_root(idx):
-        """Root element and joining suffix for entry idx, from the previous
-        entry's pre-diamond element; None when the form is unavailable."""
-        if idx == 0:
-            return None
-        m, _ = entries[idx]
-        m_prev, t_prev = entries[idx - 1]
-        if t_prev.kind == "fake0":
-            suffix = "y" + "x" * (q - 2)
-        elif t_prev.kind == "fake1" and m - m_prev == q:
-            suffix = "xy" + "x" * (q - 2)
-        else:
-            suffix = "xy" + "x" * (q - 3)
-        root = L.as_element(L.gid(m_prev - 1, 0))
-        return root, suffix
-
     for idx, (m, t) in enumerate(entries):
-        nxt = entries[idx + 1] if idx + 1 < len(entries) else None
-        nxt2 = entries[idx + 2] if idx + 2 < len(entries) else None
-        vk = L.as_element(L.gid(m - 1, 0))
+        contexts = _lemma_contexts(L, entries, idx, v2g is not None)
+        for lemma, (minv, steps, join, holds) in contexts.items():
+            if lemma == "lemma_type1":
+                inst.append(LemmaInstance(
+                    "lemma_type1", m, "[L_{m+q-2} y] = 0",
+                    "fail" if y_nonzero(m + q - 2) else "pass"))
+            # made on first use, by a row whose guards hold: an element
+            # another row needs may lie past N_built
+            made = {"vk": L.as_element(L.gid(m - 1, 0))}
+            recipe = {}
+            if join is not None:
+                made["root"] = L.as_element(L.gid(join[0], 0))
+                recipe = {"join": ("root", join[1]), "vk^-1": ("root", join[1][:-1])}
+            for j in range(1, len(steps) + 1):
+                word = "".join(steps[:j])
+                recipe |= {f"vk+{j}": ("vk", word),
+                           f"vk+{j}^-1": ("join", word[:-1])}
 
-        # Lemma "v1 action" at genuine diamonds; mu = 0 variant at fake0
-        if t.genuine and m + q + 1 <= L.N_built and nxt and nxt[0] == m + q - 1:
-            minv = t.mu_inv(p)
-            vk1 = L.apply_word(vk, "xy" + "x" * (q - 3))
-            eq("lemma_v1", m, "[vk v1] = (mu^-1+1) vk+1",
-               L.bracket(vk, v1g), elem_scale(minv + 1, vk1))
-            eq("lemma_v1", m, "[vk x v1] = [vk+1 x]",
-               L.bracket(L.apply_word(vk, "x"), v1g), L.apply_word(vk1, "x"))
-            eq("lemma_v1", m, "[vk y v1] = (1-mu^-1)[vk+1 y]",
-               L.bracket(L.apply_word(vk, "y"), v1g),
-               elem_scale(1 - minv, L.apply_word(vk1, "y")))
-            eq("lemma_v1", m, "[vk xy v1] = -(2[vk+1 yx]+[vk+1 xy])",
-               L.bracket(L.apply_word(vk, "xy"), v1g),
-               elem_neg(elem_add(elem_scale(2, L.apply_word(vk1, "yx")),
-                                 L.apply_word(vk1, "xy"))))
-            eq("lemma_v1", m, "[vk xyx v1] = -(3[vk+1 yxx]+2[vk+1 xyx])",
-               L.bracket(L.apply_word(vk, "xyx"), v1g),
-               elem_neg(elem_add(elem_scale(3, L.apply_word(vk1, "yxx")),
-                                 elem_scale(2, L.apply_word(vk1, "xyx")))))
-            pr = prev_root(idx)
-            if pr is not None:
-                root, suffix = pr
-                vk_d = L.apply_word(root, suffix)
-                vk_inv = L.apply_word(root, suffix[:-1])
-                vk1_inv = L.apply_word(vk_d, "xy" + "x" * (q - 4))
-                eq("lemma_v1", m, "[vk^-1 v1] = (2mu^-1+1) vk+1^-1",
-                   L.bracket(vk_inv, v1g), elem_scale(2 * minv + 1, vk1_inv))
+            def element(name, suffix):
+                if name not in made:
+                    made[name] = element(*recipe[name])
+                return L.apply_word(made[name], suffix)
 
-        # mu = 0 variant of the v1 lemma at fake0 entries
-        if t.kind == "fake0" and m + q - 2 <= L.N_built:
-            pr = prev_root(idx)
-            if pr is not None:
-                root, suffix = pr
-                vk_d = L.apply_word(root, suffix)
-                vk_inv = L.apply_word(root, suffix[:-1])
-                vk1_inv = L.apply_word(vk_d, "y" + "x" * (q - 3))
-                eq("rem_v1_mu0", m, "[vk^-1 v1] = 2 vk+1^-1",
-                   L.bracket(vk_inv, v1g), elem_scale(2, vk1_inv))
-
-        # Lemma "v2 across an infinite-type successor"
-        if (t.genuine and v2g is not None and nxt and nxt[0] == m + q - 1
-                and nxt[1].kind == "infinite" and m + 2 * q <= L.N_built):
-            minv = t.mu_inv(p)
-            vk1 = L.apply_word(vk, "xy" + "x" * (q - 3))
-            vk2 = L.apply_word(vk1, "xy" + "x" * (q - 3))
-            eq("lemma_v2", m, "[vk v2] = mu^-1 vk+2",
-               L.bracket(vk, v2g), elem_scale(minv, vk2))
-            eq("lemma_v2", m, "[vk x v2] = 0",
-               L.bracket(L.apply_word(vk, "x"), v2g), L.zero(m + 2 * q - 2))
-            eq("lemma_v2", m, "[vk y v2] = 0",
-               L.bracket(L.apply_word(vk, "y"), v2g), L.zero(m + 2 * q - 2))
-            eq("lemma_v2", m, "[vk xy v2] = [vk+2 yx]+[vk+2 xy]",
-               L.bracket(L.apply_word(vk, "xy"), v2g),
-               elem_add(L.apply_word(vk2, "yx"), L.apply_word(vk2, "xy")))
-            eq("lemma_v2", m, "[vk xyx v2] = 2([vk+2 yxx]+[vk+2 xyx])",
-               L.bracket(L.apply_word(vk, "xyx"), v2g),
-               elem_scale(2, elem_add(L.apply_word(vk2, "yxx"),
-                                      L.apply_word(vk2, "xyx"))))
-
-        # Lemma "v2 across a finite-type successor" (mu != 0), incl. mu = 1
-        # read as a fake of type 1 followed at q-1 by a diamond
-        if (t.kind == "infinite" and v2g is not None and nxt
-                and nxt[0] == m + q - 1 and m + 2 * q <= L.N_built):
-            tn = nxt[1]
-            applies = tn.kind == "finite" or (
-                tn.kind == "fake1" and nxt2 and nxt2[0] == m + 2 * q - 2)
-            if applies:
-                minv = tn.mu_inv(p)
-                vk1 = L.apply_word(vk, "xy" + "x" * (q - 3))
-                vk2 = L.apply_word(vk1, "xy" + "x" * (q - 3))
-                vk2_inv = L.apply_word(vk1, "xy" + "x" * (q - 4))
-                eq("lemma_v2ext", m, "[vk v2] = -2mu^-1 vk+2",
-                   L.bracket(vk, v2g), elem_scale(-2 * minv, vk2))
-                eq("lemma_v2ext", m, "[vk x v2] = -mu^-1 [vk+2 x]",
-                   L.bracket(L.apply_word(vk, "x"), v2g),
-                   elem_scale(-minv, L.apply_word(vk2, "x")))
-                eq("lemma_v2ext", m, "[vk y v2] = -mu^-1 [vk+2 y]",
-                   L.bracket(L.apply_word(vk, "y"), v2g),
-                   elem_scale(-minv, L.apply_word(vk2, "y")))
-                eq("lemma_v2ext", m, "[vk xy v2] = [vk+2 xy]+(2mu^-1+1)[vk+2 yx]",
-                   L.bracket(L.apply_word(vk, "xy"), v2g),
-                   elem_add(L.apply_word(vk2, "xy"),
-                            elem_scale(2 * minv + 1, L.apply_word(vk2, "yx"))))
-                eq("lemma_v2ext", m, "[vk xyx v2] = 2[vk+2 xyx]+(3mu^-1+2)[vk+2 yxx]",
-                   L.bracket(L.apply_word(vk, "xyx"), v2g),
-                   elem_add(elem_scale(2, L.apply_word(vk2, "xyx")),
-                            elem_scale(3 * minv + 2, L.apply_word(vk2, "yxx"))))
-                pr = prev_root(idx)
-                if pr is not None:
-                    root, suffix = pr
-                    vk_d = L.apply_word(root, suffix)
-                    vk_inv = L.apply_word(root, suffix[:-1])
-                    vk1_d = L.apply_word(vk_d, "xy" + "x" * (q - 3))
-                    vk2_inv_d = L.apply_word(vk1_d, "xy" + "x" * (q - 4))
-                    eq("lemma_v2ext", m, "[vk^-1 v2] = -3mu^-1 vk+2^-1",
-                       L.bracket(vk_inv, v2g), elem_scale(-3 * minv, vk2_inv_d))
-
-        # mu = 0 variant: infinite diamond followed by a fake of type 0
-        if (t.kind == "infinite" and v2g is not None and nxt
-                and nxt[0] == m + q - 1 and nxt[1].kind == "fake0"
-                and m + 2 * q <= L.N_built):
-            vk1 = L.apply_word(vk, "xy" + "x" * (q - 3))
-            vk2 = L.apply_word(vk1, "y" + "x" * (q - 2))
-            vk2_inv = L.apply_word(vk1, "y" + "x" * (q - 3))
-            eq("rem_v2ext_mu0", m, "[vk v2] = -2 vk+2",
-               L.bracket(vk, v2g), elem_scale(-2, vk2))
-            eq("rem_v2ext_mu0", m, "[vk x v2] = -[vk+2 x]",
-               L.bracket(L.apply_word(vk, "x"), v2g),
-               elem_neg(L.apply_word(vk2, "x")))
-            eq("rem_v2ext_mu0", m, "[vk y v2] = -[vk+2 y]",
-               L.bracket(L.apply_word(vk, "y"), v2g),
-               elem_neg(L.apply_word(vk2, "y")))
-            eq("rem_v2ext_mu0", m, "[vk xy v2] = 2[vk+2 yx]",
-               L.bracket(L.apply_word(vk, "xy"), v2g),
-               elem_scale(2, L.apply_word(vk2, "yx")))
-            eq("rem_v2ext_mu0", m, "[vk xyx v2] = 3[vk+2 yxx]",
-               L.bracket(L.apply_word(vk, "xyx"), v2g),
-               elem_scale(3, L.apply_word(vk2, "yxx")))
-            pr = prev_root(idx)
-            if pr is not None:
-                root, suffix = pr
-                vk_d = L.apply_word(root, suffix)
-                vk_inv = L.apply_word(root, suffix[:-1])
-                vk1_d = L.apply_word(vk_d, "xy" + "x" * (q - 3))
-                vk2_inv_d = L.apply_word(vk1_d, "y" + "x" * (q - 3))
-                eq("rem_v2ext_mu0", m, "[vk^-1 v2] = -3 vk+2^-1",
-                   L.bracket(vk_inv, v2g), elem_scale(-3, vk2_inv_d))
-
-        # type-1 lemma at fakes followed at gap q
-        if t.kind == "fake1" and nxt and nxt[0] == m + q and m + q <= L.N_built:
-            hyp_ok = all(vec_is_zero(L.apply_letter(
-                L.as_element(L.gid(m + q - 2, i)), "y")[1])
-                for i in range(L.dim(m + q - 2)))
-            inst.append(LemmaInstance("lemma_type1", m, "[L_{m+q-2} y] = 0",
-                                      "pass" if hyp_ok else "fail"))
-            vb = vk
-            vb1 = L.apply_word(vb, "xy" + "x" * (q - 2))
-            vb1_inv = L.apply_word(vb, "xy" + "x" * (q - 3))
-            eq("lemma_type1", m, "[vb v1] = 2 vb+1^-1",
-               L.bracket(vb, v1g), elem_scale(2, vb1_inv))
-            eq("lemma_type1", m, "[vb x v1] = vb+1",
-               L.bracket(L.apply_word(vb, "x"), v1g), vb1)
-            if m + q + 1 <= L.N_built:
-                eq("lemma_type1", m, "[vb xy v1] = -[vb+1 y]",
-                   L.bracket(L.apply_word(vb, "xy"), v1g),
-                   elem_neg(L.apply_word(vb1, "y")))
-            if v2g is not None and m + 2 * q - 1 <= L.N_built:
-                eq("lemma_type1", m, "[vb xy v2] = 0",
-                   L.bracket(L.apply_word(vb, "xy"), v2g),
-                   L.zero(m + 2 * q - 1))
-            if (nxt[1].kind == "infinite" and v2g is not None
-                    and m + 2 * q - 2 <= L.N_built):
-                vb2 = L.apply_word(vb1, "xy" + "x" * (q - 3))
-                vb2_inv = L.apply_word(vb1, "xy" + "x" * (q - 4))
-                eq("lemma_type1", m, "[vb v2] = 2 vb+2^-1",
-                   L.bracket(vb, v2g), elem_scale(2, vb2_inv))
-                eq("lemma_type1", m, "[vb x v2] = vb+2",
-                   L.bracket(L.apply_word(vb, "x"), v2g), vb2)
+            for tag, label, left, right, terms, *when in LEMMA_TABLE:
+                if tag != lemma or not all(holds[c] for c in when):
+                    continue
+                lhs = L.bracket(element(*left), v1g if right == "v1" else v2g)
+                rhs = L.zero(lhs[0])
+                for a, b, name, suffix in terms:
+                    k, vec = element(name, suffix)
+                    rhs = (k, vec_add(rhs[1], vec_scale(a * minv + b, vec, p), p))
+                eq(lemma, m, label, lhs, rhs)
 
     return LemmaReport(inst)

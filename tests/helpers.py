@@ -340,3 +340,32 @@ def memo_pair_witnesses(L, B):
                 if c and tgt[s].bidegree != want:
                     bideg.append((e1.gid, e2.gid, s))
     return {"antisymmetry": anti, "jacobi": jac, "bidegree": bideg}
+
+
+def jacobi_triples(L, B):
+    """Witnesses (gid_1, gid_2, gid_3) of J != 0 over all basis triples
+    gid_1 <= gid_2 <= gid_3 of total degree <= B, uncapped: the O(N^3)
+    oracle for the generator Jacobi check."""
+    p = L.p
+    witnesses = []
+    for e1 in L.elements:
+        if 3 * e1.degree > B:
+            break
+        for e2 in L.elements:
+            if e2.gid < e1.gid or e1.degree + 2 * e2.degree > B:
+                continue
+            a = L.as_element(e1.gid)
+            b = L.as_element(e2.gid)
+            ab = L.bracket(a, b)
+            for e3 in L.elements:
+                if e3.gid < e2.gid:
+                    continue
+                if e1.degree + e2.degree + e3.degree > B:
+                    break
+                c = L.as_element(e3.gid)
+                s = L.bracket(ab, c)
+                s = vec_add(s[1], L.bracket(L.bracket(b, c), a)[1], p)
+                s = vec_add(s, L.bracket(L.bracket(c, a), b)[1], p)
+                if not vec_is_zero(s):
+                    witnesses.append((e1.gid, e2.gid, e3.gid))
+    return witnesses

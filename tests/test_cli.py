@@ -265,6 +265,7 @@ def test_input_side_errors_are_bad_spec(tmp_path, capsys):
                                  {"degree": "13", "type": "infinite"}]},
         "seq5.json": {"p": 7, "entries": 5},
         "seq7.json": {"p": 7, "entries": "Y" * 30},
+        "met7.json": {"p": 7, "entries": "Y" * 80},
         "s_string.json": {"family": "c", "p": 7, "q": 7, "N": 30,
                           "params": {"s": "1"}},
         "r_string.json": {"family": "nqr", "p": 7, "q": 7, "N": 30,
@@ -351,6 +352,16 @@ def test_input_side_errors_are_bad_spec(tmp_path, capsys):
              "--N 6 is below q = 7"),
             (["deflate", "--q", "25", "--r", "5", "--N", "24"],
              "--N 24 is below q = 25"),
+            # so do the jobs that read the pattern of an algebra built
+            # from a sequence
+            (["verify", "--sequence", f["met7.json"], "--q", "7", "--N", "6",
+              "--check", "all"], "--N 6 is below q = 7"),
+            (["detect", "--sequence", f["met7.json"], "--q", "7", "--N", "6"],
+             "--N 6 is below q = 7"),
+            (["diagram", "--sequence", f["met7.json"], "--q", "7", "--N", "6"],
+             "--N 6 is below q = 7"),
+            (["roundtrip", "--sequence", f["met7.json"], "--q", "7",
+              "--N", "6"], "--N 6 is below q = 7"),
             (["build", "--family", "a", "--q", "7", "--N", "10",
               "--out", missing],
              f"cannot write --out {missing}: No such file or directory"),
@@ -368,6 +379,15 @@ def test_deflate_accepts_N_equal_to_q(tmp_path):
         assert run(["deflate", "--q", str(q), "--r", str(r), "--N", str(q),
                     "--out", str(out)]) == 0, q
         assert json.loads(out.read_text())["structure"]["N"] == q
+
+
+def test_detect_accepts_sequence_N_equal_to_q(tmp_path):
+    # the boundary of the --N >= q rule for an algebra built from a sequence
+    seq, out = tmp_path / "met7.json", tmp_path / "pattern.json"
+    seq.write_text(json.dumps({"p": 7, "entries": "Y" * 80}))
+    assert run(["detect", "--sequence", str(seq), "--q", "7", "--N", "7",
+                "--out", str(out)]) == 0
+    assert [e["degree"] for e in json.loads(out.read_text())["entries"]] == [7]
 
 
 def test_internal_value_error_is_not_bad_spec(monkeypatch):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import P, corrupt_ad_x, forbidden_continuations
+from helpers import P, corrupt_ad_x, forbidden_continuations, jacobi_triples
 from thinlie import engine
 from thinlie.engine import (CHECKS, MAXCLASS_CHECKS, NOTTINGHAM_CHECKS,
                             PAIR_CHECKS, validate)
@@ -19,13 +19,13 @@ FAILURE_DEGREES = {"finite_at_92": [93, 94, 95, 104, 108, 110],
 
 
 def _verdicts(L):
-    """(ok, first failing total degree) of jacobi and of jacobi_triples."""
-    out = []
-    for name in ("jacobi", "jacobi_triples"):
-        rep = validate(L, checks=(name,), max_witnesses=UNCAPPED)
-        degs = rep.failure_degrees(L)
-        out.append((rep.ok, degs[0] if degs else None))
-    return out
+    """(ok, first failing total degree) of jacobi and of the triple oracle."""
+    rep = validate(L, checks=("jacobi",), max_witnesses=UNCAPPED)
+    degs = rep.failure_degrees(L)
+    triples = jacobi_triples(L, L.N)
+    first = min((sum(L.elements[g].degree for g in w) for w in triples),
+                default=None)
+    return [(rep.ok, degs[0] if degs else None), (not triples, first)]
 
 
 def test_generator_check_matches_triples_on_corpus(corpus):
@@ -75,7 +75,8 @@ def test_default_suites_pair_jacobi_with_antisymmetry():
 def test_registry_holds_every_check_once():
     # validate, _pair_checks and failure_degrees read their names off CHECKS
     suites = set(NOTTINGHAM_CHECKS) | set(MAXCLASS_CHECKS)
-    assert suites | {"jacobi_triples"} <= set(CHECKS)
+    assert suites == set(CHECKS)
+    assert "jacobi_triples" not in CHECKS
     assert PAIR_CHECKS == tuple(name for name, (_, in_sweep, _)
                                 in CHECKS.items() if in_sweep)
     assert PAIR_CHECKS == ("antisymmetry", "jacobi")
