@@ -168,7 +168,7 @@ def make_algebra(args, guard=lambda q: 2):
         g = guard(q)
         need = -(-(N + g) // (q - 1)) + 2
         M = build_maxclass(seq, need + 1)
-        return tensor_construct(M, q, N, guard=g).algebra
+        return tensor_construct(M, q, N, guard=g)[0]
     raise PatternError("specify one of --family, --family-spec, --pattern, "
                        "--sequence")
 
@@ -228,12 +228,12 @@ def cmd_roundtrip(args):
     if args.compare_N is not None and args.compare_N < 1:
         raise PatternError(f"--compare-N must be at least 1, got "
                            f"{args.compare_N}")
-    from .derivations import ClassGateError, ExtractionError, roundtrip_check
+    from .derivations import ExtractionError, roundtrip_check
     # D raises degrees by q - 1: a guard of q + 2 keeps it defined past --N
     L = make_algebra(args, guard=lambda q: q + 2)
     try:
         rep = roundtrip_check(L, compare_N=args.compare_N)
-    except (ClassGateError, ExtractionError) as e:
+    except ExtractionError as e:
         _dump({"schema": "thinlie.roundtrip.v1", "pass": False,
                "error": str(e)}, args.out)
         return EXIT_FAILED

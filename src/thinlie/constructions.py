@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from .engine import AlgebraBuilder, GradedAlgebra, OperatorFamily
 from .gf import PrimeField, echelon_add, lucas_binom, solve_or_kernel
-from .maxclass import MaxClassAlgebra
 from .patterns import (ConstructionError, char_of_q, check_p, check_q,
                        compile_pattern, deflation_steps, detect,
                        family_pattern)
@@ -34,8 +33,7 @@ def divided_power_product(i: int, j: int, q: int, p: int):
 # -- generic conversion of an abstract bracket structure into engine form ------
 
 def engine_from_abstract(field: PrimeField, q, n_built: int, N: int,
-                         x_gen, y_gen, bracket, coords,
-                         kind: str = "nottingham", meta: dict | None = None):
+                         x_gen, y_gen, bracket, coords):
     """Grow the subalgebra generated by two abstract degree-1 elements,
     degree by degree, and express it in engine form.
 
@@ -47,7 +45,7 @@ def engine_from_abstract(field: PrimeField, q, n_built: int, N: int,
     (GradedAlgebra, {gid: element}).
     """
     p = field.p
-    b = AlgebraBuilder(field, q=q, kind=kind)
+    b = AlgebraBuilder(field, q=q)
     b.add_degree([(None, "x"), (None, "y")])
     gens = {"x": x_gen, "y": y_gen}
     abs_of = {0: x_gen, 1: y_gen}
@@ -90,30 +88,20 @@ def engine_from_abstract(field: PrimeField, q, n_built: int, N: int,
                  [solve(vecs[(i, "y")]) for i in range(len(cur))])
         cur = [images[c] for c in chosen]
         abs_of.update(zip(gids, cur))
-    return b.finish(N, meta=meta), abs_of
+    return b.finish(N), abs_of
 
 
 # -- tensor construction ---------------------------------------------------------
 
-class TensorConstruction:
-    def __init__(self, algebra: GradedAlgebra, ambient: dict,
-                 maxclass: MaxClassAlgebra):
-        self.algebra = algebra
-        # gid -> ambient vector {('e', m_gid, j) | ('d',): coeff}
-        self.ambient = ambient
-        self.maxclass = maxclass
-
-
-def tensor_construct(M: MaxClassAlgebra, q: int, N: int,
-                     guard: int = 2) -> TensorConstruction:
-    """Subalgebra of M (x) F[eps; q] + F (1 (x) d) generated by
-    x = -1 (x) d  and  y = X (x) eps^(q-2) + Y (x) eps^(q-1),
+def tensor_construct(Ma: GradedAlgebra, q: int, N: int, guard: int = 2):
+    """Subalgebra of Ma (x) F[eps; q] + F (1 (x) d), Ma of maximal class,
+    generated by  x = -1 (x) d  and  y = X (x) eps^(q-2) + Y (x) eps^(q-1),
     expressed as an engine algebra in the total grading, built to
-    N + guard and not validated.
+    N + guard and not validated.  Returns (algebra, ambient), where
+    ambient maps each gid to its ambient vector {key: coefficient}.
 
-    Ambient keys: ('e', g, j) is (M basis element g) (x) eps^(j); ('d',) is x.
+    Keys: ('e', g, j) is (Ma basis element g) (x) eps^(j); ('d',) is x.
     """
-    Ma = M.algebra
     p = Ma.p
     field = Ma.field
     n_built = N + guard
@@ -165,10 +153,8 @@ def tensor_construct(M: MaxClassAlgebra, q: int, N: int,
 
     x_vec = {("d",): 1}
     y_vec = {("e", Ma.gid(1, 0), q - 2): 1, ("e", Ma.gid(1, 1), q - 1): 1}
-    L, ambient = engine_from_abstract(
-        field, q, n_built, N, x_vec, y_vec, bracket, lambda v: v,
-        meta={"construction": "tensor", "q": q})
-    return TensorConstruction(L, ambient, M)
+    return engine_from_abstract(field, q, n_built, N, x_vec, y_vec, bracket,
+                                lambda v: v)
 
 
 # -- deflation ---------------------------------------------------------------------
@@ -236,7 +222,10 @@ def deflate(L: GradedAlgebra, N_out: int) -> GradedAlgebra:
 
     Works in Der(L): elements of rescaled degree k are derivations of
     shift k p, identified by their values on x and y.  Requires L built to
-    at least p (N_out + DEFLATE_GUARD) + p.
+    at least p (N_out + DEFLATE_GUARD) + p.  L is a Nottingham algebra,
+    compiled from family a or deflated from one: there is no maximal-class
+    branch, and the result's q is its second diamond's degree, read off
+    the closure of the degree-1 operators.
     """
     p = L.p
     n_built = N_out + DEFLATE_GUARD
@@ -252,13 +241,12 @@ def deflate(L: GradedAlgebra, N_out: int) -> GradedAlgebra:
         raise ConstructionError(
             f"deflated degree 1 has dimension {len(basis1)}; not thin")
 
-    q_out = _closure_second_diamond(basis1, p, n_built) if L.kind == "nottingham" else None
+    q_out = _closure_second_diamond(basis1, p, n_built)
     xop, yop = _standard_generators(basis1, p, q_out)
 
     Ld, _ = engine_from_abstract(
         L.field, q_out, n_built, N_out, xop, yop, OperatorFamily.op_bracket,
-        OperatorFamily.coords,
-        kind=L.kind, meta={"construction": "deflation", "source_q": L.q})
+        OperatorFamily.coords)
     return Ld
 
 
@@ -349,5 +337,4 @@ def nottingham_Nqr(q: int, r: int, N: int, p: int | None = None):
         L = deflate(L, (L.N_built - p) // p - DEFLATE_GUARD)
     L = deflate(L, N)
     pattern, _ = detect(L)
-    L.meta["nqr"] = {"q": q, "r": r, "pattern": pattern.to_json()}
     return L, pattern

@@ -18,11 +18,6 @@ from .maxclass import CentralizerSequence, build_maxclass
 from .patterns import DiamondPattern, detect
 
 
-class ClassGateError(Exception):
-    """The input algebra is not in the infinite-or-fake class this
-    correspondence covers."""
-
-
 class ExtractionError(Exception):
     pass
 
@@ -38,19 +33,15 @@ def in_tq2_class(pattern: DiamondPattern) -> bool:
     return all(t.kind in ("infinite", "fake1") for _, t in ent[1:])
 
 
-def build_D(L: GradedAlgebra, pattern: DiamondPattern | None = None,
-            enforce_class: bool = True) -> OperatorFamily:
+def build_D(L: GradedAlgebra) -> OperatorFamily:
     """D as the derivation of shift q - 1 with Dx = 0 and Dy = [y x^{q-2} y]:
     an operator family that extends to every degree k <= N_built - (q - 1)
-    by the word recursion D([u, t]) = [D(u), t] + [u, D(t)]."""
+    by the word recursion D([u, t]) = [D(u), t] + [u, D(t)].
+
+    It builds D and does not gate: D is a derivation only on the algebras
+    that in_tq2_class admits, which roundtrip_check tests before it calls
+    this."""
     q = L.q
-    if enforce_class:
-        if pattern is None:
-            pattern, _ = detect(L)
-        if not in_tq2_class(pattern):
-            raise ClassGateError(
-                "derivation requires all post-second diamonds of infinite "
-                f"type or fake of type 1; detected {pattern.to_json()['entries']!r}")
     dy = L.eval_word("y" + "x" * (q - 2) + "y")
     return OperatorFamily(L, q - 1, {1: (L.zero(q)[1], dy[1])})
 
@@ -138,10 +129,12 @@ def verify_leibniz(L: GradedAlgebra, D: OperatorFamily,
     return LeibnizReport(pairs, fails, checks)
 
 
-def extract_M(L: GradedAlgebra, D: OperatorFamily, N_M: int | None = None):
+def extract_M(L: GradedAlgebra, D: OperatorFamily):
     """Inside L + F X with X = D and Y = [y x^{q-1}], run the recursion
     U_{j+1} = [U_j X] if [U_j Y] = 0 else [U_j Y], reading off the two-step
-    centralizer sequence.  Returns (MaxClassAlgebra, CentralizerSequence)."""
+    centralizer sequence while L's built range allows.  Returns
+    (GradedAlgebra, CentralizerSequence): the maximal-class algebra of the
+    sequence, to degree len(sequence) - 1, and the sequence."""
     p, q = L.p, L.q
     Y = L.eval_word("y" + "x" * (q - 1))
     U = Y
@@ -166,17 +159,13 @@ def extract_M(L: GradedAlgebra, D: OperatorFamily, N_M: int | None = None):
         if vec_is_zero(U[1]):
             raise ExtractionError(f"U_{j + 1} vanished")
         j += 1
-        if N_M is not None and j > N_M + 2:
-            break
-    n_m = N_M if N_M is not None else len(entries) - 1
-    n_m = min(n_m, len(entries) - 1)
+    n_m = len(entries) - 1
     if n_m < 2:
         raise ExtractionError(
             f"input algebra too short to extract anything: built to degree "
             f"{L.N_built}, it yields {len(entries)} centralizer entries")
     seq = CentralizerSequence(p, entries)
-    M = build_maxclass(seq, n_m)
-    return M, seq
+    return build_maxclass(seq, n_m), seq
 
 
 class RoundtripReport:
@@ -217,18 +206,18 @@ def roundtrip_check(L: GradedAlgebra, compare_N: int | None = None) -> Roundtrip
                            "past the second diamond"])
         return rep
     rep.stages.append(["class-gate", "ok"])
-    D = build_D(L, pattern=pattern, enforce_class=False)
+    D = build_D(L)
     rep.stages.append(["derivation", f"built on degrees 1..{L.N_built - D.shift}"])
     M, seq = extract_M(L, D)
     rep.extracted_sequence = "".join(seq.entries)
     rep.stages.append(["extraction", f"sequence of length {len(seq)}, "
                        f"maximal-class algebra to degree {M.N}"])
     n_cmp = min(compare_N if compare_N is not None else L.N,
-                L.N, (M.algebra.N_built - 2) * (q - 1) - 2)
+                L.N, (M.N_built - 2) * (q - 1) - 2)
     rep.compare_N = n_cmp
-    T = tensor_construct(M, q, n_cmp)
+    T, _ = tensor_construct(M, q, n_cmp)
     rep.stages.append(["tensor", f"rebuilt to degree {n_cmp}"])
-    pat_T, _ = detect(T.algebra)
+    pat_T, _ = detect(T)
     rep.pattern_T = pat_T.to_json()
     rep.passed = pat_T.truncate(n_cmp).entries == pattern.truncate(n_cmp).entries
     rep.stages.append(["compare", "equal" if rep.passed else "MISMATCH"])

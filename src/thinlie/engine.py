@@ -80,8 +80,7 @@ class GradedAlgebra:
     """A graded Lie algebra built to degree N_built, with public bound N."""
 
     def __init__(self, field: PrimeField, elements, comp_gids, ad_x, ad_y,
-                 N: int, q: int | None = None, kind: str = "nottingham",
-                 meta: dict | None = None):
+                 N: int, q: int | None = None, kind: str = "nottingham"):
         self.field = field
         self.p = field.p
         self.q = q
@@ -93,7 +92,6 @@ class GradedAlgebra:
         # ad['x'][k]: one row per basis element of L_k, each row a coordinate
         # vector in L_{k+1}; defined for 1 <= k < N_built.
         self.ad = {"x": tuple(ad_x), "y": tuple(ad_y)}
-        self.meta = dict(meta or {})
         self._memo = {}
         self._check_wellformed()
 
@@ -153,10 +151,6 @@ class GradedAlgebra:
         if not 1 <= k <= self.N_built:
             return 0
         return len(self.comp_gids[k])
-
-    def dims(self):
-        """Per-degree dimensions for degrees 1..N."""
-        return [self.dim(k) for k in range(1, self.N + 1)]
 
     def basis(self, k: int):
         return [self.elements[g] for g in self.comp_gids[k]]
@@ -645,7 +639,7 @@ class AlgebraBuilder:
         self.ad_x[k] = tuple(tuple(r) for r in ad_x_rows)
         self.ad_y[k] = tuple(tuple(r) for r in ad_y_rows)
 
-    def finish(self, N: int, meta: dict | None = None) -> GradedAlgebra:
+    def finish(self, N: int) -> GradedAlgebra:
         built = len(self.comp_gids) - 1
         ad_x = [self.ad_x[k] if k < built else None for k in range(built + 1)]
         ad_y = [self.ad_y[k] if k < built else None for k in range(built + 1)]
@@ -653,8 +647,7 @@ class AlgebraBuilder:
         if missing:
             raise ValueError(f"adjoint maps not set in degrees {missing}")
         return GradedAlgebra(self.field, self.elements, self.comp_gids,
-                             ad_x, ad_y, N=N, q=self.q, kind=self.kind,
-                             meta=meta)
+                             ad_x, ad_y, N=N, q=self.q, kind=self.kind)
 
 
 # -- validation ----------------------------------------------------------------
@@ -678,23 +671,6 @@ class ValidationReport:
 
     def failures(self):
         return [c for c in self.checks if not c.ok]
-
-    def failure_degrees(self, algebra) -> list:
-        """Total degrees of the pair/triple witnesses, ascending: the
-        empirical record of where an inconsistent structure first breaks.
-
-        A witness is a tuple of basis gids whose degrees are summed, as
-        many as CHECKS gives for its check: a pair (antisymmetry), the pair
-        of a (gid_a, gid_b, s) bidegree witness, or a basis pair and a
-        generator (gid_a, gid_b, gid_s) for jacobi, whose degree is
-        deg a + deg b + 1.  Only as many witnesses as validate kept are
-        read."""
-        degs = set()
-        for c in self.failures():
-            n = CHECKS[c.name][2]
-            degs.update(sum(algebra.elements[g].degree for g in w[:n])
-                        for w in c.witnesses if n)
-        return sorted(degs)
 
     def summary(self) -> str:
         lines = []
@@ -775,11 +751,13 @@ def validate(L: GradedAlgebra, checks=None,
     by definition, so a passing check makes the bracket alternating up to
     degree B: the premise of the Jacobi argument above.
 
-    Each check is an entry of CHECKS, and passes when it finds no
-    witness; an unknown name raises ValueError before any check runs.
-    The pair checks (PAIR_CHECKS) read the bracket_basis values off one
-    sweep of L.bracket_columns (see _pair_checks), which holds two degrees
-    of columns at a time: O(N) memory, and the bracket_basis memo, which
+    Each check is an entry of CHECKS, which holds two fields: its
+    function, and whether it runs in the shared column sweep.  A check
+    passes when it finds no witness; an unknown name raises ValueError
+    before any check runs.  The sweep checks, antisymmetry and jacobi over
+    basis pairs, read the bracket_basis values off one sweep of
+    L.bracket_columns (see _pair_checks), which holds two degrees of
+    columns at a time: O(N) memory, and the bracket_basis memo, which
     serves few-pair callers, stays empty.  Their witnesses are those of
     the loops over all pairs: antisymmetry in ascending gid pair, jacobi
     by (total degree, deg a, gid_a, gid_b, gid_s), each cut to the first
@@ -795,7 +773,7 @@ def validate(L: GradedAlgebra, checks=None,
     swept = _pair_checks(L, B, checks, cap)
     out = []
     for name in checks:
-        run, in_sweep, _ = CHECKS[name]
+        run, in_sweep = CHECKS[name]
         witnesses = swept[name] if in_sweep else run(L, B, cap)
         out.append(CheckResult(name, not witnesses, witnesses[:max_witnesses]))
     return ValidationReport(out)
@@ -886,8 +864,8 @@ def _bidegree(L: GradedAlgebra, B: int, cap: int) -> list:
 
 
 def _pair_checks(L: GradedAlgebra, B: int, names, cap: int) -> dict:
-    """{name: witnesses} for the sweep checks among names (PAIR_CHECKS),
-    from one sweep of L.bracket_columns(B).
+    """{name: witnesses} for the sweep checks among names, from one sweep
+    of L.bracket_columns(B).
 
     At degree d the sweep hands the column layers of degrees d and d + 1
     to each check's step in CHECKS (antisymmetry: the pairs of degree d;
@@ -1028,20 +1006,17 @@ def _defining(L: GradedAlgebra, a: int, t: str) -> bool:
         for g, c in zip(L.comp_gids[ea.degree + 1], row))
 
 
-# The registry of checks: name -> (function, runs in the shared column sweep,
-# gids of a witness that failure_degrees sums).  A sweep check's function is
-# its step for _pair_checks, (L, B, d, layer d, layer d + 1, witnesses, cap)
-# -> wants degree d + 1; any other check's is (L, B, cap) -> witnesses.
+# The registry of checks: name -> (function, runs in the shared column
+# sweep).  A sweep check's function is its step for _pair_checks, (L, B, d,
+# layer d, layer d + 1, witnesses, cap) -> wants degree d + 1; any other
+# check's is (L, B, cap) -> witnesses.
 CHECKS = {
-    "dimensions": (_dimensions, False, 0),
-    "covering": (_covering, False, 0),
-    "words": (_words, False, 0),
-    "antisymmetry": (_antisymmetry_degree, True, 2),
-    "jacobi": (_jacobi_degree, True, 3),
-    "sandwich_y": (_sandwich_y, False, 0),
-    "ad_x_power_q": (_ad_x_power_q, False, 0),
-    "bidegree": (_bidegree, False, 2),
+    "dimensions": (_dimensions, False),
+    "covering": (_covering, False),
+    "words": (_words, False),
+    "antisymmetry": (_antisymmetry_degree, True),
+    "jacobi": (_jacobi_degree, True),
+    "sandwich_y": (_sandwich_y, False),
+    "ad_x_power_q": (_ad_x_power_q, False),
+    "bidegree": (_bidegree, False),
 }
-# the checks over basis pairs, which validate runs in one sweep of columns
-PAIR_CHECKS = tuple(name for name, (_, in_sweep, _) in CHECKS.items()
-                    if in_sweep)

@@ -1,5 +1,5 @@
 """Graded Lie algebras of maximal class built from two-step centralizer
-sequences, and the reverse extraction.
+sequences.
 
 A sequence lists, for i = 2, 3, ..., which line of the degree-1 component
 centralizes the i-th component: 'Y' (the sandwich side, forced at i = 2 by
@@ -13,7 +13,7 @@ entry.
 from __future__ import annotations
 
 from .engine import AlgebraBuilder, GradedAlgebra, ValidationReport, validate
-from .gf import PrimeField, is_field_char, vec_is_zero
+from .gf import PrimeField, is_field_char
 
 
 class SequenceError(ValueError):
@@ -61,13 +61,6 @@ class CentralizerSequence:
     def __repr__(self):
         return f"CentralizerSequence(p={self.p}, {''.join(self.entries)})"
 
-    def x_positions(self):
-        """Indices i with c_i = 'X'."""
-        return [i + 2 for i, e in enumerate(self.entries) if e == "X"]
-
-    def prefix(self, length: int) -> "CentralizerSequence":
-        return CentralizerSequence(self.p, self.entries[:length])
-
     def to_json(self) -> dict:
         return {"schema": "thinlie.sequence.v1", "p": self.p,
                 "entries": "".join(self.entries)}
@@ -87,21 +80,7 @@ class CentralizerSequence:
         return CentralizerSequence(p, entries)
 
 
-def metabelian_sequence(p: int, length: int) -> CentralizerSequence:
-    return CentralizerSequence(p, "Y" * length)
-
-
-class MaxClassAlgebra:
-    def __init__(self, algebra: GradedAlgebra, sequence: CentralizerSequence):
-        self.algebra = algebra
-        self.sequence = sequence
-
-    @property
-    def N(self):
-        return self.algebra.N
-
-
-def build_maxclass(seq: CentralizerSequence, N: int) -> MaxClassAlgebra:
+def build_maxclass(seq: CentralizerSequence, N: int) -> GradedAlgebra:
     """Build the maximal-class algebra of a centralizer sequence to degree N.
 
     Basis: X, Y in degree 1, then U_i with U_{i+1} = [U_i Z] where Z is the
@@ -123,26 +102,8 @@ def build_maxclass(seq: CentralizerSequence, N: int) -> MaxClassAlgebra:
         z = "x" if seq.get(i) == "Y" else "y"   # the generator not in C_i
         b.add_degree([(u, z)])
         b.set_ad(i, [(int(z == "x"),)], [(int(z == "y"),)])
-    L = b.finish(N, meta={"sequence": seq.to_json()})
+    L = b.finish(N)
     report = validate(L)
     if not report.ok:
         raise UnrealizableSequenceError(report)
-    return MaxClassAlgebra(L, seq.prefix(n_int - 1))
-
-
-def extract_centralizer_sequence(M: MaxClassAlgebra | GradedAlgebra) -> CentralizerSequence:
-    """Read the two-step centralizer sequence off a built algebra."""
-    L = M.algebra if isinstance(M, MaxClassAlgebra) else M
-    entries = []
-    for i in range(2, L.N_built):
-        if L.dim(i) != 1:
-            raise SequenceError(f"component {i} has dimension {L.dim(i)}; "
-                                "not maximal class")
-        u = L.as_element(L.gid(i, 0))
-        kx = vec_is_zero(L.apply_letter(u, "x")[1])
-        ky = vec_is_zero(L.apply_letter(u, "y")[1])
-        if kx == ky:
-            raise SequenceError(f"component {i} has centralizer of dimension "
-                                f"{2 if kx else 0} in degree 1")
-        entries.append("X" if kx else "Y")
-    return CentralizerSequence(L.p, entries)
+    return L

@@ -95,16 +95,13 @@ class DiamondType:
 class DiamondPattern:
     """Normalized diamond pattern: entries (degree, type), starting at (q, -1).
 
-    Patterns are equal when p, q and the entries are; `alternates` is not
-    compared."""
+    Patterns are equal when p, q and the entries are."""
 
-    def __init__(self, p: int, q: int, entries: list,
-                 alternates: list | None = None):
+    def __init__(self, p: int, q: int, entries: list):
         self.p = p
         self.q = q
         # [(degree, DiamondType), ...], degrees strictly increasing
         self.entries = entries
-        self.alternates = [] if alternates is None else alternates
 
     def __eq__(self, other):
         if other.__class__ is not DiamondPattern:
@@ -118,8 +115,7 @@ class DiamondPattern:
 
     def truncate(self, N: int) -> "DiamondPattern":
         return DiamondPattern(self.p, self.q,
-                              [e for e in self.entries if e[0] <= N],
-                              [a for a in self.alternates if a[0] <= N])
+                              [e for e in self.entries if e[0] <= N])
 
     def max_degree(self) -> int:
         return self.entries[-1][0] if self.entries else 1
@@ -218,8 +214,7 @@ def normalize(raw_entries, p: int, q: int) -> DiamondPattern:
     """Canonicalize a raw entry list.
 
     Every fake is re-read in its type-1 form where the preceding gap allows
-    it, and in its type-0 form otherwise; any other gap is rejected.  The
-    admissible alternate readings are kept on the result.
+    it, and in its type-0 form otherwise; any other gap is rejected.
     """
     entries = sorted(raw_entries, key=lambda e: e[0])
     if not entries:
@@ -254,17 +249,7 @@ def normalize(raw_entries, p: int, q: int) -> DiamondPattern:
             raise PatternError(
                 f"fake diamond with type-1 reading at {site} fits no allowed gap "
                 f"from {prev_deg}")
-    # admissible alternate readings: a canonical type-1 fake at m may be read
-    # as type 0 at m+1 when the distance to the following diamond then
-    # measures q-1 (the double reading used across gap-q fakes)
-    alternates = []
-    for i, (m, t) in enumerate(out):
-        if t.kind != "fake1":
-            continue
-        nxt = out[i + 1][0] if i + 1 < len(out) else None
-        if nxt is None or nxt - (m + 1) == q - 1:
-            alternates.append((m + 1, DiamondType.fake0()))
-    return DiamondPattern(p, q, out, alternates)
+    return DiamondPattern(p, q, out)
 
 
 # -- compilation -------------------------------------------------------------
@@ -316,7 +301,7 @@ def compile_pattern(pattern: DiamondPattern, N: int, guard: int = 2,
         else:
             b.add_degree([(w, "x")])
             b.set_ad(k, [(1,)], [(0,)])
-    L = b.finish(N, meta={"pattern": pattern.to_json()})
+    L = b.finish(N)
     report = None
     if run_validation:
         report = validate(L)
@@ -398,16 +383,12 @@ def detect(L: GradedAlgebra):
 # -- regularity ----------------------------------------------------------------
 
 class RegularityReport:
-    """`violations`: the bidegrees outside S_<=(q); `contains_strict`:
-    S_<(q) cap {degrees <= N} lies inside the support; `equals_wide`: the
-    support is S_<=(q) cap {degrees <= N}."""
+    """`violations`: the bidegrees of the support outside S_<=(q), in
+    ascending order; `regular`: there are none."""
 
-    def __init__(self, regular: bool, violations: list,
-                 contains_strict: bool, equals_wide: bool):
+    def __init__(self, regular: bool, violations: list):
         self.regular = regular
         self.violations = violations
-        self.contains_strict = contains_strict
-        self.equals_wide = equals_wide
 
 
 def classify_regularity(L: GradedAlgebra) -> RegularityReport:
@@ -417,25 +398,9 @@ def classify_regularity(L: GradedAlgebra) -> RegularityReport:
     band, so degree 1 is included in the comparison.
     """
     q = L.q
-    supp = L.support()
-    violations = sorted((r, s) for r, s in supp
+    violations = sorted((r, s) for r, s in L.support()
                         if not -1 <= (q - 2) * s - r <= q - 2)
-    wide = set()
-    strict = set()
-    for d in range(1, L.N + 1):
-        for s in range(0, d + 1):
-            r = d - s
-            t = (q - 2) * s - r
-            if -1 <= t <= q - 2:
-                wide.add((r, s))
-            if r >= 1 and s >= 1 and 0 <= t <= q - 3:
-                strict.add((r, s))
-    return RegularityReport(
-        regular=not violations,
-        violations=violations,
-        contains_strict=strict <= supp,
-        equals_wide=supp == wide,
-    )
+    return RegularityReport(regular=not violations, violations=violations)
 
 
 # -- named families --------------------------------------------------------------
@@ -607,10 +572,6 @@ class LemmaReport:
     def ok(self) -> bool:
         return all(i.status != "fail" for i in self.instances)
 
-    def count(self, lemma: str | None = None, status: str = "pass") -> int:
-        return sum(1 for i in self.instances
-                   if i.status == status and (lemma is None or i.lemma == lemma))
-
     def failures(self):
         return [i for i in self.instances if i.status == "fail"]
 
@@ -765,16 +726,22 @@ def verify_lemma_suite(L: GradedAlgebra, pattern: DiamondPattern | None = None) 
     entries = pattern.entries
 
     # y centralizes every component that is not a diamond and does not
-    # immediately precede one; check the window after each diamond
+    # immediately precede one; check the window after each diamond, up to
+    # the last degree ad y is built on, and name the degrees tested
     for idx, (m, t) in enumerate(entries):
         nxt = entries[idx + 1][0] if idx + 1 < len(entries) else None
         hi = m + q - 3
         if nxt == m + q or (nxt is None and t.kind == "fake1"):
             hi = m + q - 2
-        bad = [j for j in range(m + 1, min(hi, L.N_built - 1) + 1)
-               for _ in y_nonzero(j)]
+        top = min(hi, L.N_built - 1)
+        if top <= m:
+            inst.append(LemmaInstance(
+                "distance", m, f"ad_y vanishes on L_{m+1}..L_{hi}", "skip",
+                f"ad y is built only on L_1..L_{L.N_built - 1}"))
+            continue
+        bad = [j for j in range(m + 1, top + 1) for _ in y_nonzero(j)]
         inst.append(LemmaInstance("distance", m,
-                                  f"ad_y vanishes on L_{m+1}..L_{hi}",
+                                  f"ad_y vanishes on L_{m+1}..L_{top}",
                                   "pass" if not bad else "fail",
                                   "" if not bad else f"nonzero at {bad}"))
 

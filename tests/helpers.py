@@ -1,17 +1,96 @@
 """Shared test utilities: independent bracket oracle, the reducing
 reference formulation of the bracket kernel, random admissible pattern
-generation, and corpus construction."""
+generation, corpus construction, and the readers of reports and algebras
+that only the tests use."""
 
 from __future__ import annotations
 
-from thinlie.engine import DegreeOverflowError, GradedAlgebra, validate
+from thinlie.engine import CHECKS, DegreeOverflowError, GradedAlgebra, validate
 from thinlie.gf import (lucas_binom, mat_apply_rows, solve_or_kernel,
                         vec_add, vec_is_zero, vec_neg, vec_scale, vec_sub,
                         vec_zero)
-from thinlie.maxclass import CentralizerSequence, build_maxclass, metabelian_sequence
+from thinlie.maxclass import CentralizerSequence, SequenceError, build_maxclass
 from thinlie.patterns import compile_pattern, family_pattern, uniqueness_sequence
 
 P = Q = 7
+
+# the checks over basis pairs, which validate runs in one sweep of columns
+PAIR_CHECKS = tuple(name for name, (_, in_sweep) in CHECKS.items()
+                    if in_sweep)
+# how many leading gids of a check's witness failure_degrees sums
+WITNESS_GIDS = {"antisymmetry": 2, "jacobi": 3, "bidegree": 2}
+
+
+def failure_degrees(report, L) -> list:
+    """Total degrees of the pair/triple witnesses of a ValidationReport,
+    ascending: the empirical record of where an inconsistent structure
+    first breaks.
+
+    A witness is a tuple of basis gids whose degrees are summed, as many
+    as WITNESS_GIDS gives for its check: a pair (antisymmetry), the pair
+    of a (gid_a, gid_b, s) bidegree witness, or a basis pair and a
+    generator (gid_a, gid_b, gid_s) for jacobi, whose degree is
+    deg a + deg b + 1.  Only as many witnesses as validate kept are read."""
+    degs = set()
+    for c in report.failures():
+        n = WITNESS_GIDS.get(c.name, 0)
+        degs.update(sum(L.elements[g].degree for g in w[:n])
+                    for w in c.witnesses if n)
+    return sorted(degs)
+
+
+def lemma_count(report, lemma=None, status="pass") -> int:
+    """Instances of a LemmaReport with the status, of one lemma or all."""
+    return sum(1 for i in report.instances
+               if i.status == status and (lemma is None or i.lemma == lemma))
+
+
+def dims(L):
+    """Per-degree dimensions for degrees 1..N."""
+    return [L.dim(k) for k in range(1, L.N + 1)]
+
+
+def regularity_bands(q: int, N: int):
+    """(wide, strict): the bidegrees (r, s) of degree r + s in 1..N in
+    S_<=(q) = {-1 <= (q-2)s - r <= q-2}, and those with r, s >= 1 in
+    S_<(q) = {0 <= (q-2)s - r <= q-3}."""
+    wide, strict = set(), set()
+    for d in range(1, N + 1):
+        for s in range(0, d + 1):
+            r = d - s
+            t = (q - 2) * s - r
+            if -1 <= t <= q - 2:
+                wide.add((r, s))
+            if r >= 1 and s >= 1 and 0 <= t <= q - 3:
+                strict.add((r, s))
+    return wide, strict
+
+
+def metabelian_sequence(p: int, length: int) -> CentralizerSequence:
+    return CentralizerSequence(p, "Y" * length)
+
+
+def x_positions(seq: CentralizerSequence):
+    """Indices i with c_i = 'X'."""
+    return [i + 2 for i, e in enumerate(seq.entries) if e == "X"]
+
+
+def extract_centralizer_sequence(L) -> CentralizerSequence:
+    """Read the two-step centralizer sequence off a built maximal-class
+    algebra."""
+    entries = []
+    for i in range(2, L.N_built):
+        if L.dim(i) != 1:
+            raise SequenceError(f"component {i} has dimension {L.dim(i)}; "
+                                "not maximal class")
+        u = L.as_element(L.gid(i, 0))
+        kx = vec_is_zero(L.apply_letter(u, "x")[1])
+        ky = vec_is_zero(L.apply_letter(u, "y")[1])
+        if kx == ky:
+            raise SequenceError(f"component {i} has centralizer of dimension "
+                                f"{2 if kx else 0} in degree 1")
+        entries.append("X" if kx else "Y")
+    return CentralizerSequence(L.p, entries)
 
 
 def words(L):
@@ -127,7 +206,7 @@ def build_corpus():
     L, rep = compile_pattern(pat, 200, guard=Q + 2)
     out["uniqueness"] = (L, rep, pat)
     M = build_maxclass(metabelian_sequence(P, 40), 30)
-    T = tensor_construct(M, Q, N, guard=Q + 2).algebra
+    T, _ = tensor_construct(M, Q, N, guard=Q + 2)
     out["T72_metabelian"] = (T, validate(T), family_pattern("e", P, Q, N + 40))
     Lq, patq = nottingham_Nqr(Q, Q, N)
     out["N77"] = (Lq, validate(Lq), patq)

@@ -57,6 +57,35 @@ def test_verify_distance_only(tmp_path):
     assert not doc["regularity"]["regular"]
 
 
+def _distance_instances(tmp_path, argv):
+    out = tmp_path / "d.json"
+    assert run(["verify", *argv, "--check", "distance", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())["checks"]["distance"]
+    assert doc["ok"]
+    return doc["instances"]
+
+
+def test_distance_window_cut_by_the_built_range_names_what_it_tested(tmp_path):
+    # built to 99, so ad y is tested on L_98 alone of the window L_98..L_101
+    inst = _distance_instances(tmp_path, ["--family", "a", "--q", "7",
+                                          "--N", "97"])
+    assert inst[-1] == {"lemma": "distance", "degree": 97,
+                        "identity": "ad_y vanishes on L_98..L_98",
+                        "status": "pass", "detail": ""}
+    assert inst[-2]["identity"] == "ad_y vanishes on L_92..L_95"
+
+
+def test_distance_window_past_the_built_range_is_skipped(tmp_path):
+    # built to 50, so ad y is built on no degree of the window L_50..L_53
+    inst = _distance_instances(tmp_path, ["--family", "d", "--q", "7",
+                                          "--N", "48"])
+    assert inst[-1] == {"lemma": "distance", "degree": 49,
+                        "identity": "ad_y vanishes on L_50..L_53",
+                        "status": "skip",
+                        "detail": "ad y is built only on L_1..L_49"}
+    assert all(i["status"] == "pass" for i in inst[:-1])
+
+
 def test_detect_matches_golden(tmp_path):
     out = tmp_path / "p.json"
     assert run(["detect", "--family", "nqr", "--q", "7", "--r", "7",

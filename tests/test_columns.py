@@ -15,9 +15,10 @@ import tracemalloc
 
 import pytest
 
-from helpers import (P, Q, corrupt_ad, corrupt_ad_x, forbidden_continuations,
-                     jacobi_sum, memo_pair_witnesses)
-from thinlie.engine import PAIR_CHECKS, _defining, validate
+from helpers import (PAIR_CHECKS, P, Q, corrupt_ad, corrupt_ad_x,
+                     failure_degrees, forbidden_continuations, jacobi_sum,
+                     memo_pair_witnesses)
+from thinlie.engine import _defining, validate
 from thinlie.patterns import compile_pattern, family_pattern
 
 UNCAPPED = 10 ** 9
@@ -94,7 +95,7 @@ def assert_witnesses_match_memo(L):
     rep = validate(L, checks=("bidegree",), max_witnesses=UNCAPPED)
     degs = sorted(L.elements[a].degree + L.elements[b].degree
                   for a, b, _ in want["bidegree"])
-    assert rep.failure_degrees(L)[:1] == degs[:1]
+    assert failure_degrees(rep, L)[:1] == degs[:1]
     return want
 
 

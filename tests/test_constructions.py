@@ -4,15 +4,15 @@ import pathlib
 
 import pytest
 
-from helpers import P, Q, backbone_sequence, words
+from helpers import (P, Q, backbone_sequence, extract_centralizer_sequence,
+                     metabelian_sequence, words)
 from thinlie.constructions import (ConstructionError, deflate,
                                    divided_power_product,
                                    generator_derivations, nottingham_Nqr,
                                    tensor_construct)
 from thinlie.engine import validate
 from thinlie.gf import vec_add, vec_scale
-from thinlie.maxclass import (build_maxclass, extract_centralizer_sequence,
-                              metabelian_sequence)
+from thinlie.maxclass import build_maxclass
 from thinlie.patterns import (classify_regularity, compile_pattern, detect,
                               family_pattern)
 
@@ -88,58 +88,57 @@ def test_derivation_leibniz(q):
 
 @pytest.fixture(scope="module")
 def t72_metabelian():
-    M = build_maxclass(metabelian_sequence(P, 40), 30)
-    return tensor_construct(M, Q, 100)
+    """(algebra, ambient, maximal-class input) of the tensor construction
+    over the metabelian algebra."""
+    Ma = build_maxclass(metabelian_sequence(P, 40), 30)
+    return (*tensor_construct(Ma, Q, 100), Ma)
 
 
 def test_tensor_v1_ambient(t72_metabelian):
-    tc = t72_metabelian
-    L, Ma = tc.algebra, tc.maxclass.algebra
+    L, ambient, Ma = t72_metabelian
     gid_v1 = L.gid(Q - 1, 0)
     assert words(L)[gid_v1] == "y" + "x" * (Q - 2)
-    assert tc.ambient[gid_v1] == {("e", Ma.gid(1, 0), 0): 1,
-                                  ("e", Ma.gid(1, 1), 1): 1}
+    assert ambient[gid_v1] == {("e", Ma.gid(1, 0), 0): 1,
+                               ("e", Ma.gid(1, 1), 1): 1}
 
 
 def test_tensor_v1y_coefficient(t72_metabelian):
-    tc = t72_metabelian
-    L, Ma = tc.algebra, tc.maxclass.algebra
+    L, ambient, Ma = t72_metabelian
     (leg,) = [g for g in L.comp_gids[Q]
               if L.elements[g].letter == "y"]
-    assert tc.ambient[leg] == {("e", Ma.gid(2, 0), Q - 1): (-2) % P}
+    assert ambient[leg] == {("e", Ma.gid(2, 0), Q - 1): (-2) % P}
 
 
 def test_tensor_detects_as_all_infinite(t72_metabelian):
-    tc = t72_metabelian
-    assert validate(tc.algebra).ok
-    pat, rep = detect(tc.algebra)
+    L, _, _ = t72_metabelian
+    assert validate(L).ok
+    pat, rep = detect(L)
     assert rep.ok
     want = family_pattern("e", P, Q, 100)
     assert pat.entries == want.truncate(100).entries
-    assert classify_regularity(tc.algebra).regular
+    assert classify_regularity(L).regular
 
 
 def test_tensor_matches_sequence_pattern():
     seq = backbone_sequence(30)
     M = build_maxclass(seq, 26)
-    tc = tensor_construct(M, Q, 140)
-    assert validate(tc.algebra).ok
-    pat, _ = detect(tc.algebra)
+    L, _ = tensor_construct(M, Q, 140)
+    assert validate(L).ok
+    pat, _ = detect(L)
     want = family_pattern("tq2", P, Q, 140,
                           sequence=extract_centralizer_sequence(M))
     assert pat.entries == want.truncate(140).entries
     assert [d for d, t in pat.entries if not t.genuine] == [85, 128]
-    assert not classify_regularity(tc.algebra).regular
+    assert not classify_regularity(L).regular
 
 
 def test_tensor_bidegrees_match_ambient():
     # ambient bidegrees (X at (q-2,1), Y at (q-1,1), eps^(1) at (-1,0), the
     # derivation generator at (1,0)) agree with the engine word bidegrees
-    M = build_maxclass(metabelian_sequence(P, 30), 25)
-    tc = tensor_construct(M, Q, 60)
-    L, Ma = tc.algebra, tc.maxclass.algebra
+    Ma = build_maxclass(metabelian_sequence(P, 30), 25)
+    L, ambient = tensor_construct(Ma, Q, 60)
     for e in L.elements:
-        amb = tc.ambient[e.gid]
+        amb = ambient[e.gid]
         bids = set()
         for key in amb:
             if key == ("d",):
@@ -156,7 +155,7 @@ def test_tensor_equals_compiled_structure():
     # arithmetic vs the local diamond relation rules; the structure
     # constants must agree entry for entry
     M = build_maxclass(metabelian_sequence(P, 40), 30)
-    A = tensor_construct(M, Q, 100).algebra
+    A, _ = tensor_construct(M, Q, 100)
     B, _ = compile_pattern(family_pattern("e", P, Q, 140), 100,
                            run_validation=False)
     assert words(A) == words(B)
@@ -168,7 +167,7 @@ def test_tensor_equals_compiled_structure():
 def test_tensor_backbone_equals_compiled_structure():
     from thinlie.patterns import uniqueness_sequence
     M = build_maxclass(uniqueness_sequence(P, 1, 40), 32)
-    A = tensor_construct(M, Q, 150).algebra
+    A, _ = tensor_construct(M, Q, 150)
     B, _ = compile_pattern(family_pattern("uniqueness", P, Q, 200, s=1), 150,
                            run_validation=False)
     assert words(A) == words(B)
@@ -349,9 +348,9 @@ def test_lazy_derivations_match_eager_maps(p, q, n):
 
 def test_tensor_q49():
     M = build_maxclass(metabelian_sequence(P, 12), 8)
-    tc = tensor_construct(M, 49, 150)
-    assert validate(tc.algebra).ok
-    pat, _ = detect(tc.algebra)
+    L, _ = tensor_construct(M, 49, 150)
+    assert validate(L).ok
+    pat, _ = detect(L)
     want = family_pattern("e", P, 49, 150)
     assert pat.entries == want.truncate(150).entries
 

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (P, Q, centralizer_in_L1, coclass_excess, corrupt_ad_x,
-                     oracle_bracket, words)
+                     dims, metabelian_sequence, oracle_bracket, words)
 from thinlie.engine import (AlgebraBuilder, BasisElement, DegreeOverflowError,
                             GradedAlgebra, OperatorFamily, validate)
 from thinlie.gf import (PrimeField, echelon_add, lucas_binom, vec_is_zero,
                         vec_scale)
-from thinlie.maxclass import build_maxclass, metabelian_sequence
+from thinlie.maxclass import build_maxclass
 from thinlie.patterns import compile_pattern, family_pattern
 
 
@@ -179,7 +179,7 @@ def test_support(n7):
 
 
 def test_dims(n7):
-    d = n7.dims()
+    d = dims(n7)
     assert d[0] == 2
     assert all(d[k - 1] == (2 if k % 6 == 1 else 1) for k in range(2, 61))
 
@@ -204,7 +204,7 @@ def test_coclass_excess(n7):
     L1, _ = compile_pattern(patL1, 60, run_validation=False)
     assert coclass_excess(L1) == 2
     M = build_maxclass(metabelian_sequence(P, 70), 60)
-    assert coclass_excess(M.algebra) == 1
+    assert coclass_excess(M) == 1
 
 
 def test_degree_overflow_raises(n7):

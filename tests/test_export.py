@@ -8,12 +8,12 @@ import json
 
 import pytest
 
-from helpers import P, Q, backbone_sequence
+from helpers import P, Q, backbone_sequence, metabelian_sequence
 from thinlie.cli import main
 from thinlie.constructions import (ConstructionError, deflate, nottingham_Nqr,
                                    tensor_construct)
 from thinlie.engine import validate
-from thinlie.maxclass import SequenceError, build_maxclass, metabelian_sequence
+from thinlie.maxclass import SequenceError, build_maxclass
 from thinlie.patterns import PatternError, compile_pattern, family_pattern
 
 CORPUS = ("a", "b", "c", "d", "e", "L1q", "L0q", "uniqueness",
@@ -49,7 +49,7 @@ def test_corpus_algebra(corpus, name):
 
 def test_tensor_construction():
     M = build_maxclass(backbone_sequence(60), 40)
-    assert_written_as_dumps(tensor_construct(M, Q, 120).algebra)
+    assert_written_as_dumps(tensor_construct(M, Q, 120)[0])
 
 
 def test_nqr_algebra():
@@ -58,7 +58,7 @@ def test_nqr_algebra():
 
 
 def test_maxclass_algebra_writes_null_q():
-    L = build_maxclass(metabelian_sequence(P, 40), 30).algebra
+    L = build_maxclass(metabelian_sequence(P, 40), 30)
     assert L.q is None
     assert_written_as_dumps(L)
     buf = io.StringIO()
@@ -69,9 +69,9 @@ def test_maxclass_algebra_writes_null_q():
 def test_smallest_N_of_each_builder():
     seq = metabelian_sequence(P, 60)
     M = smallest(lambda N: build_maxclass(seq, N))
-    assert M.algebra.N == 1
+    assert M.N == 1
     buf = io.StringIO()
-    M.algebra.write_structure_json(buf)
+    M.write_structure_json(buf)
     assert '"ad_x": [],' in buf.getvalue()
     assert '"brackets": [],' in buf.getvalue()
     M30 = build_maxclass(seq, 30)
@@ -80,11 +80,11 @@ def test_smallest_N_of_each_builder():
     builders = [
         lambda N: compile_pattern(family_pattern("a", P, Q, N + 20), N,
                                   run_validation=False)[0],
-        lambda N: tensor_construct(M30, Q, N).algebra,
+        lambda N: tensor_construct(M30, Q, N)[0],
         lambda N: nottingham_Nqr(Q, Q, N)[0],
         lambda N: deflate(source, N),
     ]
-    assert_written_as_dumps(M.algebra)
+    assert_written_as_dumps(M)
     for build in builders:
         assert_written_as_dumps(smallest(build))
 

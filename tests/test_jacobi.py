@@ -2,10 +2,11 @@
 
 import pytest
 
-from helpers import P, corrupt_ad_x, forbidden_continuations, jacobi_triples
+from helpers import (PAIR_CHECKS, WITNESS_GIDS, P, corrupt_ad_x,
+                     failure_degrees, forbidden_continuations, jacobi_triples)
 from thinlie import engine
 from thinlie.engine import (CHECKS, MAXCLASS_CHECKS, NOTTINGHAM_CHECKS,
-                            PAIR_CHECKS, validate)
+                            validate)
 from thinlie.patterns import compile_pattern, family_pattern
 
 UNCAPPED = 10 ** 9
@@ -21,7 +22,7 @@ FAILURE_DEGREES = {"finite_at_92": [93, 94, 95, 104, 108, 110],
 def _verdicts(L):
     """(ok, first failing total degree) of jacobi and of the triple oracle."""
     rep = validate(L, checks=("jacobi",), max_witnesses=UNCAPPED)
-    degs = rep.failure_degrees(L)
+    degs = failure_degrees(rep, L)
     triples = jacobi_triples(L, L.N)
     first = min((sum(L.elements[g].degree for g in w) for w in triples),
                 default=None)
@@ -73,13 +74,16 @@ def test_default_suites_pair_jacobi_with_antisymmetry():
 
 
 def test_registry_holds_every_check_once():
-    # validate, _pair_checks and failure_degrees read their names off CHECKS
+    # validate and _pair_checks read their names off CHECKS, two fields an
+    # entry; the tests' WITNESS_GIDS names only checks in it
     suites = set(NOTTINGHAM_CHECKS) | set(MAXCLASS_CHECKS)
     assert suites == set(CHECKS)
     assert "jacobi_triples" not in CHECKS
-    assert PAIR_CHECKS == tuple(name for name, (_, in_sweep, _)
+    assert all(len(entry) == 2 for entry in CHECKS.values())
+    assert PAIR_CHECKS == tuple(name for name, (_, in_sweep)
                                 in CHECKS.items() if in_sweep)
     assert PAIR_CHECKS == ("antisymmetry", "jacobi")
+    assert set(WITNESS_GIDS) <= set(CHECKS)
 
 
 def test_unknown_check_raises_before_any_check_runs(monkeypatch):
@@ -89,7 +93,7 @@ def test_unknown_check_raises_before_any_check_runs(monkeypatch):
     def ran(*args):
         raise AssertionError("a check ran")
 
-    monkeypatch.setitem(CHECKS, "words", (ran, False, 0))
+    monkeypatch.setitem(CHECKS, "words", (ran, False))
     with pytest.raises(ValueError, match="'nope'"):
         engine.validate(L, checks=("words", "nope"))
 
@@ -98,4 +102,4 @@ def test_unknown_check_raises_before_any_check_runs(monkeypatch):
                          ids=[name for name, _, _ in FORBIDDEN])
 def test_failure_degrees_on_forbidden(name, pattern, N):
     L, _ = compile_pattern(pattern, N, run_validation=False)
-    assert validate(L).failure_degrees(L) == FAILURE_DEGREES[name]
+    assert failure_degrees(validate(L), L) == FAILURE_DEGREES[name]

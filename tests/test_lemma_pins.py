@@ -39,7 +39,7 @@ PINNED = {
     "uniqueness": "ba5d3e6f2e05b60f61787b9096101323115b0ba6e685a58d329acd20a01e2c1b",
     "T72_metabelian": "5bf4bd509d368a4c705630bd7de0e3c6b06aba491b9bf709c35858c37db90cb1",
     "N77": "5624a0b766cef405d31fa6af6455721fad57c2632bdf2146102e52988b216979",
-    "finite_at_92": "98abdfeb32b0f1888d19285cb069505dbaa5f7bcc26a3682b8ba5b6ec7d3c055",
+    "finite_at_92": "468dcd159b32aaf5bba39f144585ed691dca55cab515339327ac3cb8dc452abd",
     "no_fake_at_128": "5037a9ac29504427357086cc5e8cf5784d12ae4d6ba1e52a33d71e32cc08b359",
     "b/q7": "1358124a3b95c52d8d1b0ac5fc96d4e1ed119c5564e3ae2ac7a434f76480e26e",
     "c/q7": "29bb83875d83025c31ed6340b6cd63d2ed58b6a661d19994bc9fd0bdefd97032",
@@ -53,12 +53,12 @@ PINNED = {
     "c/q25": "8ae963c2e19637bb19cfa9a6f9ef399e9a520f5769dbf7fca6c0a7bf72601125",
     "d/q25": "4e5b63e108bc21af118f8f29220d9f599b89e5914c9c0f02e2d024436baba086",
     "L0q/q25": "62702146df2f0426daec6152be0809a18ffb97d36554390df3a274509a593127",
-    "b/N39": "9a65ffaf451fd7e61284ff9657e91c7f9f08eeb5e21b936414b168e4c1285600",
-    "d/N48": "53e9dfe2b412fe9ad59dd9727dd5b6c4ba11a68904b3dc9b7f925e18bafd2937",
+    "b/N39": "cdb8077e42cd4889418b03e185830cfdf565e187abcabdbb23acf96a70526b83",
+    "d/N48": "21d8c226f82073845542a4b834d7d3a37490f5b10d6ce8fa44b6fe2fb6df0a56",
     "d/N54": "a43df7c2adc3806f05789fe415b0057aa50970659e838c2e55502ebf93de2ada",
-    "L1q/N30": "9f1e126cd8a7de11f64d773d4a7e16fa21eecff5dba2e2fc5cc6dcaf231e6af0",
+    "L1q/N30": "0370d4ebc9e6ed6b54e5f852d8798d9be52ee68ddd51312cef3c36fda69fcf09",
     "uniqueness/N30": "dc40fbe12e05036904d7fafaedb68299130aaf875a88da1ea4aafbcb9ca9a0f9",
-    "uniqueness/N94": "5eb7827963214163e17f4e8182fb22563609af27b3962f237cb8d652617e5c98",
+    "uniqueness/N94": "d3e5175293e9eef598a7f06a001e712d9af2dc3b39526f7b43854893eeb75ca8",
 }
 
 

@@ -1,11 +1,11 @@
 import pytest
 
-from helpers import P, backbone_sequence, coclass_excess
+from helpers import (P, backbone_sequence, coclass_excess, dims,
+                     extract_centralizer_sequence, metabelian_sequence,
+                     x_positions)
 from thinlie.gf import vec_is_zero
 from thinlie.maxclass import (CentralizerSequence, SequenceError,
-                              UnrealizableSequenceError, build_maxclass,
-                              extract_centralizer_sequence,
-                              metabelian_sequence)
+                              UnrealizableSequenceError, build_maxclass)
 
 
 def test_sequence_validation():
@@ -21,31 +21,30 @@ def test_sequence_validation():
 def test_sequence_json_roundtrip():
     seq = backbone_sequence(40)
     doc = seq.to_json()
-    assert doc["entries"].count("X") == len(seq.x_positions())
+    assert doc["entries"].count("X") == len(x_positions(seq))
     assert CentralizerSequence.from_json(doc) == seq
 
 
 def test_metabelian_structure():
-    M = build_maxclass(metabelian_sequence(P, 45), 40)
-    L = M.algebra
-    assert L.dims() == [2] + [1] * 39
+    L = build_maxclass(metabelian_sequence(P, 45), 40)
+    assert dims(L) == [2] + [1] * 39
     # the span of the U_i is an abelian ideal
     for e1 in L.elements:
         for e2 in L.elements:
             if e1.degree >= 2 and e2.degree >= 2 and \
                e1.degree + e2.degree <= L.N_built:
                 assert vec_is_zero(L.bracket_basis(e1.gid, e2.gid))
-    assert extract_centralizer_sequence(M).entries == ["Y"] * (L.N_built - 2)
+    assert extract_centralizer_sequence(L).entries == ["Y"] * (L.N_built - 2)
     assert coclass_excess(L) == 1
 
 
 def test_backbone_builds_and_roundtrips():
     seq = backbone_sequence(45)
-    M = build_maxclass(seq, 40)
-    assert extract_centralizer_sequence(M) == seq.prefix(40)
-    assert seq.x_positions()[:4] == [14, 21, 28, 35]
+    L = build_maxclass(seq, 40)
+    assert extract_centralizer_sequence(L) == \
+        CentralizerSequence(P, seq.entries[:40])
+    assert x_positions(seq)[:4] == [14, 21, 28, 35]
     # the two-step centralizer alternates exactly at the X positions
-    L = M.algebra
     for i in range(2, 38):
         u = L.as_element(L.gid(i, 0))
         kx = vec_is_zero(L.apply_letter(u, "x")[1])
@@ -59,8 +58,8 @@ def test_branch_sequence_builds():
     ent = ["Y"] * 78
     for j in xpos:
         ent[j - 2] = "X"
-    M = build_maxclass(CentralizerSequence(P, ent), 74)
-    assert extract_centralizer_sequence(M).x_positions() == xpos
+    L = build_maxclass(CentralizerSequence(P, ent), 74)
+    assert x_positions(extract_centralizer_sequence(L)) == xpos
     # the same positions with the branch taken too early are rejected
     bad = ["Y"] * 50
     for j in (14, 21, 34):
@@ -86,8 +85,7 @@ def test_sequence_too_short():
 
 def test_maxclass_covering_matrix_fact():
     # M_{i+1} = [M_i M_1] holds with dim 1 at every step
-    M = build_maxclass(backbone_sequence(40), 35)
-    L = M.algebra
+    L = build_maxclass(backbone_sequence(40), 35)
     for i in range(2, 35):
         u = L.as_element(L.gid(i, 0))
         images = [L.apply_letter(u, t)[1] for t in "xy"]
