@@ -10,6 +10,7 @@ from .gf import PrimeField, echelon_add, lucas_binom, solve_or_kernel
 from .patterns import (ConstructionError, char_of_q, check_p, check_q,
                        compile_pattern, deflation_steps, detect,
                        family_pattern)
+from .window import fill
 
 
 # -- divided power algebra -----------------------------------------------------
@@ -243,7 +244,9 @@ def deflate(L: GradedAlgebra, N_out: int) -> GradedAlgebra:
 
     q_out = _closure_second_diamond(basis1, p, n_built)
     xop, yop = _standard_generators(basis1, p, q_out)
-
+    # the growth reads both on degree 1 + p k for every k < n_built; filled
+    # together, they share one bracket window
+    fill([xop, yop], 1 + p * (n_built - 1))
     Ld, _ = engine_from_abstract(
         L.field, q_out, n_built, N_out, xop, yop, OperatorFamily.op_bracket,
         OperatorFamily.coords)

@@ -13,9 +13,10 @@ recursion U_{j+1} = [U_j X].
 from __future__ import annotations
 
 from .engine import GradedAlgebra, OperatorFamily
-from .gf import vec_add, vec_is_zero, vec_scale
+from .gf import mat_apply_rows, vec_add, vec_is_zero, vec_scale
 from .maxclass import CentralizerSequence, build_maxclass
 from .patterns import DiamondPattern, detect
+from .window import bracket_window, fill
 
 
 class ExtractionError(Exception):
@@ -134,10 +135,15 @@ def extract_M(L: GradedAlgebra, D: OperatorFamily):
     U_{j+1} = [U_j X] if [U_j Y] = 0 else [U_j Y], reading off the two-step
     centralizer sequence while L's built range allows.  Returns
     (GradedAlgebra, CentralizerSequence): the maximal-class algebra of the
-    sequence, to degree len(sequence) - 1, and the sequence."""
+    sequence, to degree len(sequence) - 1, and the sequence.  [U_j Y] is
+    read off a bracket window of L_q at deg U_j, so the bracket_basis memo
+    is not filled."""
     p, q = L.p, L.q
     Y = L.eval_word("y" + "x" * (q - 1))
     U = Y
+    # the recursion reads D on every degree the loop below reaches: one
+    # fill opens one bracket window, where a fill per U_j opens one each
+    fill([D], L.N_built - max(q, D.shift))
     entries = []
     j = 1
     while True:
@@ -146,7 +152,9 @@ def extract_M(L: GradedAlgebra, D: OperatorFamily):
         can_x = degU + D.shift <= L.N_built
         if not (can_y and can_x):
             break
-        uy = L.bracket(U, Y)
+        (brackets,) = bracket_window(L, q, degU, degU)
+        uy = (degU + q, mat_apply_rows(
+            [mat_apply_rows(b, Y[1], p) for b in brackets], U[1], p))
         ux = D.apply(U)
         ky, kx = vec_is_zero(uy[1]), vec_is_zero(ux[1])
         if ky == kx:

@@ -16,18 +16,22 @@ integers and reduces mod p once per value, and a bracket with a generator
 is its ad row.  _mirror_basis (behind bracket_mirror) recurses on the
 first argument instead; it is the tests' oracle (see validate).
 
-Bracket values come two ways.  bracket_basis memoizes each value it
+Bracket values come three ways.  bracket_basis memoizes each value it
 computes and serves the callers that need a few pairs: bracket, the lemma
-suite, derivations and the constructions.  The O(N^2) values for all pairs,
+suite, generator_derivations, tensor_construct, and verify_leibniz and
+to_structure_json, which no job runs.  The O(N^2) values for all pairs,
 which validate's pair checks and the structure export read, come from one
 sweep of bracket columns in ascending degree (bracket_columns,
-bracket_rows): column c = [a, t] is built from column a alone, so the
-sweep keeps two degrees of columns, O(N) values, and leaves the memo
-empty.
+bracket_rows): column c = [a, t] is built from column a alone (column),
+so the sweep keeps two degrees of columns, O(N) values.  The brackets of
+every element with a fixed w of small degree m, which a derivation's fill
+and the extraction read, come off a window of the same columns that
+slides up the degrees (window.bracket_window): O(m^2) values.  Neither
+fills the memo.
 
 A GradedAlgebra is immutable after construction.  Concurrent readers are
-safe; the bracket memo table is a plain dict (GIL-guarded), and a sweep
-holds its columns in its own generator.
+safe; the bracket memo table is a plain dict (GIL-guarded), and a sweep or
+a window holds its columns in its own generator.
 
 An OperatorFamily is a graded linear map on such an algebra, one matrix per
 degree.  It is the derivation type: ad z for z in L_1, the outer derivation
@@ -336,6 +340,28 @@ class GradedAlgebra:
         at index g - comp_gids[d][0], for every g with deg g >= d and
         deg g + d <= bound, in ascending gid.
 
+        Each column is built by column from its parent's, which holds
+        every partner degree it reads (up to bound - d + 1).  So a
+        layer is built from the layer before it alone, and the sweep keeps
+        only those two: O(N) values where the bracket_basis memo keeps
+        O(N^2).
+        """
+        if bound > self.N_built:
+            raise DegreeOverflowError(bound, self.N_built)
+        comp, layer = self.comp_gids, None
+        for d in range(1, bound // 2 + 1):
+            off = comp[d - 1][0] if layer else 0
+            layer = [self.column(c, layer, off, d, bound - d)
+                     for c in comp[d]]
+            yield layer
+
+    def column(self, c, below, off, lo, hi):
+        """The entries of the column of c at its partners g of degrees lo
+        to hi, lo >= deg c, in ascending gid: bracket_basis(g, c).  below
+        is the list of columns of L_{deg c - 1}, in basis order, each
+        holding its entry at h at index h - off for every h of degree lo to
+        hi + 1 (unused when deg c = 1).
+
         These are bracket_basis's own values, computed in another order.
         A degree-1 column is c's ad rows.  For c = [a, t], the entry at g
         is bracket_basis's recursion
@@ -346,44 +372,28 @@ class GradedAlgebra:
         row against the [e_h, a] over the e_h of degree deg g + 1, summed
         as integers and reduced mod p once.  As deg g >= deg c > deg a,
         each of [g, a] and [e_h, a] is bracket_basis's recursion on a, so
-        it is an entry of column a, which holds every partner degree the
-        recursion reads (up to bound - d + 1).  So a layer is built from
-        the layer before it alone, and the sweep keeps only those two:
-        O(N) values where the bracket_basis memo keeps O(N^2).
+        it is an entry of column a.
         """
-        if bound > self.N_built:
-            raise DegreeOverflowError(bound, self.N_built)
-        comp, elements, ad, p = self.comp_gids, self.elements, self.ad, self.p
-        prev = None
-        for d in range(1, bound // 2 + 1):
-            top = bound - d         # the highest partner degree
-            layer = []
-            for c in comp[d]:
-                ec = elements[c]
-                ad_t = ad[ec.letter]
-                if d == 1:
-                    layer.append([r for k in range(1, top + 1)
-                                  for r in ad_t[k]])
-                    continue
-                pa, off = prev[elements[ec.parent_gid].index], comp[d - 1][0]
-                col = []
-                for k in range(d, top + 1):
-                    rows_t, up = ad_t[k + d - 1], comp[k + 1]
-                    n = len(comp[k + d])
-                    for g, tg in zip(comp[k], ad_t[k]):
-                        acc = [0] * n
-                        for cf, row in zip(pa[g - off], rows_t):
-                            if cf:
-                                for s, r in enumerate(row):
-                                    acc[s] += cf * r
-                        for cf, h in zip(tg, up):
-                            if cf:
-                                for s, r in enumerate(pa[h - off]):
-                                    acc[s] -= cf * r
-                        col.append(tuple([v % p for v in acc]))
-                layer.append(col)
-            yield layer
-            prev = layer
+        ec, comp, p = self.elements[c], self.comp_gids, self.p
+        ad_t, d = self.ad[ec.letter], ec.degree
+        if d == 1:
+            return [r for k in range(lo, hi + 1) for r in ad_t[k]]
+        pa, col = below[self.elements[ec.parent_gid].index], []
+        for k in range(lo, hi + 1):
+            rows_t, up = ad_t[k + d - 1], comp[k + 1]
+            n = len(comp[k + d])
+            for g, tg in zip(comp[k], ad_t[k]):
+                acc = [0] * n
+                for cf, row in zip(pa[g - off], rows_t):
+                    if cf:
+                        for s, r in enumerate(row):
+                            acc[s] += cf * r
+                for cf, h in zip(tg, up):
+                    if cf:
+                        for s, r in enumerate(pa[h - off]):
+                            acc[s] -= cf * r
+                col.append(tuple([v % p for v in acc]))
+        return col
 
     def bracket_rows(self, bound: int):
         """Yield (gi, row) in ascending gid for every gi with
@@ -515,9 +525,11 @@ class OperatorFamily:
     vector in L_{k+shift}.  The stored degrees are always 1..m for some m,
     and maps[1] holds the images of x and y.  A degree past m is filled on
     demand by the derivation recursion D[a, t] = [D a, t] + [a, D t] along
-    defining words, so a derivation can be given by maps[1] alone.  `then`
-    fills every degree its result is defined on, so a composition, which
-    is in general no derivation, is never extended by that recursion.
+    defining words (window.fill), so a derivation can be given by maps[1]
+    alone; the [a, D t] come off a bracket window, not the bracket_basis
+    memo.  `then` fills every degree its result is defined on, so a
+    composition, which is in general no derivation, is never extended by
+    that recursion.
 
     The operators deflation works with are derivations: ad u for u in L;
     (ad z)^p in characteristic p, by Leibniz's rule, because
@@ -535,26 +547,11 @@ class OperatorFamily:
         self.maps = dict(maps)
 
     def _rows(self, k: int):
-        """The matrix on degree k, filled by the derivation recursion from
-        the highest stored degree up."""
-        L = self.algebra
-        if not 1 <= k <= L.N_built - self.shift:
-            raise DegreeOverflowError(k + self.shift, L.N_built)
-        maps = self.maps
-        if k in maps:
-            return maps[k]
-        gen = {L.elements[g].letter: (1 + self.shift, row)
-               for g, row in zip(L.comp_gids[1], maps[1], strict=True)}
-        for j in range(len(maps) + 1, k + 1):
-            rows = []
-            for e in L.basis(j):
-                a = L.elements[e.parent_gid]
-                da = L.apply_letter((j - 1 + self.shift, maps[j - 1][a.index]),
-                                    e.letter)[1]
-                at = L.bracket(L.as_element(a.gid), gen[e.letter])[1]
-                rows.append(vec_add(da, at, L.p))
-            maps[j] = tuple(rows)
-        return maps[k]
+        """The matrix on degree k, filled on demand (window.fill)."""
+        if k not in self.maps:
+            from .window import fill
+            fill([self], k)
+        return self.maps[k]
 
     def apply(self, elem):
         k, v = elem
@@ -668,9 +665,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c.ok]
 
     def summary(self) -> str:
         lines = []

@@ -69,9 +69,12 @@ class CentralizerSequence:
     def from_json(doc: dict) -> "CentralizerSequence":
         try:
             p, entries = doc["p"], doc["entries"]
-        except (KeyError, TypeError) as e:
+        except KeyError as e:
             raise SequenceError(f"malformed sequence document: missing or "
                                 f"misplaced field {e}") from None
+        except TypeError:
+            raise SequenceError("malformed sequence document: expected an "
+                                "object with fields p and entries") from None
         if not is_field_char(p):
             raise SequenceError(f"p must be a prime > 3, got {p!r}")
         if not isinstance(entries, str):

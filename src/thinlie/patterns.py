@@ -133,9 +133,14 @@ class DiamondPattern:
         try:
             p, q = doc["p"], doc["q"]
             raw = [(e["degree"], e["type"]) for e in doc["entries"]]
-        except (KeyError, TypeError) as e:
+        except KeyError as e:
             raise PatternError(f"malformed pattern document: missing or "
                                f"misplaced field {e}") from None
+        except TypeError:
+            raise PatternError("malformed pattern document: expected an "
+                               "object with fields p, q and entries, a list "
+                               "of objects with fields degree and type") \
+                from None
         check_p(p)
         if not all(isinstance(v, int) for v in (q, *(d for d, _ in raw))):
             raise PatternError("pattern q and entry degrees must be integers")
@@ -487,6 +492,9 @@ def family_pattern(family: str, p: int, q: int, N: int, **params) -> DiamondPatt
         raw += [(m, DiamondType.fake0()) for m in range(2 * q - 1, N + 1, q)]
     elif family == "tq2":
         seq: CentralizerSequence = need("sequence")
+        if seq.p != p:
+            raise PatternError(f"family 'tq2' needs a sequence over p = {p}, "
+                               f"got one over p = {seq.p}")
         raw = [(q, DiamondType.finite(-1, p))]
         deg = q
         i = 2
@@ -522,9 +530,13 @@ def family_pattern_from_json(doc: dict, N: int | None = None) -> DiamondPattern:
         params = doc.get("params", {})
         if N is None:
             N = doc["N"]
-    except (KeyError, TypeError) as e:
+    except KeyError as e:
         raise PatternError(f"malformed family spec: missing or misplaced "
                            f"field {e}") from None
+    except TypeError:
+        raise PatternError("malformed family spec: expected an object with "
+                           "fields family, p, q and N, and optionally "
+                           "params") from None
     if not isinstance(params, dict):
         raise PatternError("family spec field 'params' must be an object")
     unknown = sorted(set(params) - FAMILY_PARAMS, key=str)
@@ -571,9 +583,6 @@ class LemmaReport:
     @property
     def ok(self) -> bool:
         return all(i.status != "fail" for i in self.instances)
-
-    def failures(self):
-        return [i for i in self.instances if i.status == "fail"]
 
     def to_json(self) -> dict:
         return {

@@ -5,7 +5,8 @@ that only the tests use."""
 
 from __future__ import annotations
 
-from thinlie.engine import CHECKS, DegreeOverflowError, GradedAlgebra, validate
+from thinlie.engine import (CHECKS, DegreeOverflowError, GradedAlgebra,
+                            ValidationReport, validate)
 from thinlie.gf import (lucas_binom, mat_apply_rows, solve_or_kernel,
                         vec_add, vec_is_zero, vec_neg, vec_scale, vec_sub,
                         vec_zero)
@@ -32,11 +33,19 @@ def failure_degrees(report, L) -> list:
     generator (gid_a, gid_b, gid_s) for jacobi, whose degree is
     deg a + deg b + 1.  Only as many witnesses as validate kept are read."""
     degs = set()
-    for c in report.failures():
+    for c in failures(report):
         n = WITNESS_GIDS.get(c.name, 0)
         degs.update(sum(L.elements[g].degree for g in w[:n])
                     for w in c.witnesses if n)
     return sorted(degs)
+
+
+def failures(report) -> list:
+    """The failing checks of a ValidationReport, or the failing instances
+    of a LemmaReport."""
+    if isinstance(report, ValidationReport):
+        return [c for c in report.checks if not c.ok]
+    return [i for i in report.instances if i.status == "fail"]
 
 
 def lemma_count(report, lemma=None, status="pass") -> int:

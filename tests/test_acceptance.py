@@ -8,8 +8,8 @@ to see them.
 
 import random
 
-from helpers import (P, Q, coclass_excess, failure_degrees, lemma_count,
-                     metabelian_sequence, random_tq2_pattern)
+from helpers import (P, Q, coclass_excess, failure_degrees, failures,
+                     lemma_count, metabelian_sequence, random_tq2_pattern)
 from thinlie.constructions import deflate, tensor_construct
 from thinlie.derivations import build_D, roundtrip_check, verify_leibniz
 from thinlie.engine import validate
@@ -34,7 +34,7 @@ def test_criterion_1_axiom_suite(corpus):
         L, rep, _ = corpus[name]
         assert L.N >= (200 if name == "uniqueness" else 100)
         if not rep.ok:
-            bad.append((name, [c.name for c in rep.failures()]))
+            bad.append((name, [c.name for c in failures(rep)]))
     _report(1, not bad,
             "axiom suite (thinness, covering, antisymmetry, Jacobi, "
             f"(ad y)^2, (ad x)^q) on {len(CORPUS_ORDER)} corpus algebras"
@@ -200,7 +200,7 @@ def test_criterion_9_lemma_suite(corpus):
             counts[k] += lemma_count(rep, k)
         if not rep.ok:
             ok = False
-            fails.append((name, [vars(i) for i in rep.failures()[:2]]))
+            fails.append((name, [vars(i) for i in failures(rep)[:2]]))
     nonvacuous = all(v > 0 for v in counts.values())
     _report(9, ok and nonvacuous,
             f"computed-identity suite exact at every matching context: "

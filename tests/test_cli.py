@@ -301,6 +301,10 @@ def test_input_side_errors_are_bad_spec(tmp_path, capsys):
                           "params": {"r": "7"}},
         "q_param.json": {"family": "a", "p": 7, "q": 7, "N": 30,
                          "params": {"q": 7}},
+        "array.json": [{"degree": 7, "type": "finite:6"}],
+        "seq_string.json": {"family": "tq2", "p": 7, "q": 7, "N": 30,
+                            "params": {"sequence": "Y" * 80}},
+        "met5.json": {"p": 5, "entries": "Y" * 80},
     }
     missing, here = str(tmp_path / "missing" / "x.json"), str(tmp_path)
     for name, doc in docs.items():
@@ -349,6 +353,18 @@ def test_input_side_errors_are_bad_spec(tmp_path, capsys):
              "unknown family parameter 'q'"),
             (["export", "--family", "c", "--q", "7", "--s", "-1", "--N", "30"],
              "parameter 's' must be at least 1"),
+            # a document of the wrong shape is named by the shape expected
+            (["verify", "--pattern", f["array.json"], "--N", "30"],
+             "malformed pattern document: expected an object with fields p, "
+             "q and entries"),
+            (["detect", "--family-spec", f["seq_string.json"], "--N", "30"],
+             "malformed sequence document: expected an object with fields p "
+             "and entries"),
+            # a tq2 sequence over another prime is refused, as --sequence
+            # refuses a q that is no power of its p
+            (["export", "--family", "tq2", "--q", "7", "--sequence",
+              f["met5.json"], "--N", "30"],
+             "family 'tq2' needs a sequence over p = 7, got one over p = 5"),
             # 0 is a value to check, not a missing flag meaning q = 7; a q
             # with no prime factor is reported as q, not as the p it gives
             (["build", "--family", "a", "--q", "0", "--N", "10"],

@@ -8,7 +8,8 @@ _mirror_basis (helpers.memo_pair_witnesses), capped and uncapped, on the
 corpus and on algebras that fail the checks.  The memo stays empty and
 the memory they take stays O(N).  The triples the Jacobi check skips are
 zero, and the bidegree check on the pairs with a generator agrees with
-the loop over every pair."""
+the loop over every pair.  The bracket window, which derivations fill by
+and the extraction reads, yields bracket_basis values too."""
 
 import functools
 import tracemalloc
@@ -20,6 +21,7 @@ from helpers import (PAIR_CHECKS, P, Q, corrupt_ad, corrupt_ad_x,
                      memo_pair_witnesses)
 from thinlie.engine import _defining, validate
 from thinlie.patterns import compile_pattern, family_pattern
+from thinlie.window import bracket_window
 
 UNCAPPED = 10 ** 9
 FORBIDDEN = forbidden_continuations()
@@ -97,6 +99,30 @@ def assert_witnesses_match_memo(L):
                   for a, b, _ in want["bidegree"])
     assert failure_degrees(rep, L)[:1] == degs[:1]
     return want
+
+
+def assert_window_matches_memo(L):
+    """bracket_window yields bracket_basis(g, c) for each g of every degree
+    it passes and each c of L_m: below m, at m and past it, over more
+    than one block, from degree 1 and from a start past m."""
+    comp = L.comp_gids
+    for m in (2, P + 1, 2 * P + 3):
+        top = L.N_built - m
+        for lo in (1, m + 3):
+            for j, brackets in enumerate(bracket_window(L, m, lo, top), lo):
+                assert brackets == [[L.bracket_basis(g, c) for c in comp[m]]
+                                    for g in comp[j]], (m, lo, j)
+            assert j == top
+
+
+def test_window_matches_memo_on_corpus(corpus):
+    for name, (L, _, _) in corpus.items():
+        assert_window_matches_memo(L)
+
+
+@pytest.mark.parametrize("name", FAILING)
+def test_window_matches_memo_on_failing(name):
+    assert_window_matches_memo(failing(name))
 
 
 def test_sweeps_match_memo_on_corpus(corpus):

@@ -9,12 +9,13 @@ from helpers import (P, Q, backbone_sequence, extract_centralizer_sequence,
 from thinlie.constructions import (ConstructionError, deflate,
                                    divided_power_product,
                                    generator_derivations, nottingham_Nqr,
-                                   tensor_construct)
+                                   nqr_source_degree, tensor_construct)
 from thinlie.engine import validate
 from thinlie.gf import vec_add, vec_scale
 from thinlie.maxclass import build_maxclass
 from thinlie.patterns import (classify_regularity, compile_pattern, detect,
                               family_pattern)
+from thinlie.window import fill
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -344,6 +345,26 @@ def test_lazy_derivations_match_eager_maps(p, q, n):
     eager = a.then(b).add(b.then(a).scale(-1))
     for e in basis_upto(L.N_built - 2 * p):
         assert comm.apply(e) == eager.apply(e), e
+    # filled together through one bracket window, as deflate fills its
+    # generators, they equal the ones filled on demand above
+    together = generator_derivations(L)
+    fill(together, top)
+    for op, ref in zip(together, gens, strict=True):
+        assert [op.maps[k] for k in range(1, top + 1)] == \
+            [ref._rows(k) for k in range(1, top + 1)]
+
+
+def test_deflation_memo_does_not_grow_with_N():
+    # deflation brackets through bracket windows: the source's
+    # bracket_basis memo keeps only the pairs generator_derivations reads
+    sizes = []
+    for n_out in (50, 100):
+        _, _, n_src = nqr_source_degree(Q, Q, n_out)
+        L, _ = compile_pattern(family_pattern("a", P, Q * Q, n_src + Q * Q),
+                               n_src, run_validation=False)
+        deflate(L, n_out)
+        sizes.append(len(L._memo))
+    assert sizes[0] == sizes[1], sizes
 
 
 def test_tensor_q49():

@@ -128,6 +128,25 @@ def test_extract_examples(uniq, D):
         nx = sum(1 for j in x_positions(seq) if j < i)
         got.append(Q + (i - 1) * (Q - 1) + nx)
     assert [d for d in got if d <= uniq.N] == fake_degs
+    # extract_M reads [U_j Y] off a bracket window: the recursion replayed
+    # through the bracket_basis memo gives the same sequence
+    U, kinds = Y, []
+    while U[0] + Q <= uniq.N_built:
+        uy = uniq.bracket(U, Y)
+        kinds.append("Y" if vec_is_zero(uy[1]) else "X")
+        U = D.apply(U) if kinds[-1] == "Y" else uy
+    assert kinds[1:] == seq.entries
+
+
+def test_extraction_memo_does_not_grow_with_N():
+    # neither D's fill nor [U_j Y] fills the bracket_basis memo
+    sizes = []
+    for N in (200, 400):
+        pat = family_pattern("uniqueness", P, Q, N + 60, s=1)
+        L, _ = compile_pattern(pat, N, guard=Q + 2, run_validation=False)
+        extract_M(L, build_D(L))
+        sizes.append(len(L._memo))
+    assert sizes[0] == sizes[1], sizes
 
 
 def test_roundtrip_uniqueness(uniq):

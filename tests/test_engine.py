@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (P, Q, centralizer_in_L1, coclass_excess, corrupt_ad_x,
-                     dims, metabelian_sequence, oracle_bracket, words)
+                     dims, failures, metabelian_sequence, oracle_bracket,
+                     words)
 from thinlie.engine import (AlgebraBuilder, BasisElement, DegreeOverflowError,
                             GradedAlgebra, OperatorFamily, validate)
 from thinlie.gf import (PrimeField, echelon_add, lucas_binom, vec_is_zero,
@@ -143,7 +144,7 @@ def test_validate_passes_on_families(n7, case_e):
 def test_corrupted_ad_matrix_fails_jacobi(n7):
     rep = validate(corrupt_ad_x(n7), checks=("jacobi",))
     assert not rep.ok
-    assert rep.failures()[0].witnesses  # carries a witness triple
+    assert failures(rep)[0].witnesses  # carries a witness triple
 
 
 def test_corrupted_sandwich_and_covering_detected(n7):
@@ -166,7 +167,7 @@ def test_corrupted_sandwich_and_covering_detected(n7):
                           for rows in ad_x],
                          n7.ad["y"], N=n7.N, q=n7.q)
     rep2 = validate(bad2, checks=("covering",))
-    assert not rep2.ok and rep2.failures()[0].witnesses
+    assert not rep2.ok and failures(rep2)[0].witnesses
 
 
 def test_support(n7):

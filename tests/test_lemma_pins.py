@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from helpers import forbidden_continuations
+from helpers import failures, forbidden_continuations
 from thinlie.patterns import compile_pattern, family_pattern, verify_lemma_suite
 
 CORPUS = ("a", "b", "c", "d", "e", "L1q", "L0q", "uniqueness",
@@ -107,7 +107,7 @@ def test_edge_instances_pinned(fam, N):
 
 def test_forbidden_failure_is_the_type1_v2_identity():
     rep = verify_lemma_suite(_forbidden("finite_at_92"))
-    (bad,) = rep.failures()
+    (bad,) = failures(rep)
     assert (bad.lemma, bad.degree, bad.identity) == (
         "lemma_type1", 85, "[vb xy v2] = 0")
     assert bad.detail == "lhs=(98, (0, 4)) rhs=(98, (0, 0))"

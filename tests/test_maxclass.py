@@ -1,8 +1,8 @@
 import pytest
 
 from helpers import (P, backbone_sequence, coclass_excess, dims,
-                     extract_centralizer_sequence, metabelian_sequence,
-                     x_positions)
+                     extract_centralizer_sequence, failures,
+                     metabelian_sequence, x_positions)
 from thinlie.gf import vec_is_zero
 from thinlie.maxclass import (CentralizerSequence, SequenceError,
                               UnrealizableSequenceError, build_maxclass)
@@ -75,7 +75,7 @@ def test_unrealizable_sequences_rejected():
             ent[j - 2] = "X"
         with pytest.raises(UnrealizableSequenceError) as ei:
             build_maxclass(CentralizerSequence(P, ent), 35)
-        assert ei.value.report.failures()
+        assert failures(ei.value.report)
 
 
 def test_sequence_too_short():

@@ -2,10 +2,11 @@
 assert, because python -O removes assert statements: the package raises
 instead.  Starting the CLI loads only what every job runs: the records are
 plain classes, so `dataclasses` (and `inspect`, which it pulls in) stays
-unloaded, and the construction and derivation layers are imported by the
-subcommands that run them.  The package holds what its jobs run: every
-function, class and method is named somewhere else in it, but for a
-listed few."""
+unloaded, and the construction and derivation layers, with the bracket
+window only they read, are imported by the subcommands that run them.
+The package holds what its jobs run: every function, class and method is
+named somewhere else in it, but for a listed few; a method is named only
+through its own class or an object of unknown class."""
 
 import ast
 import os
@@ -24,9 +25,12 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "thinlie"
 # defined in the package and named nowhere else in it, each for a reason
 UNREFERENCED = {
     "vec_neg": "bench/tracing.py counts its calls by name",
-    "bracket_mirror": "bench/tracing.py counts its calls by name",
-    "to_structure_json": "bench/tracing.py times the export by this name",
-    "then": "bench/tracing.py times operator composition by this name",
+    "GradedAlgebra.bracket_mirror": "bench/tracing.py counts its calls by "
+                                    "name",
+    "GradedAlgebra.to_structure_json": "bench/tracing.py times the export "
+                                       "by this name",
+    "OperatorFamily.then": "bench/tracing.py times operator composition by "
+                           "this name",
     "verify_leibniz": "awaits its package caller, the round trip's Leibniz "
                       "certificate (ROADMAP item 8)",
 }
@@ -45,7 +49,7 @@ def test_no_assert_statements_in_the_package():
 
 def test_cli_start_up_leaves_unused_modules_unloaded():
     unwanted = ("dataclasses", "inspect", "thinlie.constructions",
-                "thinlie.derivations")
+                "thinlie.derivations", "thinlie.window")
     code = ("import sys, thinlie.cli; "
             f"print(' '.join(m for m in {unwanted!r} if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
@@ -55,40 +59,81 @@ def test_cli_start_up_leaves_unused_modules_unloaded():
 
 
 def _definitions(tree):
-    """(name, node) of each top-level def and class, and of each method
-    of a top-level class that is not a dunder."""
+    """(owner, name, node) of each top-level def and class, owned by no
+    class (None), and of each method of a top-level class that is not a
+    dunder, owned by that class's name."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node
+            yield None, node.name, node
         if isinstance(node, ast.ClassDef):
-            yield from ((sub.name, sub) for sub in node.body
+            yield from ((node.name, sub.name, sub) for sub in node.body
                         if isinstance(sub, ast.FunctionDef)
                         and not sub.name.startswith("__"))
 
 
-def _names(node, skip):
-    """Every identifier node reads or imports, outside the subtree skip."""
+def _names(node, skip, classes, cls=None):
+    """(owner, identifier) of every identifier node reads or imports,
+    outside the subtree skip.  A bare name or an import has owner "".  An
+    attribute read off self has the enclosing class cls as its owner, one
+    read off a package class by name has that class, and any other has
+    None: its owner is not known."""
     if node is skip:
         return set()
+    if isinstance(node, ast.ClassDef):
+        cls = node.name
     if isinstance(node, ast.Name):
-        found = {node.id}
+        found = {("", node.id)}
     elif isinstance(node, ast.Attribute):
-        found = {node.attr}
+        base = node.value.id if isinstance(node.value, ast.Name) else None
+        found = {(cls if base == "self" else base if base in classes
+                  else None, node.attr)}
     elif isinstance(node, ast.alias):
-        found = {node.name}
+        found = {("", node.name)}
     else:
         found = set()
     for child in ast.iter_child_nodes(node):
-        found |= _names(child, skip)
+        found |= _names(child, skip, classes, cls)
     return found
+
+
+def unnamed_definitions(trees):
+    """Owner.name, or name, of each definition that no other node of the
+    trees names: a function or class by a bare name, an import or an
+    attribute of unknown owner; a method by an attribute read off its own
+    class or off an unknown owner, never off another class."""
+    classes = {node.name for tree in trees for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    unnamed = set()
+    for tree in trees:
+        for owner, name, node in _definitions(tree):
+            want = {(owner, name), (None, name)} if owner else \
+                {("", name), (None, name)}
+            if not any(want & _names(other, node, classes)
+                       for other in trees):
+                unnamed.add(f"{owner}.{name}" if owner else name)
+    return unnamed
 
 
 def test_every_definition_is_named_elsewhere_in_the_package():
     trees = [ast.parse(path.read_text(encoding="utf-8"), str(path))
              for path in sorted(PACKAGE.glob("*.py"))]
-    unnamed = {name for tree in trees for name, node in _definitions(tree)
-               if not any(name in _names(other, node) for other in trees)}
-    assert unnamed == set(UNREFERENCED)
+    assert unnamed_definitions(trees) == set(UNREFERENCED)
+
+
+def test_a_method_is_named_only_through_its_own_class():
+    # a same-named attribute of another class, read off self or off that
+    # class, does not name the method; one read off its own class or off
+    # an object of unknown class does
+    def unnamed(user):
+        return unnamed_definitions([ast.parse(
+            "class A:\n    def done(self):\n        return 1\n\n\n"
+            "class B:\n    def __init__(self, done):\n"
+            "        self.done = done\n\n\nCLASSES = A, B\n\n\n" + user)])
+
+    assert unnamed("def f(b):\n    return B.done, b\n") == {"A.done", "f"}
+    for user in ("def f(a):\n    return a.done()\n",
+                 "def f():\n    return A.done\n"):
+        assert unnamed(user) == {"f"}, user
 
 
 def test_record_semantics():
@@ -120,7 +165,6 @@ def test_record_semantics():
     checks = [CheckResult("jacobi", True), CheckResult("words", False, [3])]
     rep = ValidationReport(checks)
     assert rep.checks is checks and not rep.ok
-    assert [c.name for c in rep.failures()] == ["words"]
     # a lemma instance serializes as exactly its five fields
     assert vars(LemmaInstance("distance", 9, "id", "pass")) == {
         "lemma": "distance", "degree": 9, "identity": "id",

@@ -3,8 +3,8 @@ import tracemalloc
 
 import pytest
 
-from helpers import (P, Q, failure_degrees, lemma_count, random_tq2_pattern,
-                     regularity_bands)
+from helpers import (P, Q, failure_degrees, failures, lemma_count,
+                     random_tq2_pattern, regularity_bands)
 from thinlie.maxclass import CentralizerSequence
 from thinlie.patterns import (DiamondPattern, DiamondType, PatternError,
                               classify_regularity, compile_pattern, detect,
@@ -290,7 +290,7 @@ def test_lemma_suite_nonvacuous_and_green():
     for name, (pat, expect) in cases.items():
         L, _ = compile_pattern(pat, 100, run_validation=False)
         rep = verify_lemma_suite(L)
-        assert rep.ok, (name, rep.failures()[:3])
+        assert rep.ok, (name, failures(rep)[:3])
         for lemma in expect:
             assert lemma_count(rep, lemma) > 0, (name, lemma)
 
