@@ -145,11 +145,14 @@ def tensor_construct(Ma: GradedAlgebra, q: int, N: int, guard: int = 2):
                     if prod is None:
                         continue
                     cj, jj = prod
-                    w = Ma.bracket_basis(g1, g2)
-                    d = Ma.elements[g1].degree + Ma.elements[g2].degree
+                    # v is a generator, so A_2 is X or Y and [A_1, A_2] is
+                    # an ad row of Ma, within its built range by `need`
+                    e1 = Ma.elements[g1]
+                    w = Ma.ad[Ma.elements[g2].letter][e1.degree][e1.index]
                     for s, ws in enumerate(w):
                         if ws:
-                            acc(("e", Ma.gid(d, s), jj), c * cj * ws)
+                            acc(("e", Ma.gid(e1.degree + 1, s), jj),
+                                c * cj * ws)
         return out
 
     x_vec = {("d",): 1}
@@ -197,7 +200,7 @@ def generator_derivations(L: GradedAlgebra):
     its values on x and y: (ad z)^p over all p+1 lines z of L_1 (p-th
     powers are not additive in characteristic p), then ad u over a basis
     of L_p.  (ad z)^p takes p letter steps from x and from y, and ad u
-    maps g to [g, u]."""
+    maps g to [g, u], which for g = x, y is minus the ad g row of u."""
     p = L.p
     gens = [L.as_element(g) for g in L.comp_gids[1]]
     out = []
@@ -209,10 +212,9 @@ def generator_derivations(L: GradedAlgebra):
                 v = adz.apply(v)
             rows.append(v[1])
         out.append(OperatorFamily(L, p, {1: tuple(rows)}))
-    for g in L.comp_gids[p]:
-        u = L.as_element(g)
-        out.append(OperatorFamily(
-            L, p, {1: tuple(L.bracket(v, u)[1] for v in gens)}))
+    for u in L.basis(p):
+        out.append(OperatorFamily(L, p, {1: tuple(
+            tuple([-c % p for c in L.ad[t][p][u.index]]) for t in "xy")}))
     return out
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .engine import GradedAlgebra, OperatorFamily
 from .gf import mat_apply_rows, vec_add, vec_is_zero, vec_scale
-from .maxclass import CentralizerSequence, build_maxclass
+from .maxclass import CentralizerSequence, SequenceError, build_maxclass
 from .patterns import DiamondPattern, detect
 from .window import bracket_window, fill
 
@@ -137,7 +137,9 @@ def extract_M(L: GradedAlgebra, D: OperatorFamily):
     (GradedAlgebra, CentralizerSequence): the maximal-class algebra of the
     sequence, to degree len(sequence) - 1, and the sequence.  [U_j Y] is
     read off a bracket window of L_q at deg U_j, so the bracket_basis memo
-    is not filled."""
+    is not filled.  Raises ExtractionError when U_j's centralizer is not a
+    line, when too few entries are read, or when they are no centralizer
+    sequence (say, c_2 = 'X'), naming what was read."""
     p, q = L.p, L.q
     Y = L.eval_word("y" + "x" * (q - 1))
     U = Y
@@ -172,7 +174,11 @@ def extract_M(L: GradedAlgebra, D: OperatorFamily):
         raise ExtractionError(
             f"input algebra too short to extract anything: built to degree "
             f"{L.N_built}, it yields {len(entries)} centralizer entries")
-    seq = CentralizerSequence(p, entries)
+    try:
+        seq = CentralizerSequence(p, entries)
+    except SequenceError as e:
+        raise ExtractionError(f"the extraction read {''.join(entries)}, "
+                              f"no centralizer sequence: {e}") from None
     return build_maxclass(seq, n_m), seq
 
 

@@ -17,13 +17,16 @@ is its ad row.  _mirror_basis (behind bracket_mirror) recurses on the
 first argument instead; it is the tests' oracle (see validate).
 
 Bracket values come three ways.  bracket_basis memoizes each value it
-computes and serves the callers that need a few pairs: bracket, the lemma
-suite, generator_derivations, tensor_construct, and verify_leibniz and
-to_structure_json, which no job runs.  The O(N^2) values for all pairs,
-which validate's pair checks and the structure export read, come from one
-sweep of bracket columns in ascending degree (bracket_columns,
-bracket_rows): column c = [a, t] is built from column a alone (column),
-so the sweep keeps two degrees of columns, O(N) values.  The brackets of
+computes and serves the callers that need a few pairs: the lemma suite
+(through bracket), its one caller on a job path, and verify_leibniz and
+to_structure_json, which no job runs.  A bracket with a generator is an
+ad row, and tensor_construct and generator_derivations read it there.
+The O(N^2) values for all pairs, which validate's pair checks and the
+structure export read, come from one sweep of bracket columns in
+ascending degree (bracket_columns, bracket_rows): the column of [a, t] is
+built from column a and the letter t alone (column, the one routine for
+the recurrence, which the Jacobi check also calls for [c, s]), so the
+sweep keeps two degrees of columns, O(N) values.  The brackets of
 every element with a fixed w of small degree m, which a derivation's fill
 and the extraction read, come off a window of the same columns that
 slides up the degrees (window.bracket_window): O(m^2) values.  Neither
@@ -351,34 +354,35 @@ class GradedAlgebra:
         comp, layer = self.comp_gids, None
         for d in range(1, bound // 2 + 1):
             off = comp[d - 1][0] if layer else 0
-            layer = [self.column(c, layer, off, d, bound - d)
-                     for c in comp[d]]
+            layer = [self.column(layer and layer[e.parent_gid - off], off,
+                                 e.letter, d, d, bound - d)
+                     for e in self.basis(d)]
             yield layer
 
-    def column(self, c, below, off, lo, hi):
-        """The entries of the column of c at its partners g of degrees lo
-        to hi, lo >= deg c, in ascending gid: bracket_basis(g, c).  below
-        is the list of columns of L_{deg c - 1}, in basis order, each
-        holding its entry at h at index h - off for every h of degree lo to
-        hi + 1 (unused when deg c = 1).
+    def column(self, pa, off, t, d, lo, hi):
+        """The entries of the column of [a, t], of degree d, at its
+        partners g of degrees lo to hi, lo >= d - 1, in ascending gid.  pa
+        is the column of a, holding its entry at h at index h - off for
+        every h of degree lo to hi + 1; it is None when d = 1, where the
+        column is that of the generator t itself: its ad t rows.
 
-        These are bracket_basis's own values, computed in another order.
-        A degree-1 column is c's ad rows.  For c = [a, t], the entry at g
-        is bracket_basis's recursion
+        For d >= 2 the entry at g is bracket_basis's recursion
 
             [g, [a, t]] = [[g, a], t] - [[g, t], a],
 
         the coordinates of [g, a] against the ad t rows, minus e_g's ad t
         row against the [e_h, a] over the e_h of degree deg g + 1, summed
-        as integers and reduced mod p once.  As deg g >= deg c > deg a,
-        each of [g, a] and [e_h, a] is bracket_basis's recursion on a, so
-        it is an entry of column a.
+        as integers and reduced mod p once, with [g, a] and [e_h, a] read
+        off pa.  For a basis element with parent a and letter t, and
+        deg g >= d, that is bracket_basis(g, [a, t]), computed in another
+        order: as deg g > deg a, [g, a] and [e_h, a] are bracket_basis's
+        values too.  The Jacobi check builds the column of [a, s] for
+        every a and generator s, and reads it from degree d - 1 = deg a.
         """
-        ec, comp, p = self.elements[c], self.comp_gids, self.p
-        ad_t, d = self.ad[ec.letter], ec.degree
+        ad_t, comp, p = self.ad[t], self.comp_gids, self.p
         if d == 1:
             return [r for k in range(lo, hi + 1) for r in ad_t[k]]
-        pa, col = below[self.elements[ec.parent_gid].index], []
+        col = []
         for k in range(lo, hi + 1):
             rows_t, up = ad_t[k + d - 1], comp[k + 1]
             n = len(comp[k + d])
@@ -719,9 +723,11 @@ def validate(L: GradedAlgebra, checks=None,
     the bilinear bracket, and compute the same values, so they find the
     same witnesses.  A bracket of unit vectors is the bracket_basis value
     (see there for why reading ad rows and reducing once gives the same
-    residues).  J(a, b, s) is summed unreduced from bracket_basis values
-    and ad s rows, then tested mod p once: the residue of the sum of
-    reduced terms.  "words" evaluates each element as its parent's value
+    residues).  J(a, b, s) reads each of its three terms off the column
+    entry that gives its bracket_basis value, the column of [a, s] built
+    by GradedAlgebra.column among them, and is tested mod p once: the
+    residue of the sum of reduced terms, on any ad data (see
+    _jacobi_degree).  "words" evaluates each element as its parent's value
     times its letter, which is the evaluation of its word from scratch
     because the word is the parent's word plus that letter, and
     _check_wellformed lists parents first.
@@ -863,7 +869,8 @@ def _pair_checks(L: GradedAlgebra, B: int, names, cap: int) -> dict:
 
     At degree d the sweep hands the column layers of degrees d and d + 1
     to each check's step in CHECKS (antisymmetry: the pairs of degree d;
-    jacobi: the pairs with deg a = d), then drops layer d.  The steps read
+    jacobi: the pairs with deg a = d, through the column of [c, s] for
+    each c of L_d and generator s), then drops layer d.  The steps read
     bracket_basis values (see validate), so they find the witnesses of
     loops over bracket_basis: antisymmetry in ascending gid pair, complete
     up to the first cap, and jacobi the cap smallest keys.  A step returns
@@ -911,83 +918,73 @@ def _jacobi_bound(L: GradedAlgebra, kept, cap: int, B: int) -> int:
     return _jacobi_key(L, kept[-1])[0] if len(kept) >= cap else B
 
 
-def _jacobi_degree(L: GradedAlgebra, B: int, da: int, cur, nxt, kept,
+def _jacobi_degree(L: GradedAlgebra, B: int, d: int, cur, nxt, kept,
                    cap: int) -> bool:
     """Test J(a, b, s) != 0 over basis pairs gid_a <= gid_b with
-    deg a = da, and generators s, with deg a + deg b + 1 <= B, keeping
+    deg a = d, and generators s, with deg a + deg b + 1 <= B, keeping
     in kept the cap witnesses (gid_a, gid_b, gid_s) of smallest
     _jacobi_key, in that order.  cur and nxt are the column layers of
-    degrees da and da + 1 (nxt is None when no pair needs it).
+    degrees d and d + 1 (nxt is None when no pair needs it).
 
     [s, a] is taken as -[a, s], which antisymmetry justifies, so
-    J(a, b, s) = [[a,b],s] + [[b,s],a] - [[a,s],b]: the coordinates of
-    [a, b] against the ad s rows, plus the ad s row of b against the
-    [e_h, a], minus the ad s row of a against the [e_h, b].  The sum is
-    tested mod p once.  The values are bracket_basis's, read off the
-    columns as bracket_rows reads them and entered with their sign:
-    [e_h, a] with deg e_h = deg b + 1 > da is column a at e_h; [a, b] is
-    column b at a when deg b = da, and minus column a at b otherwise;
-    [e_h, b] with deg e_h = da + 1 is column b at e_h when deg b <= da + 1,
-    and minus column e_h at b otherwise.  Once kept is full, totals
-    above its largest key's are skipped.
+    J(a, b, s) = [[a,b],s] + [[b,s],a] - [[a,s],b].  For each c of L_d
+    and each s, v is the column of [c, s], built by L.column from column
+    c at the partners g of degree d up to the bound, and
+    X[g] = sum_e (ad s row of c)_e [g, e] over the e of L_{d+1}, with
+    [g, e] read as column e at g beyond degree d + 1 and as minus column
+    g at e at degrees d and d + 1.  Then
 
-    Lemma: if (a, s) is a defining pair (_defining) with child e and
-    deg b >= da + 2, J(a, b, s) as summed here is 0 mod p on any ad data,
-    so it is skipped: its first two terms are minus the two terms of
-    bracket_basis's recursion for [b, [a, s]], and the third is
-    bracket_basis(b, e) (deg b > deg e), that recursion reduced mod p.
-    At deg b = da + 1 the third term is column b at e, whose cancellation
-    would need antisymmetry, so those triples stay."""
-    p = L.p
-    elements, comp = L.elements, L.comp_gids
-    gens = [(g, L.ad[elements[g].letter]) for g in comp[1]]
-    lo_a, up = comp[da][0], comp[da + 1]
-    lo_b = up[0]
-    for ia, ga in enumerate(comp[da]):
-        col_a = cur[ia]
-        far = [(gs, ad_s) for gs, ad_s in gens
-               if not _defining(L, ga, elements[gs].letter)]
-        for db in range(da, B - da):
-            total = da + db + 1
-            pairs = gens if db <= da + 1 else far
-            if not pairs or total > _jacobi_bound(L, kept, cap, B):
+        J(c, g, s) = X[g] - v[g]  for deg g > d,
+        J(g, c, s) = v[g] - X[g]  for deg g = d and gid g <= gid c,
+
+    term by term, each term read off the column entry that bracket_basis
+    gives it.  v[g] is [[g, c], s] - [[g, s], c]: column c at g against
+    the ad s rows, minus the ad s row of g against column c at the e_h of
+    degree deg g + 1, where [e_h, c] is column c at e_h.  [g, c] is
+    column c at g when deg g = d, and [c, g] is minus column c at g when
+    deg g > d.  [e, g] is column g at e when deg g <= d + 1 and minus
+    column e at g beyond, so [[c, s], g] = -X[g].  v is reduced mod p
+    once and v - X tested mod p once: the residue of the sum of the three
+    terms.  So the witnesses are those of the loop over all pairs, on any
+    ad data, antisymmetric or not.  Once kept is full, totals above its
+    largest key's are skipped.
+
+    For a defining pair (c, s) (_defining) with child e, v is column e:
+    L.column builds both from column c and the letter s.  Beyond degree
+    d + 1, X[g] is column e at g too, so J vanishes on any ad data and
+    only the partners up to degree d + 1 are tested; at degree d + 1,
+    X[g] is minus column g at e, which cancels only by antisymmetry."""
+    p, elements, comp = L.p, L.elements, L.comp_gids
+    lo, up, nd = comp[d][0], comp[d + 1], len(cur)
+    for ic, gc in enumerate(comp[d]):
+        for gs in comp[1]:
+            t = elements[gs].letter
+            top = min(_jacobi_bound(L, kept, cap, B) - d - 1,
+                      d + 1 if _defining(L, gc, t) else B)
+            if top < d:
                 break
-            dim, nb = len(comp[total]), comp[db + 1]
-            for gb in comp[db]:
-                if gb < ga:
-                    continue
-                ib = elements[gb].index
-                if db == da:
-                    ab, sab = cur[ib][ga - lo_a], 1
-                    bh, sbh = [cur[ib][h - lo_a] for h in up], -1
-                else:
-                    ab, sab = col_a[gb - lo_a], -1
-                    if db == da + 1:
-                        bh, sbh = [nxt[ib][h - lo_b] for h in up], -1
-                    else:
-                        bh = [nxt[ih][gb - lo_b] for ih in range(len(up))]
-                        sbh = 1
-                for gs, ad_s in pairs:
-                    acc = [0] * dim
-                    for c, row in zip(ab, ad_s[total - 1]):
-                        if c:
-                            c *= sab
-                            for t, r in enumerate(row):
-                                acc[t] += c * r
-                    for c, h in zip(ad_s[db][ib], nb):
-                        if c:
-                            for t, r in enumerate(col_a[h - lo_a]):
-                                acc[t] += c * r
-                    for c, w in zip(ad_s[da][ia], bh):
-                        if c:
-                            c *= sbh
-                            for t, r in enumerate(w):
-                                acc[t] += c * r
-                    if any(c % p for c in acc):
-                        kept.append((ga, gb, gs))
-                        kept.sort(key=functools.partial(_jacobi_key, L))
-                        del kept[cap:]
-    return 2 * (da + 1) + 1 <= _jacobi_bound(L, kept, cap, B)
+            # the partners g <= c of L_d, then every g of L_{d+1} to L_top
+            v = L.column(cur[ic], lo, t, d + 1, d, top)
+            del v[ic + 1:nd]
+            beyond = len(v) - ic - 1
+            x = [(0,) * len(w) for w in v]
+            for ie, cf in enumerate(L.ad[t][d][ic]):
+                if cf:
+                    # [g, e]: minus column g at e, then column e at g
+                    near, rest = [col[nd + ie] for col in cur[:ic + 1]], []
+                    if beyond:
+                        near += [col[ie] for col in nxt]
+                        rest = nxt[ie][len(up):beyond]
+                    ge = [tuple([-r for r in w]) for w in near] + rest
+                    x = [tuple([(a + cf * b) % p for a, b in zip(xg, w)])
+                         for xg, w in zip(x, ge)]
+            gids = [*comp[d][:ic + 1], *range(up[0], up[0] + beyond)]
+            for g, w, xg in zip(gids, v, x):
+                if w != xg:
+                    kept.append((min(g, gc), max(g, gc), gs))
+                    kept.sort(key=functools.partial(_jacobi_key, L))
+                    del kept[cap:]
+    return 2 * (d + 1) + 1 <= _jacobi_bound(L, kept, cap, B)
 
 
 def _defining(L: GradedAlgebra, a: int, t: str) -> bool:

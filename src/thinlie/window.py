@@ -40,10 +40,12 @@ def bracket_window(L, m: int, lo: int, hi: int):
         cut, off = comp[max(j0, m)][0] - off, comp[max(j0, m)][0]
         for d in range(1, min(j1, m) + 1):
             first = m + j0 - d if j0 > lo else max(j0, m)
-            for col, c in zip(cols.setdefault(d, [[] for _ in comp[d]]),
-                              comp[d]):
+            below = cols.get(d - 1)
+            for col, e in zip(cols.setdefault(d, [[] for _ in comp[d]]),
+                              L.basis(d)):
                 del col[:cut]
-                col += L.column(c, cols.get(d - 1), off, first, m + j1 - d)
+                col += L.column(below and below[e.parent_gid - comp[d - 1][0]],
+                                off, e.letter, d, first, m + j1 - d)
         for j in range(j0, j1 + 1):
             yield ([[tuple([-v % p for v in col[c - off]]) for c in comp[m]]
                     for col in cols[j]] if j < m else

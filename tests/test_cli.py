@@ -236,10 +236,15 @@ def test_pattern_file_build(tmp_path):
 
 
 def test_console_entry_point():
+    # the package is importable from the child whether or not it is
+    # installed, as the suite itself runs from a clean checkout
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = [src] + ([os.environ["PYTHONPATH"]]
+                    if os.environ.get("PYTHONPATH") else [])
     proc = subprocess.run(
         [sys.executable, "-m", "thinlie.cli", "diagram", "--family", "a",
-         "--q", "7", "--N", "13"],
-        capture_output=True, text=True, env={**os.environ})
+         "--q", "7", "--N", "13"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
     assert proc.returncode == 0
     assert "deg    7  dim 2" in proc.stdout
 
@@ -276,6 +281,21 @@ def test_roundtrip_short_range_fails_cleanly(tmp_path):
                 "--out", str(out)]) == 4
     doc = json.loads(out.read_text())
     assert not doc["pass"] and "too short" in doc["error"]
+
+
+def test_roundtrip_extraction_failures_exit_4(tmp_path):
+    # an algebra in the class whose extraction yields no centralizer
+    # sequence is a round-trip failure with a report, not a malformed job
+    out = tmp_path / "r.json"
+    for argv, message in [
+            (["--family", "L1q", "--q", "7", "--N", "60"],
+             "the extraction read XXXXXXXX, no centralizer sequence: "
+             "c_2 must be 'Y'"),
+            (["--family", "L1q", "--q", "11", "--N", "60"],
+             "the extraction read XXXX, no centralizer sequence")]:
+        assert run(["roundtrip", *argv, "--out", str(out)]) == 4, argv
+        doc = json.loads(out.read_text())
+        assert doc["pass"] is False and message in doc["error"], argv
 
 
 def test_input_side_errors_are_bad_spec(tmp_path, capsys):

@@ -9,10 +9,14 @@ corpus and on algebras that fail the checks.  The memo stays empty and
 the memory they take stays O(N).  The triples the Jacobi check skips are
 zero, and the bidegree check on the pairs with a generator agrees with
 the loop over every pair.  The bracket window, which derivations fill by
-and the extraction reads, yields bracket_basis values too."""
+and the extraction reads, yields bracket_basis values too.  A seeded
+sample of one-entry ad corruptions is a known-failing corpus on which
+the pair checks must find the memo loops' witnesses."""
 
 import functools
+import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -192,6 +196,41 @@ def test_bidegree_matches_pair_loop_on_corrupted_ad(name):
     L = corrupt(_n7())
     assert_witnesses_match_memo(L)
     assert validate(L, checks=("bidegree",)).ok is ok
+
+
+# a known-failing corpus for the pair checks: one ad entry moved, at
+# seeded places, in families a, c and uniqueness at q 7 and b at p 5, q 25
+CORRUPTION_SOURCES = (("a", 7, 7, {}), ("c", 7, 7, {"s": 1}),
+                      ("uniqueness", 7, 7, {"s": 1}),
+                      ("b", 5, 25, {"start_type": 2}))
+
+
+def seeded_corruptions(N=80, per_source=4, seed=0):
+    rng = random.Random(seed)
+    for family, p, q, params in CORRUPTION_SOURCES:
+        L, _ = compile_pattern(family_pattern(family, p, q, N + 40, **params),
+                               N, run_validation=False)
+        for _ in range(per_source):
+            letter, k = rng.choice("xy"), rng.randrange(1, N - 1)
+            where = (k, rng.randrange(L.dim(k)), rng.randrange(L.dim(k + 1)))
+            yield (family, letter, *where), corrupt_ad(L, letter, *where)
+
+
+def test_pair_witnesses_match_memo_on_seeded_corruptions():
+    # the jacobi check reads [a, b] one way when deg b = deg a, another
+    # when deg b = deg a + 1, and a third way beyond: the sample has
+    # witnesses of all three
+    gaps = Counter()
+    for where, L in seeded_corruptions():
+        want = memo_pair_witnesses(L, L.N)
+        for cap in (10, UNCAPPED):
+            rep = validate(L, checks=PAIR_CHECKS, max_witnesses=cap)
+            for check in rep.checks:
+                assert check.witnesses == want[check.name][:cap], \
+                    (where, check.name, cap)
+        gaps.update(min(L.elements[gb].degree - L.elements[ga].degree, 2)
+                    for ga, gb, _ in want["jacobi"])
+    assert all(gaps[gap] for gap in (0, 1, 2)), gaps
 
 
 def test_jacobi_pair_at_the_last_degree():

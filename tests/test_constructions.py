@@ -355,8 +355,8 @@ def test_lazy_derivations_match_eager_maps(p, q, n):
 
 
 def test_deflation_memo_does_not_grow_with_N():
-    # deflation brackets through bracket windows: the source's
-    # bracket_basis memo keeps only the pairs generator_derivations reads
+    # deflation brackets through bracket windows, and generator_derivations
+    # reads ad rows: the source's bracket_basis memo stays empty
     sizes = []
     for n_out in (50, 100):
         _, _, n_src = nqr_source_degree(Q, Q, n_out)
@@ -364,7 +364,15 @@ def test_deflation_memo_does_not_grow_with_N():
                                n_src, run_validation=False)
         deflate(L, n_out)
         sizes.append(len(L._memo))
-    assert sizes[0] == sizes[1], sizes
+    assert sizes == [0, 0], sizes
+
+
+def test_tensor_construct_leaves_the_memo_empty():
+    # the construction brackets only with the generators X and Y of its
+    # input, and reads those brackets off the input's ad rows
+    M = build_maxclass(metabelian_sequence(P, 40), 36)
+    L, _ = tensor_construct(M, Q, 200)
+    assert L.N == 200 and len(M._memo) == 0
 
 
 def test_tensor_q49():
