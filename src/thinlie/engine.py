@@ -18,8 +18,8 @@ first argument instead; it is the tests' oracle (see validate).
 
 Bracket values come three ways.  bracket_basis memoizes each value it
 computes and serves the callers that need a few pairs: the lemma suite
-(through bracket), its one caller on a job path, and verify_leibniz and
-to_structure_json, which no job runs.  A bracket with a generator is an
+(through bracket), its only caller on a job path, and to_structure_json,
+its only other caller, which no job runs.  A bracket with a generator is an
 ad row, and tensor_construct and generator_derivations read it there.
 The O(N^2) values for all pairs, which validate's pair checks and the
 structure export read, come from one sweep of bracket columns in
@@ -27,10 +27,10 @@ ascending degree (bracket_columns, bracket_rows): the column of [a, t] is
 built from column a and the letter t alone (column, the one routine for
 the recurrence, which the Jacobi check also calls for [c, s]), so the
 sweep keeps two degrees of columns, O(N) values.  The brackets of
-every element with a fixed w of small degree m, which a derivation's fill
-and the extraction read, come off a window of the same columns that
-slides up the degrees (window.bracket_window): O(m^2) values.  Neither
-fills the memo.
+every element with a fixed w of small degree m, which a derivation's
+fill, the Leibniz certificate and the extraction read, come off a window
+of the same columns that slides up the degrees (window.bracket_window):
+O(m^2) values.  Neither the sweep nor the window fills the memo.
 
 A GradedAlgebra is immutable after construction.  Concurrent readers are
 safe; the bracket memo table is a plain dict (GIL-guarded), and a sweep or

@@ -177,24 +177,21 @@ def echelon_add(basis: list, v: dict, p: int) -> bool:
 
 
 class LinearSolution:
-    """Outcome of solving A x = b over F_p.
+    """Outcome of solving A x = b over F_p: consistent is False for an
+    unsolvable system; otherwise `solution` is one solution."""
 
-    consistent is False for an unsolvable system; otherwise `solution` is one
-    solution and `kernel` is a basis of the solution space of A x = 0.
-    """
-
-    def __init__(self, consistent: bool, solution: tuple | None,
-                 kernel: list):
+    def __init__(self, consistent: bool, solution: tuple | None):
         self.consistent = consistent
         self.solution = solution
-        self.kernel = kernel
 
 
 def solve_or_kernel(a_rows, b, p: int) -> LinearSolution:
     """Exact Gaussian elimination for A x = b, A given as a tuple of rows.
 
     Here rows are genuine matrix rows (equations), not the row-per-source
-    layout of the adjoint maps.
+    layout of the adjoint maps.  Free variables are set to 0.  No kernel
+    basis is built: no package caller reads one.  The name is kept because
+    bench/tracing.py times this function by it.
     """
     m = len(a_rows)
     if len(b) != m:
@@ -222,17 +219,8 @@ def solve_or_kernel(a_rows, b, p: int) -> LinearSolution:
             break
     for i in range(r, m):
         if aug[i][n] % p:
-            return LinearSolution(False, None, [])
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(n) if c not in pivot_cols]
+            return LinearSolution(False, None)
     x = [0] * n
     for (ri, c) in pivots:
         x[c] = aug[ri][n] % p
-    kernel = []
-    for fc in free_cols:
-        v = [0] * n
-        v[fc] = 1
-        for (ri, c) in pivots:
-            v[c] = (-aug[ri][fc]) % p
-        kernel.append(tuple(v))
-    return LinearSolution(True, tuple(x), kernel)
+    return LinearSolution(True, tuple(x))

@@ -4,10 +4,11 @@ reads them.
 
 A derivation D, given by D x and D y in L_m with m = 1 + shift, is filled
 degree by degree by the recursion D[a, t] = [D a, t] + [a, D t]; the
-extraction of the derivations module brackets each U_j with Y in L_q.  Both
-bracket every element, degree by degree upward, with elements of one
-degree m.  bracket_window serves them from the columns of L_1..L_m, built
-by GradedAlgebra.column as bracket_columns builds them, and holds O(m^2)
+derivations module's Leibniz certificate reads [a, D t] for every a, and
+its extraction each [U_j, Y], with D t and Y in L_q.  Each brackets every
+element, degree by degree upward, with elements of one degree m.
+bracket_window serves them from the columns of L_1..L_m, built by
+GradedAlgebra.column as bracket_columns builds them, and holds O(m^2)
 values wherever it stands, where the bracket_basis memo would keep a value
 for every pair it was asked.  Only the construction and derivation layers
 read it, so starting the CLI does not load this module.

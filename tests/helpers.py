@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from thinlie.engine import (CHECKS, DegreeOverflowError, GradedAlgebra,
                             ValidationReport, validate)
-from thinlie.gf import (lucas_binom, mat_apply_rows, solve_or_kernel,
+from thinlie.gf import (echelon, lucas_binom, mat_apply_rows,
                         vec_add, vec_is_zero, vec_neg, vec_scale, vec_sub,
                         vec_zero)
 from thinlie.maxclass import CentralizerSequence, SequenceError, build_maxclass
@@ -154,7 +154,55 @@ def centralizer_in_L1(L, k: int):
         ix = L.apply_letter(u, "x")[1]
         iy = L.apply_letter(u, "y")[1]
         rows.extend(zip(ix, iy))
-    return solve_or_kernel(tuple(rows), (0,) * len(rows), L.p).kernel
+    return kernel(tuple(rows), L.p)
+
+
+def kernel(a_rows, p: int) -> list:
+    """Basis of {v : A v = 0} over F_p, A a tuple of equation rows: for
+    each free column c of A's reduced echelon form, the vector with 1 at
+    c and minus each reduced row's entry at c on that row's pivot."""
+    n = len(a_rows[0]) if a_rows else 0
+    ech = echelon(a_rows, p)
+    pivots = [next(j for j, a in enumerate(r) if a) for r in ech]
+    out = []
+    for c in range(n):
+        if c not in pivots:
+            v = [0] * n
+            v[c] = 1
+            for piv, row in zip(pivots, ech):
+                v[piv] = -row[c] % p
+            out.append(tuple(v))
+    return out
+
+
+def q_window(L) -> list:
+    """The brackets of L_j with L_q for j = 1..N_built - q, in one pass of
+    bracket_window: what the round trip hands verify_leibniz and
+    extract_M."""
+    from thinlie.window import bracket_window
+
+    return list(bracket_window(L, L.q, 1, L.N_built - L.q))
+
+
+def leibniz_pair_failures(L, D) -> list:
+    """The basis pairs (u, v), gid u <= gid v, of total degree at most
+    min(N, N_built - shift) where D[u, v] != [Du, v] + [u, Dv], as gid
+    pairs in loop order, read through the bracket_basis memo: the O(N^2)
+    loop that verify_leibniz's generator-pair certificate replaces, kept as
+    its oracle."""
+    budget = min(L.N, L.N_built - D.shift)
+    fails = []
+    for e1 in L.elements:
+        for e2 in L.elements[e1.gid:]:
+            if e1.degree + e2.degree > budget:
+                break
+            u, v = L.as_element(e1.gid), L.as_element(e2.gid)
+            lhs = D.apply(L.bracket(u, v))
+            rhs = vec_add(L.bracket(D.apply(u), v)[1],
+                          L.bracket(u, D.apply(v))[1], L.p)
+            if lhs[1] != rhs:
+                fails.append((e1.gid, e2.gid))
+    return fails
 
 
 def coclass_excess(L) -> int:

@@ -9,7 +9,8 @@ to see them.
 import random
 
 from helpers import (P, Q, coclass_excess, failure_degrees, failures,
-                     lemma_count, metabelian_sequence, random_tq2_pattern)
+                     lemma_count, metabelian_sequence, q_window,
+                     random_tq2_pattern)
 from thinlie.constructions import deflate, tensor_construct
 from thinlie.derivations import build_D, roundtrip_check, verify_leibniz
 from thinlie.engine import validate
@@ -127,7 +128,7 @@ def test_criterion_5_tensor_construction(corpus):
 def test_criterion_6_derivation(corpus):
     L, _, _ = corpus["uniqueness"]
     D = build_D(L)
-    rep = verify_leibniz(L, D, limit=200)
+    rep = verify_leibniz(L, D, q_window(L))
     ok = rep.ok and not rep.failures
     v1 = L.eval_word("y" + "x" * (Q - 2))
     v2 = L.eval_word("y" + "x" * (Q - 2) + "xy" + "x" * (Q - 3))
@@ -139,7 +140,7 @@ def test_criterion_6_derivation(corpus):
     ok &= fake_checks and all(c[2] for c in fake_checks)
     ok &= all(c[2] for c in labels if c[0].startswith("bidegree"))
     _report(6, bool(ok),
-            f"derivation: Leibniz on {rep.pairs_checked} basis pairs at "
+            f"derivation: Leibniz on {rep.pairs_checked} generator pairs at "
             "N=200, D(v1) = -2 v2, coefficient -2 at infinite diamonds, "
             "zero at fakes, bidegree shift (q-2,1)")
 

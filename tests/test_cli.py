@@ -285,14 +285,23 @@ def test_roundtrip_short_range_fails_cleanly(tmp_path):
 
 def test_roundtrip_extraction_failures_exit_4(tmp_path):
     # an algebra in the class whose extraction yields no centralizer
-    # sequence is a round-trip failure with a report, not a malformed job
-    out = tmp_path / "r.json"
-    for argv, message in [
+    # sequence, or one that no Lie algebra realizes, is a round-trip
+    # failure with a report, not a malformed job
+    from helpers import forbidden_continuations
+    ((_, no128, _),) = [c for c in forbidden_continuations()
+                        if c[0] == "no_fake_at_128"]
+    pattern = tmp_path / "no128.json"
+    pattern.write_text(json.dumps(no128.to_json()))
+    for i, (argv, message) in enumerate([
             (["--family", "L1q", "--q", "7", "--N", "60"],
              "the extraction read XXXXXXXX, no centralizer sequence: "
              "c_2 must be 'Y'"),
             (["--family", "L1q", "--q", "11", "--N", "60"],
-             "the extraction read XXXX, no centralizer sequence")]:
+             "the extraction read XXXX, no centralizer sequence"),
+            (["--pattern", str(pattern), "--N", "155"],
+             "the extraction read YYYYYYYYYYYYXYYYYYYYYYYY, which no Lie "
+             "algebra realizes")]):
+        out = tmp_path / f"r{i}.json"
         assert run(["roundtrip", *argv, "--out", str(out)]) == 4, argv
         doc = json.loads(out.read_text())
         assert doc["pass"] is False and message in doc["error"], argv

@@ -2,9 +2,12 @@ import random
 
 import pytest
 
-from helpers import P, Q, random_tq2_pattern, x_positions
+from helpers import (P, Q, corrupt_ad_x, failure_degrees,
+                     forbidden_continuations, leibniz_pair_failures, q_window,
+                     random_tq2_pattern, x_positions)
 from thinlie.derivations import (build_D, extract_M, in_tq2_class,
                                  roundtrip_check, verify_leibniz)
+from thinlie.engine import OperatorFamily, validate
 from thinlie.gf import vec_is_zero, vec_scale
 from thinlie.patterns import compile_pattern, detect, family_pattern
 
@@ -92,12 +95,78 @@ def test_D_of_pre_diamond_elements(uniq, D):
 
 
 def test_D_bidegree_and_leibniz(uniq, D):
-    rep = verify_leibniz(uniq, D, limit=120)
+    rep = verify_leibniz(uniq, D, q_window(uniq))
     assert rep.ok
-    assert rep.pairs_checked > 3000
+    # one pair (a, t) per generator t and basis element a below the budget
+    budget = min(uniq.N, uniq.N_built - D.shift)
+    assert rep.pairs_checked == 2 * sum(e.degree < budget
+                                        for e in uniq.elements)
     labels = {c[0] for c in rep.instance_checks}
     assert "D[vx] = -2[wx] at infinite diamond" in labels
     assert "D[vx] = 0 at fake diamond" in labels
+
+
+def _moved(D, k, i, j):
+    """D with entry j of its image of basis element i of L_k moved by one:
+    the degrees above k are filled again, from the moved row."""
+    maps = {d: D._rows(d) for d in range(1, k + 1)}
+    rows = [list(r) for r in maps[k]]
+    rows[i][j] = (rows[i][j] + 1) % D.algebra.p
+    maps[k] = tuple(map(tuple, rows))
+    return OperatorFamily(D.algebra, D.shift, maps)
+
+
+def _first_degree(L, fails):
+    """The least total degree of the failing pairs, or None."""
+    return min((sum(L.elements[g].degree for g in f) for f in fails),
+               default=None)
+
+
+@pytest.mark.parametrize("family,q,N", [("uniqueness", 7, 120),
+                                        ("uniqueness", 11, 150),
+                                        ("e", 7, 120)])
+def test_certificate_matches_the_pair_loop(family, q, N):
+    # on a Lie algebra the generator pairs and all pairs give the same
+    # verdict and the same first failing total degree, for D as built, for
+    # D with each entry of Dx and Dy moved by one, and for D with one entry
+    # of its row on a basis element of degree 50 moved
+    kw = {"s": 1} if family == "uniqueness" else {}
+    pat = family_pattern(family, q, q, N + 60, **kw)
+    L, _ = compile_pattern(pat, N, guard=q + 2, run_validation=False)
+    D = build_D(L)
+    window = q_window(L)
+    Ds = [D] + [_moved(D, 1, i, j) for i in range(2) for j in range(L.dim(q))]
+    Ds.append(_moved(D, 50, 0, 0))
+    firsts = []
+    for E in Ds:
+        rep = verify_leibniz(L, E, window)
+        fails = leibniz_pair_failures(L, E)
+        first = _first_degree(L, rep.failures)
+        assert first == _first_degree(L, fails), (family, q, E.maps[1])
+        firsts.append(first)
+    # D is a derivation, and a moved entry breaks it in some degree
+    assert firsts[0] is None and any(firsts[1:]), firsts
+
+
+def test_certificate_rests_on_jacobi():
+    # no_fake_at_128 breaks Jacobi first in degree 128, so the certificate
+    # speaks for total degrees below 128 - (q - 1) = 122: there the pair
+    # loop agrees, and at 122 it fails where the certificate passes
+    ((_, pat, n),) = [c for c in forbidden_continuations()
+                      if c[0] == "no_fake_at_128"]
+    L, _ = compile_pattern(pat, n, guard=Q + 2, run_validation=False)
+    D = build_D(L)
+    rep = verify_leibniz(L, D, q_window(L))
+    fails = leibniz_pair_failures(L, D)
+    assert min(failure_degrees(validate(L, ["jacobi"]), L)) == 128
+    assert not rep.failures and _first_degree(L, fails) == 128 - (Q - 1)
+
+
+def test_verify_leibniz_leaves_the_memo_empty():
+    pat = family_pattern("uniqueness", P, Q, 180, s=1)
+    L, _ = compile_pattern(pat, 120, guard=Q + 2, run_validation=False)
+    assert verify_leibniz(L, build_D(L), q_window(L)).ok
+    assert len(L._memo) == 0
 
 
 def test_infinite_diamond_kills_v1y(uniq):
@@ -116,8 +185,8 @@ def test_extract_examples(uniq, D):
     v2 = uniq.eval_word("y" + "x" * (Q - 2) + "xy" + "x" * (Q - 3))
     assert U2[1] == vec_scale(-2, uniq.apply_word(v2, "x")[1], P)
     assert vec_is_zero(uniq.bracket(U2, Y)[1])      # [Y X Y] = 0
-    M, seq = extract_M(uniq, D)
-    _, seq2 = extract_M(uniq, D)
+    M, seq = extract_M(uniq, D, q_window(uniq))
+    _, seq2 = extract_M(uniq, D, q_window(uniq))
     assert seq == seq2          # re-extraction is deterministic
     # fake degrees of the detected pattern match the X positions through
     # the degree bookkeeping deg U_i = q + (i-1)(q-1) + #{X before i}
@@ -144,7 +213,7 @@ def test_extraction_memo_does_not_grow_with_N():
     for N in (200, 400):
         pat = family_pattern("uniqueness", P, Q, N + 60, s=1)
         L, _ = compile_pattern(pat, N, guard=Q + 2, run_validation=False)
-        extract_M(L, build_D(L))
+        extract_M(L, build_D(L), q_window(L))
         sizes.append(len(L._memo))
     assert sizes[0] == sizes[1], sizes
 
@@ -153,6 +222,16 @@ def test_roundtrip_uniqueness(uniq):
     rep = roundtrip_check(uniq, compare_N=100)
     assert rep.passed and rep.compare_N == 100
     assert rep.extracted_sequence.count("X") >= 2
+
+
+def test_roundtrip_stops_at_a_failed_certificate(uniq):
+    # one ad x entry moved: the pattern still passes the class gate, but
+    # D is no derivation, so the round trip fails before extracting
+    rep = roundtrip_check(corrupt_ad_x(uniq))
+    assert not rep.passed and rep.extracted_sequence == ""
+    assert [s[0] for s in rep.stages] == ["class-gate", "derivation",
+                                          "leibniz"]
+    assert rep.to_json()["pattern_T"] is None
 
 
 def test_roundtrip_case_e():
@@ -190,7 +269,7 @@ def test_roundtrip_branch_sequence():
     assert pat.entries == want.truncate(400).entries
     assert [d for d, t in pat.entries if not t.genuine] == \
         [85, 128, 171, 214, 257, 300, 379, 422][:7]
-    M2, seq2 = extract_M(T, build_D(T))
+    M2, seq2 = extract_M(T, build_D(T), q_window(T))
     assert x_positions(seq2) == [j for j in xpos
                                  if j <= len(seq2.entries) + 1]
 

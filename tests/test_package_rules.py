@@ -22,17 +22,18 @@ from thinlie.patterns import DiamondPattern, DiamondType, LemmaInstance
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "thinlie"
 
-# defined in the package and named nowhere else in it, each for a reason
+# defined in the package and named nowhere else in it, each pinned by
+# name in bench/tracing.py and kept for that alone (ROADMAP item 5)
 UNREFERENCED = {
     "vec_neg": "bench/tracing.py counts its calls by name",
     "GradedAlgebra.bracket_mirror": "bench/tracing.py counts its calls by "
-                                    "name",
+                                    "name; the tests read its recursion, "
+                                    "_mirror_basis, as an oracle",
     "GradedAlgebra.to_structure_json": "bench/tracing.py times the export "
-                                       "by this name",
+                                       "by this name; the tests read it as "
+                                       "the writer's reference",
     "OperatorFamily.then": "bench/tracing.py times operator composition by "
-                           "this name",
-    "verify_leibniz": "awaits its package caller, the round trip's Leibniz "
-                      "certificate (ROADMAP item 8)",
+                           "this name; only the tests call it",
 }
 
 
