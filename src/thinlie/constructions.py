@@ -42,7 +42,10 @@ def engine_from_abstract(field: PrimeField, q, n_built: int, N: int,
     bracket, and `coords` maps one to its coordinates {key: coefficient}
     (keys sortable, zero coefficients may be left out), which is all the
     linear algebra reads.  Parents and letters are assigned greedily in an
-    order that reproduces the pattern compiler's basis convention.  Returns
+    order that reproduces the pattern compiler's basis convention: the
+    candidates echelon_add takes form the next basis, and each bracket
+    image is solved against the echelon basis that chose them.  They are
+    independent, so its coordinates are unique.  Returns
     (GradedAlgebra, {gid: element}).
     """
     p = field.p
@@ -74,16 +77,13 @@ def engine_from_abstract(field: PrimeField, q, n_built: int, N: int,
             raise ConstructionError(
                 f"degree {k + 1} has dimension {len(chosen)}; not thin")
         gids = b.add_degree([(b.comp_gids[k][i], t) for (i, t) in chosen])
-        keys = sorted({kk for v in vecs.values() for kk in v})
-        rows = tuple(tuple(vecs[c].get(kk, 0) % p for c in chosen)
-                     for kk in keys)
 
         def solve(v):
-            sol = solve_or_kernel(rows, tuple(v.get(kk, 0) % p for kk in keys), p)
-            if not sol.consistent:
+            sol = solve_or_kernel(ech, v, p)
+            if sol is None:
                 raise ConstructionError(
                     f"bracket image leaves the generated component in degree {k + 1}")
-            return sol.solution
+            return sol
 
         b.set_ad(k, [solve(vecs[(i, "x")]) for i in range(len(cur))],
                  [solve(vecs[(i, "y")]) for i in range(len(cur))])

@@ -106,8 +106,8 @@ def verify_leibniz(L: GradedAlgebra, D: OperatorFamily, window: list,
     p, q = L.p, L.q
     shift = D.shift
     budget = min(L.N, L.N_built - shift)
-    # one fill, one bracket window, for every degree D is read on below
-    fill([D], L.N_built - shift)
+    # one fill, off window, for every degree D is read on below
+    fill([D], L.N_built - shift, window)
     fails = []
     pairs = 0
     homog = True
@@ -171,8 +171,8 @@ def extract_M(L: GradedAlgebra, D: OperatorFamily, window: list):
     Y = L.eval_word("y" + "x" * (q - 1))
     U = Y
     # the recursion reads D on every degree the loop below reaches: one
-    # fill opens one bracket window, where a fill per U_j opens one each
-    fill([D], L.N_built - max(q, D.shift))
+    # fill off window, where a lazy fill per U_j opens a window each
+    fill([D], L.N_built - max(q, D.shift), window)
     entries = []
     j = 1
     while True:

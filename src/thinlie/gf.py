@@ -1,8 +1,11 @@
-"""Exact arithmetic over the prime field F_p and small dense linear algebra.
+"""Exact arithmetic over the prime field F_p and one incremental echelon
+routine.
 
 Scalars are machine ints reduced into [0, p).  Vectors are tuples, matrices
-are tuples of row tuples.  Everything here is exact; there is no floating
-point anywhere in the package.
+are tuples of row tuples; echelon_add works on sparse vectors {key: coeff}
+and records how each pivot row was made from its inputs, so rank and
+solve_or_kernel both read off its elimination.  Everything here is exact;
+there is no floating point anywhere in the package.
 """
 
 from __future__ import annotations
@@ -122,44 +125,20 @@ def mat_apply_rows(rows, vec, p: int) -> tuple:
 
 
 def rank(rows, p: int) -> int:
-    return len(echelon(rows, p))
+    """Rank of the span of rows (dense vectors): the number of rows
+    echelon_add takes, one after another."""
+    basis = []
+    return sum(echelon_add(basis, dict(enumerate(row)), p) for row in rows)
 
 
-def echelon(rows, p: int):
-    """Row-echelon basis (pivot-normalized, reduced) of the row span."""
-    basis = []  # list of (pivot_index, row tuple)
-    for row in rows:
-        row = list(a % p for a in row)
-        for piv, b in basis:
-            if row[piv]:
-                c = row[piv]
-                row = [(a - c * bb) % p for a, bb in zip(row, b)]
-        piv = next((j for j, a in enumerate(row) if a), None)
-        if piv is None:
-            continue
-        inv = pow(row[piv], -1, p)
-        row = tuple(a * inv % p for a in row)
-        basis.append((piv, row))
-    basis.sort()
-    # back-substitute so the basis is fully reduced
-    out = []
-    for idx, (piv, row) in enumerate(basis):
-        row = list(row)
-        for piv2, row2 in basis[idx + 1:]:
-            c = row[piv2]
-            if c:
-                row = [(a - c * b) % p for a, b in zip(row, row2)]
-        out.append(tuple(row))
-    return out
-
-
-def echelon_add(basis: list, v: dict, p: int) -> bool:
-    """Incremental sparse echelon: reduce v ({key: coeff}, sortable keys)
-    against basis, a list of (pivot, row) pairs built by earlier calls, in
-    order.  A nonzero remainder is normalized at its least key and appended;
-    returns whether v was independent of basis."""
+def _reduce(basis: list, v: dict, p: int):
+    """(remainder, x): v ({key: coeff}) reduced against basis, and
+    x ({i: coeff}) with v = remainder + sum of x_i times the i-th vector
+    echelon_add took.  The remainder is 0 at every pivot, and empty
+    exactly when v lies in the span of basis."""
     v = {k: c % p for k, c in v.items() if c % p}
-    for piv, row in basis:
+    x = {}
+    for piv, row, comb in basis:
         c = v.get(piv)
         if c:
             for k, b in row.items():
@@ -168,59 +147,37 @@ def echelon_add(basis: list, v: dict, p: int) -> bool:
                     v[k] = nv
                 else:
                     v.pop(k, None)
+            for i, b in comb.items():
+                x[i] = (x.get(i, 0) + c * b) % p
+    return v, x
+
+
+def echelon_add(basis: list, v: dict, p: int) -> bool:
+    """Incremental sparse echelon: reduce v ({key: coeff}, sortable keys)
+    against basis, a list of (pivot, row, comb) built by earlier calls, in
+    order.  A nonzero remainder is normalized at its least key and appended
+    with comb, its coefficients {i: coeff} over the vectors taken so far
+    (this one is number len(basis)); returns whether v was independent of
+    basis.  The one elimination routine: rank and solve_or_kernel reduce
+    through its step."""
+    v, x = _reduce(basis, v, p)
     if not v:
         return False
     piv = min(v)
     inv = pow(v[piv], -1, p)
-    basis.append((piv, {k: c * inv % p for k, c in v.items()}))
+    # row = inv (v - sum of x_i times vector i)
+    comb = {i: -c * inv % p for i, c in x.items()}
+    comb[len(basis)] = inv
+    basis.append((piv, {k: c * inv % p for k, c in v.items()}, comb))
     return True
 
 
-class LinearSolution:
-    """Outcome of solving A x = b over F_p: consistent is False for an
-    unsolvable system; otherwise `solution` is one solution."""
-
-    def __init__(self, consistent: bool, solution: tuple | None):
-        self.consistent = consistent
-        self.solution = solution
-
-
-def solve_or_kernel(a_rows, b, p: int) -> LinearSolution:
-    """Exact Gaussian elimination for A x = b, A given as a tuple of rows.
-
-    Here rows are genuine matrix rows (equations), not the row-per-source
-    layout of the adjoint maps.  Free variables are set to 0.  No kernel
-    basis is built: no package caller reads one.  The name is kept because
-    bench/tracing.py times this function by it.
-    """
-    m = len(a_rows)
-    if len(b) != m:
-        raise ValueError(f"dimension mismatch: {m} rows, {len(b)} rhs entries")
-    n = len(a_rows[0]) if m else 0
-    if any(len(r) != n for r in a_rows):
-        raise ValueError("ragged matrix")
-    aug = [list(r) + [bi % p] for r, bi in zip(a_rows, b)]
-    pivots = []  # (row index, column index)
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if aug[i][c] % p), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = pow(aug[r][c] % p, -1, p)
-        aug[r] = [(x * inv) % p for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] % p:
-                f = aug[i][c] % p
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] % p:
-            return LinearSolution(False, None)
-    x = [0] * n
-    for (ri, c) in pivots:
-        x[c] = aug[ri][n] % p
-    return LinearSolution(True, tuple(x))
+def solve_or_kernel(basis: list, v: dict, p: int) -> tuple | None:
+    """v's coefficients over the vectors echelon_add took into basis, in
+    order, or None when v lies outside their span.  They are independent,
+    so the coefficients are unique.  The name is kept, although no kernel
+    is built, because bench/tracing.py times this function by it."""
+    rem, x = _reduce(basis, v, p)
+    if rem:
+        return None
+    return tuple(x.get(i, 0) for i in range(len(basis)))

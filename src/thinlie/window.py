@@ -16,6 +16,8 @@ read it, so starting the CLI does not load this module.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .engine import DegreeOverflowError
 from .gf import mat_apply_rows, vec_add
 
@@ -53,16 +55,20 @@ def bracket_window(L, m: int, lo: int, hi: int):
                    [[col[g - off] for col in cols[m]] for g in comp[j]])
 
 
-def fill(ops, k: int) -> None:
+def fill(ops, k: int, brackets=None) -> None:
     """Store degrees up to k of the derivations ops, of one algebra and
     shift, each given on degrees 1..some m, by the derivation recursion:
     the row of e = [a, t] is [D a, t] plus [a, D t], with D t in
     L_{1 + shift}.  Every [a, D t] is read off one bracket window, so
-    derivations filled together share its columns.  A degree already
+    derivations filled together share its columns.  A caller that holds
+    those brackets already passes them as brackets, a list whose entry
+    j - 1 holds the brackets of L_j with L_{1 + shift} (bracket_window's
+    values) up to j = k - 1; then no window is opened.  A degree already
     stored is left as it is."""
     L, shift = ops[0].algebra, ops[0].shift
     top = min(len(op.maps) for op in ops)
-    window = bracket_window(L, 1 + shift, top, k - 1)
+    window = bracket_window(L, 1 + shift, top, k - 1) if brackets is None \
+        else islice(brackets, top - 1, k - 1)
     for j, brackets in zip(range(top + 1, k + 1), window):
         for maps in [op.maps for op in ops if j not in op.maps]:
             rows = []

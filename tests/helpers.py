@@ -7,9 +7,8 @@ from __future__ import annotations
 
 from thinlie.engine import (CHECKS, DegreeOverflowError, GradedAlgebra,
                             ValidationReport, validate)
-from thinlie.gf import (echelon, lucas_binom, mat_apply_rows,
-                        vec_add, vec_is_zero, vec_neg, vec_scale, vec_sub,
-                        vec_zero)
+from thinlie.gf import (lucas_binom, mat_apply_rows, vec_add, vec_is_zero,
+                        vec_neg, vec_scale, vec_sub, vec_zero)
 from thinlie.maxclass import CentralizerSequence, SequenceError, build_maxclass
 from thinlie.patterns import compile_pattern, family_pattern, uniqueness_sequence
 
@@ -155,6 +154,36 @@ def centralizer_in_L1(L, k: int):
         iy = L.apply_letter(u, "y")[1]
         rows.extend(zip(ix, iy))
     return kernel(tuple(rows), L.p)
+
+
+def echelon(rows, p: int):
+    """Row-echelon basis (pivot-normalized, reduced) of the row span, by
+    dense elimination and back-substitution: the oracle for the package's
+    incremental gf.echelon_add, and the form kernel reads."""
+    basis = []  # list of (pivot_index, row tuple)
+    for row in rows:
+        row = list(a % p for a in row)
+        for piv, b in basis:
+            if row[piv]:
+                c = row[piv]
+                row = [(a - c * bb) % p for a, bb in zip(row, b)]
+        piv = next((j for j, a in enumerate(row) if a), None)
+        if piv is None:
+            continue
+        inv = pow(row[piv], -1, p)
+        row = tuple(a * inv % p for a in row)
+        basis.append((piv, row))
+    basis.sort()
+    # back-substitute so the basis is fully reduced
+    out = []
+    for idx, (piv, row) in enumerate(basis):
+        row = list(row)
+        for piv2, row2 in basis[idx + 1:]:
+            c = row[piv2]
+            if c:
+                row = [(a - c * b) % p for a, b in zip(row, row2)]
+        out.append(tuple(row))
+    return out
 
 
 def kernel(a_rows, p: int) -> list:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -365,6 +366,27 @@ def test_deflation_memo_does_not_grow_with_N():
         deflate(L, n_out)
         sizes.append(len(L._memo))
     assert sizes == [0, 0], sizes
+
+
+@pytest.mark.parametrize("q,r,n", [(7, 7, 60), (7, 7, 150), (5, 5, 60)])
+def test_deflation_memory_is_linear_in_the_degree(q, r, n):
+    # deflation keeps O(1) values per degree of its output (bracket
+    # windows, no memo), so deflating to 2n peaks at most 2.5 times as far
+    # above its source as deflating to n; quadratic growth would give 4
+    def above_source(n_out):
+        p, _, n_src = nqr_source_degree(q, r, n_out)
+        L, _ = compile_pattern(family_pattern("a", p, q * r, n_src + q * r + 5),
+                               n_src, run_validation=False)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            deflate(L, n_out)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    small, large = above_source(n), above_source(2 * n)
+    assert large <= 2.5 * small, (small, large)
 
 
 def test_tensor_construct_leaves_the_memo_empty():

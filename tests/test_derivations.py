@@ -224,6 +224,35 @@ def test_roundtrip_uniqueness(uniq):
     assert rep.extracted_sequence.count("X") >= 2
 
 
+def test_roundtrip_opens_one_bracket_window(monkeypatch):
+    # the certificate, D's fill and the extraction all read the window of
+    # L_q that the round trip builds; a window counts once it is read.  D's
+    # maps equal those of a D filled lazily, one degree per fill
+    import thinlie.derivations as derivations
+    import thinlie.window as window
+
+    opened, built = [], []
+    orig, orig_build_D = window.bracket_window, derivations.build_D
+
+    def counted(*args):
+        opened.append(args[1:])
+        yield from orig(*args)
+
+    for mod in (window, derivations):
+        monkeypatch.setattr(mod, "bracket_window", counted)
+    monkeypatch.setattr(derivations, "build_D",
+                        lambda L: built.append(orig_build_D(L)) or built[-1])
+    pat = family_pattern("uniqueness", P, Q, 260, s=1)
+    L, _ = compile_pattern(pat, 200, guard=Q + 2, run_validation=False)
+    rep = roundtrip_check(L)
+    assert rep.passed and len(opened) == len(built) == 1, opened
+    monkeypatch.undo()
+    lazy = build_D(L)
+    for k in range(2, max(built[-1].maps) + 1):
+        lazy._rows(k)
+    assert built[-1].maps == lazy.maps
+
+
 def test_roundtrip_stops_at_a_failed_certificate(uniq):
     # one ad x entry moved: the pattern still passes the class gate, but
     # D is no derivation, so the round trip fails before extracting

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import kernel
-from thinlie.gf import (PrimeField, echelon, echelon_add, lucas_binom,
-                        mat_apply_rows, rank, smallest_prime_factor,
-                        solve_or_kernel)
+from helpers import echelon, kernel
+from thinlie.gf import (PrimeField, echelon_add, lucas_binom, mat_apply_rows,
+                        rank, smallest_prime_factor, solve_or_kernel)
 
 
 def test_prime_field_validates():
@@ -42,54 +41,79 @@ def test_lucas_matches_bigint(p, n, k):
     assert lucas_binom(n, k, p) == math.comb(n, k) % p
 
 
+def _taken(vectors, p):
+    """The echelon basis of vectors added in order, and the ones taken."""
+    basis = []
+    return basis, [v for v in vectors if echelon_add(basis, v, p)]
+
+
 def test_solve_identity():
-    sol = solve_or_kernel(((1, 0), (0, 1)), (3, 5), 7)
-    assert sol.consistent and sol.solution == (3, 5)
+    basis, taken = _taken([{0: 1}, {1: 1}], 7)
+    assert len(taken) == 2
+    assert solve_or_kernel(basis, {0: 3, 1: 5}, 7) == (3, 5)
+    assert solve_or_kernel(basis, {}, 7) == (0, 0)
     assert kernel(((1, 0), (0, 1)), 7) == []
 
 
+def test_solve_scaled_basis():
+    # pivots 2 and 3 mod 7: each pivot row is its input times the pivot's
+    # inverse, minus the earlier inputs, and the solve undoes both
+    basis, taken = _taken([{0: 2}, {0: 1, 1: 3}], 7)
+    assert [row for _, row, _ in basis] == [{0: 1}, {1: 1}]
+    assert [comb for _, _, comb in basis] == [{0: 4}, {0: 1, 1: 5}]
+    assert solve_or_kernel(basis, {0: 4, 1: 1}, 7) == (3, 5)
+
+
 def test_solve_zero_matrix_full_kernel():
-    sol = solve_or_kernel(((0, 0), (0, 0)), (0, 0), 7)
-    assert sol.consistent and sol.solution == (0, 0)
+    # zero vectors are never taken: the empty basis spans only 0
+    basis, taken = _taken([{}, {0: 0, 1: 7}], 7)
+    assert basis == [] and taken == []
+    assert solve_or_kernel(basis, {0: 0}, 7) == ()
+    assert solve_or_kernel(basis, {1: 1}, 7) is None
     assert kernel(((0, 0), (0, 0)), 7) == [(1, 0), (0, 1)]
 
 
 def test_solve_rank_one():
-    # [[1,2],[2,4]] x = (1,2) mod 7: eliminating gives x1 + 2 x2 = 1,
-    # one free variable
-    sol = solve_or_kernel(((1, 2), (2, 4)), (1, 2), 7)
-    assert sol.consistent
-    assert sol.solution == (1, 0)
+    # the columns (1, 2) and (2, 4) of [[1, 2], [2, 4]] mod 7: the second
+    # is twice the first, so only the first is taken
+    basis, taken = _taken([{0: 1, 1: 2}, {0: 2, 1: 4}], 7)
+    assert taken == [{0: 1, 1: 2}]
+    assert solve_or_kernel(basis, {0: 3, 1: 6}, 7) == (3,)
     assert kernel(((1, 2), (2, 4)), 7) == [(5, 1)]
 
 
 def test_solve_inconsistent():
-    sol = solve_or_kernel(((1, 2), (2, 4)), (1, 3), 7)
-    assert not sol.consistent
+    basis, _ = _taken([{0: 1, 1: 2}, {0: 2, 1: 4}], 7)
+    assert solve_or_kernel(basis, {0: 1, 1: 3}, 7) is None
+    assert solve_or_kernel(basis, {2: 1}, 7) is None
 
 
-def test_solve_dimension_mismatch():
-    with pytest.raises(ValueError):
-        solve_or_kernel(((1, 2),), (1, 2), 7)
-
-
-@given(st.integers(1, 4), st.integers(1, 4), st.data())
+@given(st.sampled_from([5, 7, 13]), st.integers(1, 6), st.integers(1, 8),
+       st.data())
 @settings(max_examples=200)
-def test_solve_roundtrip(m, n, data):
-    p = 7
-    A = tuple(tuple(data.draw(st.integers(0, p - 1)) for _ in range(n))
-              for _ in range(m))
-    x_true = tuple(data.draw(st.integers(0, p - 1)) for _ in range(n))
-    b = tuple(sum(A[i][j] * x_true[j] for j in range(n)) % p for i in range(m))
-    sol = solve_or_kernel(A, b, p)
-    assert sol.consistent
-    for row, bi in zip(A, b):
-        assert sum(r * s for r, s in zip(row, sol.solution)) % p == bi
-    ker = kernel(A, p)
-    for v in ker:
-        for row in A:
-            assert sum(r * s for r, s in zip(row, v)) % p == 0
-    assert len(ker) == n - rank(A, p)
+def test_solve_roundtrip(p, m, n, data):
+    # n random sparse vectors over the keys 0..m-1 go through echelon_add;
+    # a random combination of the ones it took is solved back to exactly
+    # its coefficients
+    vectors = [data.draw(st.dictionaries(st.integers(0, m - 1),
+                                         st.integers(1, p - 1), max_size=m))
+               for _ in range(n)]
+    basis, taken = _taken(vectors, p)
+    dense = [tuple(v.get(k, 0) for k in range(m)) for v in vectors]
+    assert len(taken) == len(basis) == len(echelon(dense, p)) == rank(dense, p)
+    x = tuple(data.draw(st.integers(0, p - 1)) for _ in taken)
+    v = {k: sum(c * u.get(k, 0) for c, u in zip(x, taken)) % p
+         for k in range(m)}
+    sol = solve_or_kernel(basis, v, p)
+    assert sol == x
+    assert all(sum(c * u.get(k, 0) for c, u in zip(sol, taken)) % p == v[k]
+               for k in range(m))
+    # the relations among the inputs: n - rank of them, independent
+    ker = kernel(tuple(zip(*dense)), p)
+    for w in ker:
+        assert all(sum(c * u.get(k, 0) for c, u in zip(w, vectors)) % p == 0
+                   for k in range(m))
+    assert len(ker) == n - len(taken)
     assert rank(ker, p) == len(ker)
 
 
@@ -124,10 +148,10 @@ def test_echelon_add_matches_echelon():
             basis = []
             for i, r in enumerate(rows):
                 added = echelon_add(basis, {j: a for j, a in enumerate(r) if a}, p)
-                assert len(basis) == rank(rows[:i + 1], p)
-                assert added == (len(basis) > rank(rows[:i], p))
+                assert len(basis) == len(echelon(rows[:i + 1], p))
+                assert added == (len(basis) > len(echelon(rows[:i], p)))
             ref = echelon(rows, p)
-            assert sorted(piv for piv, _ in basis) == \
+            assert sorted(piv for piv, _, _ in basis) == \
                 [next(j for j, a in enumerate(r) if a) for r in ref]
-            for piv, row in basis:
+            for piv, row, _ in basis:
                 assert row[piv] == 1 and min(row) == piv

@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from helpers import P, Q
+from helpers import P, Q, metabelian_sequence
 from thinlie import engine
+from thinlie.constructions import tensor_construct
+from thinlie.maxclass import build_maxclass
 from thinlie.patterns import compile_pattern, family_pattern
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -67,3 +69,16 @@ def test_result_count_readers_accept_real_results(tracing):
             importlib.import_module(f"thinlie.{module}"), path)
         count = read(calls[span](getattr(owner, name)))
         assert isinstance(count, int) and count > 0, span
+
+
+def test_gf_spans_see_calls(tracing):
+    # the construction solves its ad rows through gf.solve_or_kernel and the
+    # covering check counts ranks through gf.rank: both spans record calls,
+    # so a changed signature cannot leave either metric reading 0
+    M = build_maxclass(metabelian_sequence(P, 12), 8)
+    with tracing.Tracer() as tracer:
+        L, _ = tensor_construct(M, Q, 40)
+        assert engine.validate(L).ok
+    metrics = tracer.layer_metrics()
+    assert metrics["gf.solve_or_kernel.calls"] > 0, metrics
+    assert metrics["gf.rank.calls"] > 0, metrics
