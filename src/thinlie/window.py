@@ -69,14 +69,14 @@ def fill(ops, k: int, brackets=None) -> None:
     top = min(len(op.maps) for op in ops)
     window = bracket_window(L, 1 + shift, top, k - 1) if brackets is None \
         else islice(brackets, top - 1, k - 1)
-    for j, brackets in zip(range(top + 1, k + 1), window):
+    for j, parents in zip(range(top + 1, k + 1), window):
         for maps in [op.maps for op in ops if j not in op.maps]:
             rows = []
             for e in L.basis(j):
                 a = L.elements[e.parent_gid]
                 da = L.apply_letter((j - 1 + shift, maps[j - 1][a.index]),
                                     e.letter)[1]
-                at = mat_apply_rows(brackets[a.index],
+                at = mat_apply_rows(parents[a.index],
                                     maps[1]["xy".index(e.letter)], L.p)
                 rows.append(vec_add(da, at, L.p))
             maps[j] = tuple(rows)
