@@ -201,7 +201,7 @@ def cmd_verify(args):
             inst = [i for i in lem.instances if i.lemma == "distance"]
             doc["checks"]["distance"] = {
                 "ok": all(i.status != "fail" for i in inst),
-                "instances": [vars(i) for i in inst]}
+                "instances": [i.to_json() for i in inst]}
             failed = failed or not doc["checks"]["distance"]["ok"]
         else:
             doc["checks"]["lemmas"] = lem.to_json()

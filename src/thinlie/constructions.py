@@ -6,7 +6,8 @@ algebra, deflation, and the iterated-deflation family N(q, r).
 from __future__ import annotations
 
 from .engine import AlgebraBuilder, GradedAlgebra, OperatorFamily
-from .gf import PrimeField, echelon_add, lucas_binom, solve_or_kernel
+from .gf import (PrimeField, echelon_add, lucas_binom, solve_or_kernel,
+                 vec_add, vec_scale)
 from .patterns import (ConstructionError, char_of_q, check_p, check_q,
                        compile_pattern, deflation_steps, detect,
                        family_pattern)
@@ -77,16 +78,10 @@ def engine_from_abstract(field: PrimeField, q, n_built: int, N: int,
             raise ConstructionError(
                 f"degree {k + 1} has dimension {len(chosen)}; not thin")
         gids = b.add_degree([(b.comp_gids[k][i], t) for (i, t) in chosen])
-
-        def solve(v):
-            sol = solve_or_kernel(ech, v, p)
-            if sol is None:
-                raise ConstructionError(
-                    f"bracket image leaves the generated component in degree {k + 1}")
-            return sol
-
-        b.set_ad(k, [solve(vecs[(i, "x")]) for i in range(len(cur))],
-                 [solve(vecs[(i, "y")]) for i in range(len(cur))])
+        # every image [v, t] is itself a candidate in order, so it was taken
+        # or lies in the span of those taken: the solve never returns None
+        b.set_ad(k, *([solve_or_kernel(ech, vecs[(i, t)], p)
+                       for i in range(len(cur))] for t in "xy"))
         cur = [images[c] for c in chosen]
         abs_of.update(zip(gids, cur))
     return b.finish(N), abs_of
@@ -170,46 +165,29 @@ def _lines(p: int):
     return [(1, t) for t in range(p)] + [(0, 1)]
 
 
-def _closure_second_diamond(basis1, p: int, n_built: int):
-    """Degree of the first 2-dimensional component of the deflated algebra,
-    found by closing the degree-1 operator span; None if there is none in
-    range.  The q = p algebra keeps its second diamond, a deflation of the
-    parameter-(q, r) algebra jumps back up to q r, so the value cannot be
-    read off the input parameters alone."""
-    cur = basis1
-    for k in range(2, n_built + 1):
-        ech, nxt = [], []
-        for c in cur:
-            for g in basis1:
-                op = c.op_bracket(g)
-                if echelon_add(ech, op.coords(), p):
-                    nxt.append(op)
-        if not nxt:
-            raise ConstructionError(f"deflated algebra vanishes in degree {k}")
-        if len(nxt) > 2:
-            raise ConstructionError(
-                f"deflated degree {k} has dimension {len(nxt)}; not thin")
-        if len(nxt) == 2:
-            return k
-        cur = nxt
-    return None
+def _act(A: GradedAlgebra, v, line):
+    """[v, z] for v = (k, coordinates) in A_k and z = a x + b y in A_1,
+    line = (a, b): a [v, x] + b [v, y], from the two ad rows of v."""
+    a, b = line
+    return (v[0] + 1, vec_add(vec_scale(a, A.apply_letter(v, "x")[1], A.p),
+                              vec_scale(b, A.apply_letter(v, "y")[1], A.p),
+                              A.p))
 
 
 def generator_derivations(L: GradedAlgebra):
     """The derivations that generate the deflated algebra, each stored by
     its values on x and y: (ad z)^p over all p+1 lines z of L_1 (p-th
     powers are not additive in characteristic p), then ad u over a basis
-    of L_p.  (ad z)^p takes p letter steps from x and from y, and ad u
+    of L_p.  (ad z)^p takes p steps of _act from x and from y, and ad u
     maps g to [g, u], which for g = x, y is minus the ad g row of u."""
     p = L.p
     gens = [L.as_element(g) for g in L.comp_gids[1]]
     out = []
     for z in _lines(p):
-        adz = L.ad_operator(z)
         rows = []
         for v in gens:
             for _ in range(p):
-                v = adz.apply(v)
+                v = _act(L, v, z)
             rows.append(v[1])
         out.append(OperatorFamily(L, p, {1: tuple(rows)}))
     for u in L.basis(p):
@@ -223,12 +201,24 @@ def deflate(L: GradedAlgebra, N_out: int) -> GradedAlgebra:
     ad(L_p), with degrees divided by p, re-expressed as an engine algebra
     built to N_out + DEFLATE_GUARD and not validated.
 
-    Works in Der(L): elements of rescaled degree k are derivations of
-    shift k p, identified by their values on x and y.  Requires L built to
-    at least p (N_out + DEFLATE_GUARD) + p.  L is a Nottingham algebra,
-    compiled from family a or deflated from one: there is no maximal-class
-    branch, and the result's q is its second diamond's degree, read off
-    the closure of the degree-1 operators.
+    Requires L built to at least p (N_out + DEFLATE_GUARD) + p.  L is a
+    Nottingham algebra, compiled from family a or deflated from one: there
+    is no maximal-class branch.
+
+    Deflation grows in Der(L) once: elements of rescaled degree k are
+    derivations of shift k p, identified by their values on x and y, and
+    engine_from_abstract grows the subalgebra from basis1, the first two
+    independent generating derivations, into the engine algebra L0.  The
+    rest reads L0: the result's q is its second diamond's degree, the
+    first k with dim L0_k = 2 (deflating the parameter-(q, r) algebra
+    jumps back up to q r, so q is not read off the input's parameters);
+    _standard_generators picks lines of L0_1; and the result is L0
+    regrown from them with the bracket _act.  The bytes are those of a
+    growth in Der(L) from the standard generators: engine_from_abstract's
+    output depends only on the Lie algebra and the generator pair, since
+    which candidates it takes is a question of linear independence, and
+    an image's coordinates over those taken are unique; neither depends
+    on the basis the elements are written in.
     """
     p = L.p
     n_built = N_out + DEFLATE_GUARD
@@ -243,63 +233,49 @@ def deflate(L: GradedAlgebra, N_out: int) -> GradedAlgebra:
     if len(basis1) != 2:
         raise ConstructionError(
             f"deflated degree 1 has dimension {len(basis1)}; not thin")
-
-    q_out = _closure_second_diamond(basis1, p, n_built)
-    xop, yop = _standard_generators(basis1, p, q_out)
     # the growth reads both on degree 1 + p k for every k < n_built; filled
     # together, they share one bracket window
-    fill([xop, yop], 1 + p * (n_built - 1))
+    fill(basis1, 1 + p * (n_built - 1))
+    L0, _ = engine_from_abstract(L.field, None, n_built, n_built, *basis1,
+                                 OperatorFamily.op_bracket,
+                                 OperatorFamily.coords)
+    q_out = next((k for k in range(2, n_built + 1) if L0.dim(k) == 2), None)
+    xline, yline = _standard_generators(L0, q_out)
     Ld, _ = engine_from_abstract(
-        L.field, q_out, n_built, N_out, xop, yop, OperatorFamily.op_bracket,
-        OperatorFamily.coords)
+        L.field, q_out, n_built, N_out, (1, xline), (1, yline),
+        lambda v, g: _act(L0, v, g[1]), lambda v: dict(enumerate(v[1])))
     return Ld
 
 
-def _standard_generators(basis1, p: int, q_out):
-    """Pick standard generators from a 2-dimensional degree-1 operator space:
-    y is the sandwich direction, x a complement normalized so the second
-    diamond (in degree q_out) carries the -1 relation."""
-
-    def combo(line):
-        a, b = line
-        return basis1[0].scale(a).add(basis1[1].scale(b))
-
-    sandwiches = []
-    for line in _lines(p):
-        z = combo(line)
-        if not any(w.op_bracket(z).op_bracket(z).coords() for w in basis1):
-            sandwiches.append(line)
+def _standard_generators(A: GradedAlgebra, q_out):
+    """Lines (a, b) of A_1 for the standard generators: y a sandwich
+    direction, [[w, y], y] = 0 for w in A_1, and x another line whose
+    chain v = [y, x, ..., x] in degree q_out - 1 is nonzero and, when
+    degree q_out + 1 is built, normalized so the second diamond carries
+    the -1 relation: [v x x] = [v y y] = 0 and [v y x] = -2 [v x y]."""
+    p, lines = A.p, _lines(A.p)
+    gens = [A.as_element(g) for g in A.comp_gids[1]]
+    sandwiches = [z for z in lines
+                  if not any(any(_act(A, _act(A, w, z), z)[1]) for w in gens)]
     for yline in sandwiches:
-        yop = combo(yline)
-        for xline in _lines(p):
+        for xline in lines:
             if xline == yline:
                 continue
-            xop = combo(xline)
             if q_out is None:
-                return xop, yop
-            # chain y x^{q-2}: must stay nonzero, then satisfy the second
-            # diamond relations
-            v = yop
-            okchain = True
+                return xline, yline
+            v = (1, yline)
             for _ in range(q_out - 2):
-                v = v.op_bracket(xop)
-                if not v.coords():
-                    okchain = False
-                    break
-            if not okchain:
+                v = _act(A, v, xline)
+            if not any(v[1]):
                 continue
-            if (q_out + 1) * p >= xop.algebra.N_built:
+            if q_out + 1 > A.N_built:
                 # the relations lie past the built range and fix nothing
-                return xop, yop
-            vx = v.op_bracket(xop)
-            vy = v.op_bracket(yop)
-            if not vx.op_bracket(xop).coords() and \
-               not vy.op_bracket(yop).coords():
-                lhs = vy.op_bracket(xop)
-                rhs = vx.op_bracket(yop).scale(-2)
-                diff = lhs.add(rhs.scale(-1))
-                if not diff.coords():
-                    return xop, yop
+                return xline, yline
+            vx, vy = _act(A, v, xline), _act(A, v, yline)
+            if not any(_act(A, vx, xline)[1]) and \
+               not any(_act(A, vy, yline)[1]) and \
+               _act(A, vy, xline)[1] == vec_scale(-2, _act(A, vx, yline)[1], p):
+                return xline, yline
     raise ConstructionError("no standard generator pair found in deflation")
 
 

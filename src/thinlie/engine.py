@@ -20,7 +20,8 @@ Bracket values come three ways.  bracket_basis memoizes each value it
 computes and serves the callers that need a few pairs: the lemma suite
 (through bracket), its only caller on a job path, and to_structure_json,
 its only other caller, which no job runs.  A bracket with a generator is an
-ad row, and tensor_construct and generator_derivations read it there.
+ad row, and tensor_construct and deflation read it there: deflation grows
+in Der(L) once, then picks its generators and regrows in engine form.
 The O(N^2) values for all pairs, which validate's pair checks and the
 structure export read, come from one sweep of bracket columns in
 ascending degree (bracket_columns, bracket_rows): the column of [a, t] is
@@ -37,14 +38,15 @@ safe; the bracket memo table is a plain dict (GIL-guarded), and a sweep or
 a window holds its columns in its own generator.
 
 An OperatorFamily is a graded linear map on such an algebra, one matrix per
-degree.  It is the derivation type: ad z for z in L_1, the outer derivation
-D of the derivations module, and the elements of a deflated algebra, which
-the constructions module grows in Der(L) under the commutator bracket.  A
-derivation is given by its images of x and y alone and filled to higher
-degrees on first use by the word recursion D[a, t] = [D a, t] + [a, D t];
-every fill writes the same values, so concurrent readers stay safe.  Its
-coords(), the degree-1 values keyed by (shift, i, j), are what linear
-algebra and zero tests read.
+degree.  It is the derivation type: the outer derivation D of the
+derivations module, and the (ad z)^p and ad u that generate a deflated
+algebra, which the constructions module grows once in Der(L) under the
+commutator bracket before it goes on in engine form.  A derivation is
+given by its images of x and y alone and filled to higher degrees on first
+use by the word recursion D[a, t] = [D a, t] + [a, D t]; every fill writes
+the same values, so concurrent readers stay safe.  Its coords(), the
+degree-1 values keyed by (shift, i, j), are what linear algebra and zero
+tests read.
 """
 
 from __future__ import annotations
@@ -55,9 +57,7 @@ from .gf import (
     PrimeField,
     mat_apply_rows,
     rank,
-    vec_add,
     vec_is_zero,
-    vec_scale,
     vec_sub,
     vec_zero,
 )
@@ -68,8 +68,6 @@ class DegreeOverflowError(Exception):
 
     def __init__(self, degree, built):
         super().__init__(f"bracket lands in degree {degree}, built only to {built}")
-        self.degree = degree
-        self.built = built
 
 
 class BasisElement:
@@ -417,15 +415,6 @@ class GradedAlgebra:
                            + [tuple([-v % p for v in w])
                               for w in layer[i][dim:]])
 
-    def ad_operator(self, z_coords):
-        """ad z for z in L_1: the derivation of shift 1 with x -> [x, z] and
-        y -> [y, z], as an OperatorFamily."""
-        zx, zy = z_coords
-        rows = tuple(vec_add(vec_scale(zx, rx, self.p),
-                             vec_scale(zy, ry, self.p), self.p)
-                     for rx, ry in zip(self.ad["x"][1], self.ad["y"][1]))
-        return OperatorFamily(self, 1, {1: rows})
-
     # -- export ----------------------------------------------------------------
 
     def write_structure_json(self, out, depth: int = 0) -> None:
@@ -537,8 +526,9 @@ class OperatorFamily:
 
     The operators deflation works with are derivations: ad u for u in L;
     (ad z)^p in characteristic p, by Leibniz's rule, because
-    C(p, i) = 0 mod p for 0 < i < p; and commutators of derivations.  L is
-    generated by x and y, so a derivation that vanishes on x and y
+    C(p, i) = 0 mod p for 0 < i < p; and their commutators, which
+    op_bracket computes in the one growth in Der(L) that deflation runs.
+    L is generated by x and y, so a derivation that vanishes on x and y
     vanishes on every degree where it is defined.  Hence two derivations of
     one shift are equal exactly when their degree-1 values are, and the
     degree-1 values (`coords`) give the same linear relations as the maps
@@ -568,23 +558,6 @@ class OperatorFamily:
         maps = {k: tuple(other.apply((k + self.shift, r))[1]
                          for r in self._rows(k)) for k in range(1, top + 1)}
         return OperatorFamily(self.algebra, self.shift + other.shift, maps)
-
-    def add(self, other: "OperatorFamily") -> "OperatorFamily":
-        if self.shift != other.shift:
-            raise ValueError(f"cannot add operators of shifts {self.shift} "
-                             f"and {other.shift}")
-        p = self.algebra.p
-        maps = {}
-        for k in self.maps.keys() & other.maps.keys():
-            maps[k] = tuple(vec_add(r1, r2, p) for r1, r2 in
-                            zip(self.maps[k], other.maps[k], strict=True))
-        return OperatorFamily(self.algebra, self.shift, maps)
-
-    def scale(self, c: int) -> "OperatorFamily":
-        p = self.algebra.p
-        return OperatorFamily(self.algebra, self.shift,
-                              {k: tuple(vec_scale(c, r, p) for r in rows)
-                               for k, rows in self.maps.items()})
 
     def op_bracket(self, other: "OperatorFamily") -> "OperatorFamily":
         """Lie bracket of two derivations, matching the right-action

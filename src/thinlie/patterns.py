@@ -575,6 +575,9 @@ class LemmaInstance:
         self.status = status     # "pass" | "fail" | "skip"
         self.detail = detail
 
+    def to_json(self) -> dict:
+        return vars(self)
+
 
 class LemmaReport:
     def __init__(self, instances: list):
@@ -588,7 +591,7 @@ class LemmaReport:
         return {
             "schema": "thinlie.lemmas.v1",
             "ok": self.ok,
-            "instances": [vars(i) for i in self.instances],
+            "instances": [i.to_json() for i in self.instances],
         }
 
 

@@ -6,7 +6,7 @@ that only the tests use."""
 from __future__ import annotations
 
 from thinlie.engine import (CHECKS, DegreeOverflowError, GradedAlgebra,
-                            ValidationReport, validate)
+                            OperatorFamily, ValidationReport, validate)
 from thinlie.gf import (lucas_binom, mat_apply_rows, vec_add, vec_is_zero,
                         vec_neg, vec_scale, vec_sub, vec_zero)
 from thinlie.maxclass import CentralizerSequence, SequenceError, build_maxclass
@@ -232,6 +232,28 @@ def leibniz_pair_failures(L, D) -> list:
             if lhs[1] != rhs:
                 fails.append((e1.gid, e2.gid))
     return fails
+
+
+def ad_operator(L, z):
+    """ad z for z = a x + b y in L_1, z = (a, b): the derivation of shift 1
+    with x -> [x, z] and y -> [y, z], filled on demand by the word
+    recursion.  The oracle for ad rows and for (ad z)^p, which deflation
+    computes with two ad rows per step instead."""
+    a, b = z
+    rows = tuple(vec_add(vec_scale(a, rx, L.p), vec_scale(b, ry, L.p), L.p)
+                 for rx, ry in zip(L.ad["x"][1], L.ad["y"][1]))
+    return OperatorFamily(L, 1, {1: rows})
+
+
+def eager_commutator(a, b):
+    """B o A - A o B, a.then(b) minus b.then(a), on every degree where both
+    compositions are defined: the oracle for op_bracket, which computes
+    the commutator of two derivations on x and y only."""
+    ab, ba, p = a.then(b), b.then(a), a.algebra.p
+    return OperatorFamily(a.algebra, ab.shift, {
+        k: tuple(vec_sub(r1, r2, p)
+                 for r1, r2 in zip(ab.maps[k], ba.maps[k], strict=True))
+        for k in ab.maps.keys() & ba.maps.keys()})
 
 
 def coclass_excess(L) -> int:

@@ -5,13 +5,13 @@ import tracemalloc
 
 import pytest
 
-from helpers import (P, Q, backbone_sequence, extract_centralizer_sequence,
-                     metabelian_sequence, words)
-from thinlie.constructions import (ConstructionError, deflate,
+from helpers import (P, Q, ad_operator, backbone_sequence, eager_commutator,
+                     extract_centralizer_sequence, metabelian_sequence, words)
+from thinlie.constructions import (DEFLATE_GUARD, ConstructionError, deflate,
                                    divided_power_product,
                                    generator_derivations, nottingham_Nqr,
                                    nqr_source_degree, tensor_construct)
-from thinlie.engine import validate
+from thinlie.engine import OperatorFamily, validate
 from thinlie.gf import vec_add, vec_scale
 from thinlie.maxclass import build_maxclass
 from thinlie.patterns import (classify_regularity, compile_pattern, detect,
@@ -214,6 +214,57 @@ def test_deflate_at_minimum_budget():
     assert L.N_built == 57 and docs[0] == docs[1]
 
 
+# (p, q r of the family-a source, N_out, q of the result, digest of its
+# structure) at N_out 3..6, or 5..6 where a smaller source cannot be
+# compiled: the second diamond lies past the top built degree
+# N_out + DEFLATE_GUARD (q None), at it, or up to three degrees below;
+# recorded while deflation still picked its generators in Der(L)
+TOP_DEGREE_DIGESTS = [
+    (7, 49, 5, 7, "194c85397d9ba845"),
+    (7, 49, 6, 7, "9053b15c037e5b06"),
+    (7, 7, 3, None, "f036df6db776acf3"),
+    (7, 7, 4, None, "ca62ac202030fe18"),
+    (7, 7, 5, 7, "194c85397d9ba845"),
+    (7, 7, 6, 7, "9053b15c037e5b06"),
+    (5, 25, 3, 5, "6c6ce90338c627ab"),
+    (5, 25, 4, 5, "1cce88f39971dddf"),
+    (5, 25, 5, 5, "c0ea63e7e8270d51"),
+    (5, 25, 6, 5, "7a989d861bf8b25a"),
+]
+
+
+@pytest.mark.parametrize("p,qr,n_out,q,digest", TOP_DEGREE_DIGESTS)
+def test_deflate_second_diamond_at_the_top_degree(p, qr, n_out, q, digest):
+    # where the result is not built to q + 1, the second diamond's
+    # relations fix nothing and the first x whose chain survives is taken;
+    # a source built p + 3 degrees past the minimum, where Der(L) could
+    # read those relations, gives the same bytes
+    need = p * (n_out + DEFLATE_GUARD) + p
+    pat = family_pattern("a", p, qr, need + p + 3 + qr + 5)
+    for extra in (0, p + 3):
+        L, _ = compile_pattern(pat, need + extra - 2, run_validation=False)
+        D = deflate(L, n_out)
+        assert L.N_built == need + extra
+        assert (D.q, _structure_sha256(D)[:16]) == (q, digest), extra
+
+
+@pytest.mark.parametrize("p,qr,n_out", [(7, 49, 40), (5, 125, 30)])
+def test_deflation_brackets_operators_only_to_grow(monkeypatch, p, qr, n_out):
+    # deflation grows in Der(L) once, and picks its generators and regrows
+    # in the engine algebra that growth returns: the only commutators of
+    # derivations are the growth's, two per basis element below the top
+    calls = []
+    op_bracket = OperatorFamily.op_bracket
+    monkeypatch.setattr(OperatorFamily, "op_bracket",
+                        lambda a, b: calls.append(1) or op_bracket(a, b))
+    need = p * (n_out + DEFLATE_GUARD) + p
+    L, _ = compile_pattern(family_pattern("a", p, qr, need + qr + 5),
+                           need - 2, run_validation=False)
+    D = deflate(L, n_out)
+    assert D.q is not None and D.q < D.N_built
+    assert len(calls) == 2 * sum(D.dim(k) for k in range(1, D.N_built))
+
+
 @pytest.fixture(scope="module")
 def n77():
     return nottingham_Nqr(Q, Q, 100)
@@ -301,7 +352,7 @@ def test_double_deflation_N200():
 
 def _eager_power(L, z, p):
     """(ad z)^p as the p-fold composition of ad z, filled on every degree."""
-    adz = L.ad_operator(z)
+    adz = ad_operator(L, z)
     out = adz
     for _ in range(p - 1):
         out = out.then(adz)
@@ -325,7 +376,7 @@ def test_lazy_derivations_match_eager_maps(p, q, n):
 
     # ad z on every degree, against the presentation's ad x and ad y rows
     for z in lines:
-        adz = L.ad_operator(z)
+        adz = ad_operator(L, z)
         for e in basis_upto(L.N_built - 1):
             want = vec_add(vec_scale(z[0], L.apply_letter(e, "x")[1], p),
                            vec_scale(z[1], L.apply_letter(e, "y")[1], p), p)
@@ -343,7 +394,7 @@ def test_lazy_derivations_match_eager_maps(p, q, n):
     # the bracket on generators against B o A - A o B
     a, b = gens[0], gens[-1]
     comm = a.op_bracket(b)
-    eager = a.then(b).add(b.then(a).scale(-1))
+    eager = eager_commutator(a, b)
     for e in basis_upto(L.N_built - 2 * p):
         assert comm.apply(e) == eager.apply(e), e
     # filled together through one bracket window, as deflate fills its

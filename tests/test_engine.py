@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (P, Q, centralizer_in_L1, coclass_excess, corrupt_ad_x,
-                     dims, failures, metabelian_sequence, oracle_bracket,
-                     words)
+from helpers import (P, Q, ad_operator, centralizer_in_L1, coclass_excess,
+                     corrupt_ad_x, dims, failures, metabelian_sequence,
+                     oracle_bracket, words)
 from thinlie.engine import (AlgebraBuilder, BasisElement, DegreeOverflowError,
                             GradedAlgebra, OperatorFamily, validate)
 from thinlie.gf import (PrimeField, echelon_add, lucas_binom, vec_is_zero,
@@ -276,8 +276,8 @@ def test_structure_json(n7):
 
 
 def test_operator_family_algebra(n7):
-    adx = n7.ad_operator((1, 0))
-    ady = n7.ad_operator((0, 1))
+    adx = ad_operator(n7, (1, 0))
+    ady = ad_operator(n7, (0, 1))
     u = n7.as_element(n7.gid(3, 0))
     assert adx.then(ady).apply(u) == n7.apply_word(u, "xy")
     comm = adx.op_bracket(ady)

@@ -4,9 +4,10 @@ instead.  Starting the CLI loads only what every job runs: the records are
 plain classes, so `dataclasses` (and `inspect`, which it pulls in) stays
 unloaded, and the construction and derivation layers, with the bracket
 window only they read, are imported by the subcommands that run them.
-The package holds what its jobs run: every function, class and method is
-named somewhere else in it, but for a listed few; a method is named only
-through its own class or an object of unknown class."""
+The package holds what its jobs run: every function, class, method and
+field is named somewhere else in it, but for a listed few; a method or a
+field is named only through its own class or an object of unknown
+class."""
 
 import ast
 import os
@@ -62,22 +63,38 @@ def test_cli_start_up_leaves_unused_modules_unloaded():
 def _definitions(tree):
     """(owner, name, node) of each top-level def and class, owned by no
     class (None), and of each method of a top-level class that is not a
-    dunder, owned by that class's name."""
+    dunder and each field its __init__ assigns on self (node: the
+    assigned attribute), owned by that class's name."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield None, node.name, node
         if isinstance(node, ast.ClassDef):
-            yield from ((node.name, sub.name, sub) for sub in node.body
-                        if isinstance(sub, ast.FunctionDef)
-                        and not sub.name.startswith("__"))
+            for sub in node.body:
+                if not isinstance(sub, ast.FunctionDef):
+                    continue
+                if not sub.name.startswith("__"):
+                    yield node.name, sub.name, sub
+                elif sub.name == "__init__":
+                    yield from (
+                        (node.name, t.attr, t) for t in ast.walk(sub)
+                        if isinstance(t, ast.Attribute)
+                        and isinstance(t.ctx, ast.Store)
+                        and isinstance(t.value, ast.Name)
+                        and t.value.id == "self")
+
+
+def _owner(node, classes, cls):
+    """The class of the object node reads: the enclosing class cls for
+    self, a package class named bare for itself, else None (not known)."""
+    base = node.id if isinstance(node, ast.Name) else None
+    return cls if base == "self" else base if base in classes else None
 
 
 def _names(node, skip, classes, cls=None):
     """(owner, identifier) of every identifier node reads or imports,
     outside the subtree skip.  A bare name or an import has owner "".  An
-    attribute read off self has the enclosing class cls as its owner, one
-    read off a package class by name has that class, and any other has
-    None: its owner is not known."""
+    attribute has the owner of the object it is read off (_owner).  A
+    vars(obj) call reads every field of obj: (owner of obj, "*")."""
     if node is skip:
         return set()
     if isinstance(node, ast.ClassDef):
@@ -85,11 +102,12 @@ def _names(node, skip, classes, cls=None):
     if isinstance(node, ast.Name):
         found = {("", node.id)}
     elif isinstance(node, ast.Attribute):
-        base = node.value.id if isinstance(node.value, ast.Name) else None
-        found = {(cls if base == "self" else base if base in classes
-                  else None, node.attr)}
+        found = {(_owner(node.value, classes, cls), node.attr)}
     elif isinstance(node, ast.alias):
         found = {("", node.name)}
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.id == "vars" and node.args:
+        found = {(_owner(node.args[0], classes, cls), "*")}
     else:
         found = set()
     for child in ast.iter_child_nodes(node):
@@ -100,8 +118,9 @@ def _names(node, skip, classes, cls=None):
 def unnamed_definitions(trees):
     """Owner.name, or name, of each definition that no other node of the
     trees names: a function or class by a bare name, an import or an
-    attribute of unknown owner; a method by an attribute read off its own
-    class or off an unknown owner, never off another class."""
+    attribute of unknown owner; a method or a field by an attribute read
+    off its own class or off an unknown owner, never off another class;
+    a field also by a vars() call on such an object."""
     classes = {node.name for tree in trees for node in tree.body
                if isinstance(node, ast.ClassDef)}
     unnamed = set()
@@ -109,6 +128,8 @@ def unnamed_definitions(trees):
         for owner, name, node in _definitions(tree):
             want = {(owner, name), (None, name)} if owner else \
                 {("", name), (None, name)}
+            if isinstance(node, ast.Attribute):
+                want |= {(owner, "*"), (None, "*")}
             if not any(want & _names(other, node, classes)
                        for other in trees):
                 unnamed.add(f"{owner}.{name}" if owner else name)
@@ -129,12 +150,31 @@ def test_a_method_is_named_only_through_its_own_class():
         return unnamed_definitions([ast.parse(
             "class A:\n    def done(self):\n        return 1\n\n\n"
             "class B:\n    def __init__(self, done):\n"
-            "        self.done = done\n\n\nCLASSES = A, B\n\n\n" + user)])
+            "        self.done = done\n\n\nCLASSES = A, B\n"
+            "B_DONE = B.done\n\n\n" + user)])
 
     assert unnamed("def f(b):\n    return B.done, b\n") == {"A.done", "f"}
     for user in ("def f(a):\n    return a.done()\n",
                  "def f():\n    return A.done\n"):
         assert unnamed(user) == {"f"}, user
+
+
+def test_a_field_is_named_only_through_its_own_class():
+    # a field assigned on self in __init__ is named like a method, and
+    # also by vars() on its own object or on one of unknown class; the
+    # assignment that defines it does not name it
+    def unnamed(user):
+        return unnamed_definitions([ast.parse(
+            "class A:\n    def __init__(self):\n        self.seen = 1\n\n\n"
+            "class B:\n    def __init__(self):\n        self.seen = 2\n"
+            "        self.kept = self.seen\n\n\n"
+            "CLASSES = A, B\n\n\n" + user)])
+
+    assert unnamed("") == {"A.seen", "B.kept"}
+    assert unnamed("def f():\n    return B.kept, A.seen\n") == {"f"}
+    assert unnamed("def f(a):\n    return a.kept\n") == {"A.seen", "f"}
+    assert unnamed("def f(a):\n    return vars(a)\n") == {"f"}
+    assert unnamed("def f():\n    return vars(B)\n") == {"A.seen", "f"}
 
 
 def test_record_semantics():
@@ -167,6 +207,7 @@ def test_record_semantics():
     rep = ValidationReport(checks)
     assert rep.checks is checks and not rep.ok
     # a lemma instance serializes as exactly its five fields
-    assert vars(LemmaInstance("distance", 9, "id", "pass")) == {
+    inst = LemmaInstance("distance", 9, "id", "pass")
+    assert vars(inst) == inst.to_json() == {
         "lemma": "distance", "degree": 9, "identity": "id",
         "status": "pass", "detail": ""}
