@@ -5,13 +5,12 @@ algebra, deflation, and the iterated-deflation family N(q, r).
 
 from __future__ import annotations
 
-from .engine import AlgebraBuilder, GradedAlgebra, OperatorFamily
+from .engine import AlgebraBuilder, GradedAlgebra
 from .gf import (PrimeField, echelon_add, lucas_binom, solve_or_kernel,
                  vec_add, vec_scale)
-from .patterns import (ConstructionError, char_of_q, check_p, check_q,
-                       compile_pattern, deflation_steps, detect,
+from .patterns import (ConstructionError, PatternError, char_of_q, check_p,
+                       check_q, compile_pattern, deflation_steps, detect,
                        family_pattern)
-from .window import fill
 
 
 # -- divided power algebra -----------------------------------------------------
@@ -174,51 +173,86 @@ def _act(A: GradedAlgebra, v, line):
                               A.p))
 
 
-def generator_derivations(L: GradedAlgebra):
-    """The derivations that generate the deflated algebra, each stored by
-    its values on x and y: (ad z)^p over all p+1 lines z of L_1 (p-th
-    powers are not additive in characteristic p), then ad u over a basis
-    of L_p.  (ad z)^p takes p steps of _act from x and from y, and ad u
-    maps g to [g, u], which for g = x, y is minus the ad g row of u."""
-    p = L.p
+def _power(A: GradedAlgebra, v, line):
+    """v (ad z)^p for z = line: p steps of _act."""
+    for _ in range(A.p):
+        v = _act(A, v, line)
+    return v
+
+
+def _on_generators(A: GradedAlgebra, w) -> dict:
+    """ad w on x and y, [x, w] and [y, w], as {(i, j): coefficient}: minus
+    the ad x and ad y rows of w."""
+    return {(i, j): -c % A.p for i, t in enumerate("xy")
+            for j, c in enumerate(A.apply_letter(w, t)[1]) if c}
+
+
+def _generators(L: GradedAlgebra):
+    """(zs, w2): the lines zs = [z_1, z_2] of L_1 with basis1 the
+    (ad z_i)^p, and w2 in L_{2p} with [D_1, D_2] = ad w2 (see deflate).
+    All p + 1 lines are tried: p-th powers are not additive."""
+    p, lines = L.p, _lines(L.p)
     gens = [L.as_element(g) for g in L.comp_gids[1]]
-    out = []
-    for z in _lines(p):
-        rows = []
-        for v in gens:
-            for _ in range(p):
-                v = _act(L, v, z)
-            rows.append(v[1])
-        out.append(OperatorFamily(L, p, {1: tuple(rows)}))
-    for u in L.basis(p):
-        out.append(OperatorFamily(L, p, {1: tuple(
-            tuple([-c % p for c in L.ad[t][p][u.index]]) for t in "xy")}))
-    return out
+    powers = [{(i, j): c for i, g in enumerate(gens)
+               for j, c in enumerate(_power(L, g, z)[1]) if c} for z in lines]
+    u = L.as_element(L.comp_gids[p][0])
+    ads = [_on_generators(L, L.as_element(g)) for g in L.comp_gids[p]]
+    ech = []
+    basis1 = [n for n, v in enumerate(powers + ads) if echelon_add(ech, v, p)]
+    if len(basis1) != 2:
+        raise ConstructionError(
+            f"deflated degree 1 has dimension {len(basis1)}; not thin")
+    if basis1[1] >= len(lines):
+        raise ConstructionError(
+            "deflated degree 1 is not spanned by two p-th powers (ad z)^p")
+    zs = [lines[n] for n in basis1]
+    a, b = solve_or_kernel(ech, ads[0], p)     # ad u = a D_1 + b D_2
+    if not (a or b):
+        raise ConstructionError("ad L_p vanishes on x and y: not covering")
+    w2 = (vec_scale(pow(a, -1, p), _power(L, u, zs[1])[1], p) if a else
+          vec_scale(-pow(b, -1, p), _power(L, u, zs[0])[1], p))
+    return zs, w2
 
 
 def deflate(L: GradedAlgebra, N_out: int) -> GradedAlgebra:
     """Deflation: the subalgebra of operators generated by (ad L_1)^p and
     ad(L_p), with degrees divided by p, re-expressed as an engine algebra
-    built to N_out + DEFLATE_GUARD and not validated.
+    built to N_out + DEFLATE_GUARD and not validated.  Requires L built to
+    at least p (N_out + DEFLATE_GUARD) + p.  L is a Nottingham algebra,
+    compiled from family a or deflated from one.
 
-    Requires L built to at least p (N_out + DEFLATE_GUARD) + p.  L is a
-    Nottingham algebra, compiled from family a or deflated from one: there
-    is no maximal-class branch.
+    The generators are derivations ((ad z)^p is one in characteristic p,
+    as C(p, i) = 0 mod p for 0 < i < p), and L is generated by x and y,
+    so a derivation is fixed by its values on x and y, which give the
+    same linear relations as the whole map.  basis1, the first two
+    independent there, must be p-th powers D_i = (ad z_i)^p: on family a
+    and its deflations (z_1, z_2) = (x, x + y) when the second diamond
+    lies at p + 2 or above, (x + y, x + 2y) when it lies at p.
 
-    Deflation grows in Der(L) once: elements of rescaled degree k are
-    derivations of shift k p, identified by their values on x and y, and
-    engine_from_abstract grows the subalgebra from basis1, the first two
-    independent generating derivations, into the engine algebra L0.  The
-    rest reads L0: the result's q is its second diamond's degree, the
-    first k with dim L0_k = 2 (deflating the parameter-(q, r) algebra
-    jumps back up to q r, so q is not read off the input's parameters);
-    _standard_generators picks lines of L0_1; and the result is L0
-    regrown from them with the bracket _act.  The bytes are those of a
-    growth in Der(L) from the standard generators: engine_from_abstract's
-    output depends only on the Lie algebra and the generator pair, since
-    which candidates it takes is a question of linear independence, and
-    an image's coordinates over those taken are unique; neither depends
-    on the basis the elements are written in.
+    Past degree 1 the growth stays inside L.  With [A, B] = B o A - A o B
+    and ad w (v) = [v, w], for a derivation D and w in L
+
+        [ad w, D] (v) = D[v, w] - [Dv, w] = [v, Dw],  so [ad w, D] = ad Dw.
+
+    Degree 1 holds ad u, u the first basis element of L_p, and ad u != 0
+    as L covers ([u, L_1] = L_{p+1} != 0).  Write ad u = a D_1 + b D_2;
+    then a [D_1, D_2] = ad D_2(u) and b [D_2, D_1] = ad D_1(u), with a or
+    b nonzero, so [D_1, D_2] = ad w2 for a w2 in L_{2p}.  Degree k + 1 is
+    spanned by the [ad w, D_i] = ad D_i(w) with ad w of degree k, so by
+    induction degree k >= 2 is ad w with w in L_{kp}.  The growth stores
+    w, brackets it with D_i as w (ad z_i)^p, p steps of _act, and gives
+    the linear algebra its values on x and y (_on_generators), on which
+    alone ad w depends.
+
+    engine_from_abstract grows L0 from basis1; the rest reads L0.  q is
+    its first k with dim L0_k = 2 (deflating the parameter-(q, r)
+    algebra jumps back up to q r), _standard_generators picks lines of
+    L0_1, and the result is L0 regrown from them with the bracket _act.
+    These are the bytes of a growth in Der(L) from the standard
+    generators: engine_from_abstract's output depends only on the Lie
+    algebra and the generator pair, since which candidates it takes is a
+    question of linear independence, and an image's coordinates over
+    those taken are unique.
     """
     p = L.p
     n_built = N_out + DEFLATE_GUARD
@@ -227,18 +261,16 @@ def deflate(L: GradedAlgebra, N_out: int) -> GradedAlgebra:
             f"input built to {L.N_built}; deflation to {N_out} "
             f"(+{DEFLATE_GUARD} guard) needs {p * n_built + p}")
 
-    ech = []
-    basis1 = [op for op in generator_derivations(L)
-              if echelon_add(ech, op.coords(), p)]
-    if len(basis1) != 2:
-        raise ConstructionError(
-            f"deflated degree 1 has dimension {len(basis1)}; not thin")
-    # the growth reads both on degree 1 + p k for every k < n_built; filled
-    # together, they share one bracket window
-    fill(basis1, 1 + p * (n_built - 1))
-    L0, _ = engine_from_abstract(L.field, None, n_built, n_built, *basis1,
-                                 OperatorFamily.op_bracket,
-                                 OperatorFamily.coords)
+    zs, w2 = _generators(L)
+
+    def bracket(v, g):
+        # v is a generator's index, or w in L_kp for ad w; g a generator's
+        if isinstance(v, int):
+            return (2 * p, vec_scale(g - v, w2, p))
+        return _power(L, v, zs[g])
+
+    L0, _ = engine_from_abstract(L.field, None, n_built, n_built, 0, 1,
+                                 bracket, lambda w: _on_generators(L, w))
     q_out = next((k for k in range(2, n_built + 1) if L0.dim(k) == 2), None)
     xline, yline = _standard_generators(L0, q_out)
     Ld, _ = engine_from_abstract(
@@ -287,13 +319,16 @@ def nqr_source_degree(q: int, r: int, N: int, p: int | None = None):
     of deflation steps (r = p^steps), and the degree n_src its parameter-
     (q r) source of family a is compiled to.  Deflating to n needs the
     input built to p (n + DEFLATE_GUARD) + p (see deflate), so n_src
-    applies that once per step, starting from N.  Checks p, r, q r and
-    N >= q (the second diamond's degree) before anything is built."""
+    applies that once per step, starting from N.  Checks p, r, q r, q >= p
+    and N >= q (the second diamond's degree) before anything is built."""
     if p is None:
         p = char_of_q(q)
     check_p(p)
     steps = deflation_steps(p, r)
     check_q(p, q * r)
+    if q < p:
+        # q r and r are powers of p, so q is p^n; p^0 has no second diamond
+        raise PatternError(f"q must be a positive power of p = {p}, got {q}")
     if N < q:
         raise ConstructionError(f"--N {N} is below q = {q}; N(q, r) "
                                 f"needs --N >= q")

@@ -107,7 +107,7 @@ def verify_leibniz(L: GradedAlgebra, D: OperatorFamily, window: list,
     shift = D.shift
     budget = min(L.N, L.N_built - shift)
     # one fill, off window, for every degree D is read on below
-    fill([D], L.N_built - shift, window)
+    fill(D, L.N_built - shift, window)
     fails = []
     pairs = 0
     homog = True
@@ -170,9 +170,8 @@ def extract_M(L: GradedAlgebra, D: OperatorFamily, window: list):
     p, q = L.p, L.q
     Y = L.eval_word("y" + "x" * (q - 1))
     U = Y
-    # the recursion reads D on every degree the loop below reaches: one
-    # fill off window, where a lazy fill per U_j opens a window each
-    fill([D], L.N_built - max(q, D.shift), window)
+    # the recursion reads D on every degree the loop below reaches
+    fill(D, L.N_built - max(q, D.shift), window)
     entries = []
     j = 1
     while True:

@@ -21,32 +21,28 @@ computes and serves the callers that need a few pairs: the lemma suite
 (through bracket), its only caller on a job path, and to_structure_json,
 its only other caller, which no job runs.  A bracket with a generator is an
 ad row, and tensor_construct and deflation read it there: deflation grows
-in Der(L) once, then picks its generators and regrows in engine form.
+elements of L itself, w with ad w, p steps of two ad rows per bracket.
 The O(N^2) values for all pairs, which validate's pair checks and the
 structure export read, come from one sweep of bracket columns in
 ascending degree (bracket_columns, bracket_rows): the column of [a, t] is
 built from column a and the letter t alone (column, the one routine for
 the recurrence, which the Jacobi check also calls for [c, s]), so the
 sweep keeps two degrees of columns, O(N) values.  The brackets of
-every element with a fixed w of small degree m, which a derivation's
-fill, the Leibniz certificate and the extraction read, come off a window
-of the same columns that slides up the degrees (window.bracket_window):
-O(m^2) values.  Neither the sweep nor the window fills the memo.
+every element with a fixed w of small degree m, which the fill of D, the
+Leibniz certificate and the extraction read, come off a window of the
+same columns that slides up the degrees (window.bracket_window): O(m^2)
+values.  Neither the sweep nor the window fills the memo.
 
 A GradedAlgebra is immutable after construction.  Concurrent readers are
 safe; the bracket memo table is a plain dict (GIL-guarded), and a sweep or
 a window holds its columns in its own generator.
 
 An OperatorFamily is a graded linear map on such an algebra, one matrix per
-degree.  It is the derivation type: the outer derivation D of the
-derivations module, and the (ad z)^p and ad u that generate a deflated
-algebra, which the constructions module grows once in Der(L) under the
-commutator bracket before it goes on in engine form.  A derivation is
-given by its images of x and y alone and filled to higher degrees on first
-use by the word recursion D[a, t] = [D a, t] + [a, D t]; every fill writes
-the same values, so concurrent readers stay safe.  Its coords(), the
-degree-1 values keyed by (shift, i, j), are what linear algebra and zero
-tests read.
+degree.  It is the derivation type, and the one derivation the package
+fills is the outer derivation D of the derivations module: given by its
+images of x and y, it is filled to higher degrees by the word recursion
+D[a, t] = [D a, t] + [a, D t] (window.fill), off a bracket window the
+caller holds.  Of the package, this module imports only gf.
 """
 
 from __future__ import annotations
@@ -512,27 +508,19 @@ class GradedAlgebra:
 
 class OperatorFamily:
     """A graded linear operator of constant degree shift, stored as one
-    matrix per degree and read on degrees 1..algebra.N_built - shift.
+    matrix per degree and read on the degrees it stores.
 
     maps[k] has one row per basis element of L_k, each row a coordinate
     vector in L_{k+shift}.  The stored degrees are always 1..m for some m,
-    and maps[1] holds the images of x and y.  A degree past m is filled on
-    demand by the derivation recursion D[a, t] = [D a, t] + [a, D t] along
-    defining words (window.fill), so a derivation can be given by maps[1]
-    alone; the [a, D t] come off a bracket window, not the bracket_basis
-    memo.  `then` fills every degree its result is defined on, so a
-    composition, which is in general no derivation, is never extended by
-    that recursion.
-
-    The operators deflation works with are derivations: ad u for u in L;
-    (ad z)^p in characteristic p, by Leibniz's rule, because
-    C(p, i) = 0 mod p for 0 < i < p; and their commutators, which
-    op_bracket computes in the one growth in Der(L) that deflation runs.
-    L is generated by x and y, so a derivation that vanishes on x and y
-    vanishes on every degree where it is defined.  Hence two derivations of
-    one shift are equal exactly when their degree-1 values are, and the
-    degree-1 values (`coords`) give the same linear relations as the maps
-    on all degrees; `op_bracket` needs only the generators as well.
+    and maps[1] holds the images of x and y.  The one derivation the
+    package fills is the outer derivation D of the derivations module:
+    given by maps[1] alone, it is extended degree by degree by the
+    recursion D[a, t] = [D a, t] + [a, D t] along defining words
+    (window.fill), with the [a, D t] read off a bracket window its caller
+    holds.  Deflation needs no operator: past degree 1 each deflated
+    element is ad w for a w in L, and the constructions module grows
+    those w (see deflate).  then and op_bracket, which only the tests
+    call, read stored degrees alone.
     """
 
     def __init__(self, algebra: GradedAlgebra, shift: int, maps: dict):
@@ -540,23 +528,16 @@ class OperatorFamily:
         self.shift = shift
         self.maps = dict(maps)
 
-    def _rows(self, k: int):
-        """The matrix on degree k, filled on demand (window.fill)."""
-        if k not in self.maps:
-            from .window import fill
-            fill([self], k)
-        return self.maps[k]
-
     def apply(self, elem):
         k, v = elem
-        return (k + self.shift, mat_apply_rows(self._rows(k), v, self.algebra.p))
+        return (k + self.shift, mat_apply_rows(self.maps[k], v, self.algebra.p))
 
     # then and op_bracket are wrapped by name by bench/tracing.py
     def then(self, other: "OperatorFamily") -> "OperatorFamily":
         """self followed by other, on every degree where both are defined."""
         top = self.algebra.N_built - self.shift - other.shift
         maps = {k: tuple(other.apply((k + self.shift, r))[1]
-                         for r in self._rows(k)) for k in range(1, top + 1)}
+                         for r in self.maps[k]) for k in range(1, top + 1)}
         return OperatorFamily(self.algebra, self.shift + other.shift, maps)
 
     def op_bracket(self, other: "OperatorFamily") -> "OperatorFamily":
@@ -571,17 +552,8 @@ class OperatorFamily:
         rows = tuple(
             vec_sub(other.apply((1 + self.shift, ra))[1],
                     self.apply((1 + other.shift, rb))[1], p)
-            for ra, rb in zip(self._rows(1), other._rows(1), strict=True))
+            for ra, rb in zip(self.maps[1], other.maps[1], strict=True))
         return OperatorFamily(self.algebra, self.shift + other.shift, {1: rows})
-
-    def coords(self) -> dict:
-        """The nonzero entries of the images of x and y, as
-        {(shift, i, j): coefficient}.  For a derivation this is empty
-        exactly when it vanishes, and two derivations are equal exactly
-        when their coords are; the shift in the key keeps derivations of
-        different shifts apart."""
-        return {(self.shift, i, j): c for i, row in enumerate(self._rows(1))
-                for j, c in enumerate(row) if c}
 
 
 class AlgebraBuilder:

@@ -1,22 +1,21 @@
 """Brackets with the elements of one small degree, read off a window of
-bracket columns that slides up the degrees, and the derivation fill that
-reads them.
+bracket columns that slides up the degrees, and the fill of a derivation
+that reads them.
 
-A derivation D, given by D x and D y in L_m with m = 1 + shift, is filled
-degree by degree by the recursion D[a, t] = [D a, t] + [a, D t]; the
-derivations module's Leibniz certificate reads [a, D t] for every a, and
-its extraction each [U_j, Y], with D t and Y in L_q.  Each brackets every
-element, degree by degree upward, with elements of one degree m.
-bracket_window serves them from the columns of L_1..L_m, built by
-GradedAlgebra.column as bracket_columns builds them, and holds O(m^2)
+The derivations module's D, given by D x and D y in L_m with
+m = 1 + shift, is filled degree by degree by the recursion
+D[a, t] = [D a, t] + [a, D t]; its Leibniz certificate reads [a, D t] for
+every a, and its extraction each [U_j, Y], with D t and Y in L_q.  Each
+brackets every element, degree by degree upward, with elements of one
+degree m.  bracket_window serves them from the columns of L_1..L_m, built
+by GradedAlgebra.column as bracket_columns builds them, and holds O(m^2)
 values wherever it stands, where the bracket_basis memo would keep a value
-for every pair it was asked.  Only the construction and derivation layers
-read it, so starting the CLI does not load this module.
+for every pair it was asked.  The round trip opens one window of L_q and
+hands it to all three.  Only the derivation layer reads it, so starting
+the CLI, or a deflate job, does not load this module.
 """
 
 from __future__ import annotations
-
-from itertools import islice
 
 from .engine import DegreeOverflowError
 from .gf import mat_apply_rows, vec_add
@@ -55,28 +54,21 @@ def bracket_window(L, m: int, lo: int, hi: int):
                    [[col[g - off] for col in cols[m]] for g in comp[j]])
 
 
-def fill(ops, k: int, brackets=None) -> None:
-    """Store degrees up to k of the derivations ops, of one algebra and
-    shift, each given on degrees 1..some m, by the derivation recursion:
-    the row of e = [a, t] is [D a, t] plus [a, D t], with D t in
-    L_{1 + shift}.  Every [a, D t] is read off one bracket window, so
-    derivations filled together share its columns.  A caller that holds
-    those brackets already passes them as brackets, a list whose entry
-    j - 1 holds the brackets of L_j with L_{1 + shift} (bracket_window's
-    values) up to j = k - 1; then no window is opened.  A degree already
-    stored is left as it is."""
-    L, shift = ops[0].algebra, ops[0].shift
-    top = min(len(op.maps) for op in ops)
-    window = bracket_window(L, 1 + shift, top, k - 1) if brackets is None \
-        else islice(brackets, top - 1, k - 1)
-    for j, parents in zip(range(top + 1, k + 1), window):
-        for maps in [op.maps for op in ops if j not in op.maps]:
-            rows = []
-            for e in L.basis(j):
-                a = L.elements[e.parent_gid]
-                da = L.apply_letter((j - 1 + shift, maps[j - 1][a.index]),
-                                    e.letter)[1]
-                at = mat_apply_rows(parents[a.index],
-                                    maps[1]["xy".index(e.letter)], L.p)
-                rows.append(vec_add(da, at, L.p))
-            maps[j] = tuple(rows)
+def fill(D, k: int, brackets) -> None:
+    """Store degrees up to k of the derivation D, given on degrees 1..m, by
+    the derivation recursion: the row of e = [a, t] is [D a, t] plus
+    [a, D t], with D t in L_{1 + shift}.  The [a, D t] are read off
+    brackets, a list whose entry j - 1 holds the brackets of L_j with
+    L_{1 + shift} (bracket_window's values) up to j = k - 1.  A degree
+    already stored is left as it is."""
+    L, maps = D.algebra, D.maps
+    for j in range(len(maps) + 1, k + 1):
+        rows = []
+        for e in L.basis(j):
+            a = L.elements[e.parent_gid]
+            da = L.apply_letter((j - 1 + D.shift, maps[j - 1][a.index]),
+                                e.letter)[1]
+            at = mat_apply_rows(brackets[j - 2][a.index],
+                                maps[1]["xy".index(e.letter)], L.p)
+            rows.append(vec_add(da, at, L.p))
+        maps[j] = tuple(rows)

@@ -236,19 +236,35 @@ def leibniz_pair_failures(L, D) -> list:
 
 def ad_operator(L, z):
     """ad z for z = a x + b y in L_1, z = (a, b): the derivation of shift 1
-    with x -> [x, z] and y -> [y, z], filled on demand by the word
-    recursion.  The oracle for ad rows and for (ad z)^p, which deflation
-    computes with two ad rows per step instead."""
+    with x -> [x, z] and y -> [y, z], filled on every degree by the word
+    recursion (window.fill) off a bracket window of L_2.  The oracle for
+    ad rows and, composed, for (ad z)^p, which deflation computes with two
+    ad rows per step instead."""
+    from thinlie.window import bracket_window, fill
+
     a, b = z
     rows = tuple(vec_add(vec_scale(a, rx, L.p), vec_scale(b, ry, L.p), L.p)
                  for rx, ry in zip(L.ad["x"][1], L.ad["y"][1]))
-    return OperatorFamily(L, 1, {1: rows})
+    op = OperatorFamily(L, 1, {1: rows})
+    fill(op, L.N_built - 1, list(bracket_window(L, 2, 1, L.N_built - 2)))
+    return op
+
+
+def inner_operator(L, w):
+    """ad w, v -> [v, w], for w in L_k, on every degree d with
+    d + k <= N_built, read through the bracket_basis memo: the oracle for
+    the inner derivations that deflation grows as elements of L."""
+    k, _ = w
+    return OperatorFamily(L, k, {
+        d: tuple(L.bracket(L.as_element(g), w)[1] for g in L.comp_gids[d])
+        for d in range(1, L.N_built - k + 1)})
 
 
 def eager_commutator(a, b):
     """B o A - A o B, a.then(b) minus b.then(a), on every degree where both
     compositions are defined: the oracle for op_bracket, which computes
-    the commutator of two derivations on x and y only."""
+    the commutator of two derivations on x and y only, and for the
+    commutators deflation reads off elements of L."""
     ab, ba, p = a.then(b), b.then(a), a.algebra.p
     return OperatorFamily(a.algebra, ab.shift, {
         k: tuple(vec_sub(r1, r2, p)

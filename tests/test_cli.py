@@ -408,6 +408,12 @@ def test_input_side_errors_are_bad_spec(tmp_path, capsys):
              "q must be a power of p greater than 5, got 0"),
             (["deflate", "--q", "7", "--r", "0", "--N", "10"],
              "r must be a positive power of p"),
+            # q r and r powers of p leave q = p^0 = 1, an algebra with no
+            # second diamond, refused as family nqr refuses it
+            (["deflate", "--q", "1", "--r", "49", "--p", "7", "--N", "5"],
+             "q must be a positive power of p = 7, got 1"),
+            (["deflate", "--q", "1", "--r", "11", "--p", "11", "--N", "20"],
+             "q must be a positive power of p = 11, got 1"),
             (["deflate", "--q", "7", "--N", "10"],
              "deflate needs --q and --r"),
             (["export", "--family", "a", "--p", "0", "--N", "10"],

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import pathlib
@@ -6,17 +7,19 @@ import tracemalloc
 import pytest
 
 from helpers import (P, Q, ad_operator, backbone_sequence, eager_commutator,
-                     extract_centralizer_sequence, metabelian_sequence, words)
-from thinlie.constructions import (DEFLATE_GUARD, ConstructionError, deflate,
-                                   divided_power_product,
-                                   generator_derivations, nottingham_Nqr,
-                                   nqr_source_degree, tensor_construct)
-from thinlie.engine import OperatorFamily, validate
+                     extract_centralizer_sequence, inner_operator,
+                     metabelian_sequence, words)
+from thinlie.constructions import (DEFLATE_GUARD, ConstructionError,
+                                   _generators, _on_generators, _power,
+                                   deflate, divided_power_product,
+                                   nottingham_Nqr, nqr_source_degree,
+                                   tensor_construct)
+from thinlie.engine import GradedAlgebra, validate
 from thinlie.gf import vec_add, vec_scale
 from thinlie.maxclass import build_maxclass
 from thinlie.patterns import (classify_regularity, compile_pattern, detect,
                               family_pattern)
-from thinlie.window import fill
+from thinlie.window import bracket_window, fill
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -248,23 +251,6 @@ def test_deflate_second_diamond_at_the_top_degree(p, qr, n_out, q, digest):
         assert (D.q, _structure_sha256(D)[:16]) == (q, digest), extra
 
 
-@pytest.mark.parametrize("p,qr,n_out", [(7, 49, 40), (5, 125, 30)])
-def test_deflation_brackets_operators_only_to_grow(monkeypatch, p, qr, n_out):
-    # deflation grows in Der(L) once, and picks its generators and regrows
-    # in the engine algebra that growth returns: the only commutators of
-    # derivations are the growth's, two per basis element below the top
-    calls = []
-    op_bracket = OperatorFamily.op_bracket
-    monkeypatch.setattr(OperatorFamily, "op_bracket",
-                        lambda a, b: calls.append(1) or op_bracket(a, b))
-    need = p * (n_out + DEFLATE_GUARD) + p
-    L, _ = compile_pattern(family_pattern("a", p, qr, need + qr + 5),
-                           need - 2, run_validation=False)
-    D = deflate(L, n_out)
-    assert D.q is not None and D.q < D.N_built
-    assert len(calls) == 2 * sum(D.dim(k) for k in range(1, D.N_built))
-
-
 @pytest.fixture(scope="module")
 def n77():
     return nottingham_Nqr(Q, Q, 100)
@@ -361,14 +347,13 @@ def _eager_power(L, z, p):
 
 @pytest.mark.parametrize("p,q,n", [(7, 7, 60), (5, 25, 80)])
 def test_lazy_derivations_match_eager_maps(p, q, n):
-    # oracle for deflation in Der(L): the generator derivations, stored by
-    # their values on x and y and extended by the word recursion, equal the
-    # eager matrices on every degree where they are defined
+    # oracles for the arithmetic of deflation: ad z filled by the word
+    # recursion equals the presentation's ad rows, (ad z)^p as p steps of
+    # two ad rows equals the p-fold composition, and op_bracket, given on
+    # x and y and filled by the word recursion, equals B o A - A o B
     L, _ = compile_pattern(family_pattern("a", p, q, n + q + 5), n,
                            run_validation=False)
     lines = [(1, t) for t in range(p)] + [(0, 1)]
-    gens = generator_derivations(L)
-    assert len(gens) == len(lines) + L.dim(p)
     top = L.N_built - p
 
     def basis_upto(k):
@@ -382,62 +367,150 @@ def test_lazy_derivations_match_eager_maps(p, q, n):
                            vec_scale(z[1], L.apply_letter(e, "y")[1], p), p)
             assert adz.apply(e)[1] == want, (z, e)
     # (ad z)^p against the p-fold composition
-    for z, op in zip(lines, gens):
+    for z in lines:
         eager = _eager_power(L, z, p)
         for e in basis_upto(top):
-            assert op.apply(e) == eager.apply(e), (z, e)
-    # ad u against the bracket
-    for g, op in zip(L.comp_gids[p], gens[len(lines):]):
-        u = L.as_element(g)
-        for e in basis_upto(top):
-            assert op.apply(e) == L.bracket(e, u), (g, e)
-    # the bracket on generators against B o A - A o B
-    a, b = gens[0], gens[-1]
+            assert _power(L, e, z) == eager.apply(e), (z, e)
+    # the bracket of (ad x)^p and ad u against B o A - A o B
+    a = _eager_power(L, lines[0], p)
+    b = inner_operator(L, L.as_element(L.comp_gids[p][-1]))
     comm = a.op_bracket(b)
+    fill(comm, L.N_built - 2 * p,
+         list(bracket_window(L, 1 + 2 * p, 1, L.N_built - 2 * p - 1)))
     eager = eager_commutator(a, b)
     for e in basis_upto(L.N_built - 2 * p):
         assert comm.apply(e) == eager.apply(e), e
-    # filled together through one bracket window, as deflate fills its
-    # generators, they equal the ones filled on demand above
-    together = generator_derivations(L)
-    fill(together, top)
-    for op, ref in zip(together, gens, strict=True):
-        assert [op.maps[k] for k in range(1, top + 1)] == \
-            [ref._rows(k) for k in range(1, top + 1)]
+
+
+def _values(op):
+    """op's values on x and y as {(i, j): coefficient}, the form
+    constructions._on_generators gives."""
+    return {(i, j): c for i, row in enumerate(op.maps[1])
+            for j, c in enumerate(row) if c}
+
+
+@pytest.mark.parametrize("p,q,n,lines", [
+    (7, 49, 70, [(1, 0), (1, 1)]), (5, 25, 60, [(1, 0), (1, 1)]),
+    (7, 7, 60, [(1, 1), (1, 2)])])
+def test_deflation_grows_inner_derivations(p, q, n, lines):
+    # the lemma deflate rests on, against eager matrices: for w in L_kp and
+    # D = (ad z)^p, [ad w, D] = ad D(w) on every degree where both are
+    # defined, and its values on x and y are what the growth reads; in
+    # degree 1, with ad u = a D_1 + b D_2, a [D_1, D_2] = ad D_2(u),
+    # b [D_2, D_1] = ad D_1(u), and [D_1, D_2] = ad w2.  With the second
+    # diamond at q = p, D_1(u) != D_2(u), so w2 tells D_1 from D_2
+    L, _ = compile_pattern(family_pattern("a", p, q, n + q + 5), n,
+                           run_validation=False)
+    zs, w2 = _generators(L)
+    assert zs == lines
+    powers = {z: _eager_power(L, z, p) for z in zs}
+    for k in range(1, (L.N_built - 1) // p):
+        for g in L.comp_gids[k * p]:
+            adw = inner_operator(L, L.as_element(g))
+            for z, D in powers.items():
+                dw = _power(L, L.as_element(g), z)
+                comm = eager_commutator(adw, D)
+                assert comm.maps == inner_operator(L, dw).maps, (k, g, z)
+                assert _values(comm) == _on_generators(L, dw), (k, g, z)
+    D1, D2 = (powers[z] for z in zs)
+    u = L.as_element(L.comp_gids[p][0])
+
+    def flat(op):
+        return op.maps[1][0] + op.maps[1][1]
+
+    def times(c, op):
+        return {k: tuple(vec_scale(c, r, p) for r in rows)
+                for k, rows in op.maps.items()}
+
+    adu = flat(inner_operator(L, u))
+    ((a, b),) = [(a, b) for a in range(p) for b in range(p)
+                 if vec_add(vec_scale(a, flat(D1), p),
+                            vec_scale(b, flat(D2), p), p) == adu]
+    assert (a, b) != (0, 0)
+    assert times(a, eager_commutator(D1, D2)) == \
+        inner_operator(L, _power(L, u, zs[1])).maps
+    assert times(b, eager_commutator(D2, D1)) == \
+        inner_operator(L, _power(L, u, zs[0])).maps
+    assert eager_commutator(D1, D2).maps == \
+        inner_operator(L, (2 * p, w2)).maps
+
+
+def _source(q, r, n_out):
+    """The parameter-(q r) algebra of family a that N(q, r) to degree n_out
+    deflates from, compiled to the degree nottingham_Nqr compiles it to."""
+    p, _, n_src = nqr_source_degree(q, r, n_out)
+    L, _ = compile_pattern(family_pattern("a", p, q * r, n_src + q * r + 5),
+                           n_src, run_validation=False)
+    return L
+
+
+def _peak_above_source(L, n_out):
+    """The tracemalloc peak of deflate(L, n_out) above what L holds.
+    Garbage that earlier work left is collected first: a collection that
+    falls inside deflate would move the peak by up to ~0.1 MB, as much as
+    deflate itself holds at n_out = 60."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        deflate(L, n_out)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("q,r,n", [(7, 7, 60), (7, 7, 150), (5, 5, 60)])
+def test_deflation_memory_is_linear_in_the_degree(q, r, n):
+    # deflation keeps O(1) values per degree of its output (ad rows, no
+    # memo), so deflating to 2n peaks at most 2.5 times as far
+    # above its source as deflating to n; quadratic growth would give 4
+    small, large = (_peak_above_source(_source(q, r, m), m)
+                    for m in (n, 2 * n))
+    assert large <= 2.5 * small, (small, large)
 
 
 def test_deflation_memo_does_not_grow_with_N():
-    # deflation brackets through bracket windows, and generator_derivations
-    # reads ad rows: the source's bracket_basis memo stays empty
+    # deflation reads ad rows only: the source's bracket_basis memo stays
+    # empty
     sizes = []
     for n_out in (50, 100):
-        _, _, n_src = nqr_source_degree(Q, Q, n_out)
-        L, _ = compile_pattern(family_pattern("a", P, Q * Q, n_src + Q * Q),
-                               n_src, run_validation=False)
+        L = _source(Q, Q, n_out)
         deflate(L, n_out)
         sizes.append(len(L._memo))
     assert sizes == [0, 0], sizes
 
 
-@pytest.mark.parametrize("q,r,n", [(7, 7, 60), (7, 7, 150), (5, 5, 60)])
-def test_deflation_memory_is_linear_in_the_degree(q, r, n):
-    # deflation keeps O(1) values per degree of its output (bracket
-    # windows, no memo), so deflating to 2n peaks at most 2.5 times as far
-    # above its source as deflating to n; quadratic growth would give 4
-    def above_source(n_out):
-        p, _, n_src = nqr_source_degree(q, r, n_out)
-        L, _ = compile_pattern(family_pattern("a", p, q * r, n_src + q * r + 5),
-                               n_src, run_validation=False)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            deflate(L, n_out)
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+def test_first_deflation_step_peaks_under_a_megabyte():
+    # the first of the two steps of N(7, 49) to degree 60 deflates a
+    # source built to degree 3 110 down to 441; it grows elements of the
+    # source, two ad rows per step, and keeps no row of a generator, so it
+    # holds little beyond the two engine algebras it builds (0.73 MB)
+    L = _source(7, 49, 60)
+    n_out = (L.N_built - L.p) // L.p - DEFLATE_GUARD
+    assert _peak_above_source(L, n_out) <= 1 << 20
 
-    small, large = above_source(n), above_source(2 * n)
-    assert large <= 2.5 * small, (small, large)
+
+def test_deflation_opens_no_bracket_window(monkeypatch):
+    # past degree 1 every deflated element is ad w for w in the source,
+    # bracketed with a generator off two ad rows per step: deflate opens
+    # no bracket window and computes no bracket column, at any size
+    import thinlie.window as window
+
+    opened, columns = [], []
+    orig_window, orig_column = window.bracket_window, GradedAlgebra.column
+
+    def counted_window(*args):
+        opened.append(args[1:])
+        yield from orig_window(*args)
+
+    for n in (50, 100):
+        L = _source(Q, Q, n)
+        with monkeypatch.context() as m:
+            m.setattr(window, "bracket_window", counted_window)
+            m.setattr(GradedAlgebra, "column",
+                      lambda *a: columns.append(1) or orig_column(*a))
+            D = deflate(L, n)
+        assert D.N == n and (len(opened), len(columns)) == (0, 0), n
 
 
 def test_tensor_construct_leaves_the_memo_empty():

@@ -10,6 +10,7 @@ from thinlie.derivations import (build_D, extract_M, in_tq2_class,
 from thinlie.engine import OperatorFamily, validate
 from thinlie.gf import vec_is_zero, vec_scale
 from thinlie.patterns import compile_pattern, detect, family_pattern
+from thinlie.window import fill
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +22,10 @@ def uniq():
 
 @pytest.fixture(scope="module")
 def D(uniq):
-    return build_D(uniq)
+    # filled on every degree it is defined on, as verify_leibniz fills it
+    D = build_D(uniq)
+    fill(D, uniq.N_built - D.shift, q_window(uniq))
+    return D
 
 
 def test_class_gate():
@@ -106,10 +110,12 @@ def test_D_bidegree_and_leibniz(uniq, D):
     assert "D[vx] = 0 at fake diamond" in labels
 
 
-def _moved(D, k, i, j):
-    """D with entry j of its image of basis element i of L_k moved by one:
-    the degrees above k are filled again, from the moved row."""
-    maps = {d: D._rows(d) for d in range(1, k + 1)}
+def _moved(D, k, i, j, window):
+    """D with entry j of its image of basis element i of L_k moved by one,
+    D filled to k off window first: the degrees above k are filled again,
+    from the moved row."""
+    fill(D, k, window)
+    maps = {d: D.maps[d] for d in range(1, k + 1)}
     rows = [list(r) for r in maps[k]]
     rows[i][j] = (rows[i][j] + 1) % D.algebra.p
     maps[k] = tuple(map(tuple, rows))
@@ -135,8 +141,9 @@ def test_certificate_matches_the_pair_loop(family, q, N):
     L, _ = compile_pattern(pat, N, guard=q + 2, run_validation=False)
     D = build_D(L)
     window = q_window(L)
-    Ds = [D] + [_moved(D, 1, i, j) for i in range(2) for j in range(L.dim(q))]
-    Ds.append(_moved(D, 50, 0, 0))
+    Ds = [D] + [_moved(D, 1, i, j, window) for i in range(2)
+                for j in range(L.dim(q))]
+    Ds.append(_moved(D, 50, 0, 0, window))
     firsts = []
     for E in Ds:
         rep = verify_leibniz(L, E, window)
@@ -227,7 +234,7 @@ def test_roundtrip_uniqueness(uniq):
 def test_roundtrip_opens_one_bracket_window(monkeypatch):
     # the certificate, D's fill and the extraction all read the window of
     # L_q that the round trip builds; a window counts once it is read.  D's
-    # maps equal those of a D filled lazily, one degree per fill
+    # maps equal those of a D filled one degree per fill
     import thinlie.derivations as derivations
     import thinlie.window as window
 
@@ -247,10 +254,10 @@ def test_roundtrip_opens_one_bracket_window(monkeypatch):
     rep = roundtrip_check(L)
     assert rep.passed and len(opened) == len(built) == 1, opened
     monkeypatch.undo()
-    lazy = build_D(L)
+    stepwise, window = build_D(L), q_window(L)
     for k in range(2, max(built[-1].maps) + 1):
-        lazy._rows(k)
-    assert built[-1].maps == lazy.maps
+        fill(stepwise, k, window)
+    assert built[-1].maps == stepwise.maps
 
 
 def test_roundtrip_stops_at_a_failed_certificate(uniq):

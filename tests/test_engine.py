@@ -12,11 +12,11 @@ from helpers import (P, Q, ad_operator, centralizer_in_L1, coclass_excess,
                      corrupt_ad_x, dims, failures, metabelian_sequence,
                      oracle_bracket, words)
 from thinlie.engine import (AlgebraBuilder, BasisElement, DegreeOverflowError,
-                            GradedAlgebra, OperatorFamily, validate)
-from thinlie.gf import (PrimeField, echelon_add, lucas_binom, vec_is_zero,
-                        vec_scale)
+                            GradedAlgebra, validate)
+from thinlie.gf import PrimeField, lucas_binom, vec_is_zero, vec_scale
 from thinlie.maxclass import build_maxclass
 from thinlie.patterns import compile_pattern, family_pattern
+from thinlie.window import bracket_window, fill
 
 
 @pytest.fixture(scope="module")
@@ -281,26 +281,12 @@ def test_operator_family_algebra(n7):
     u = n7.as_element(n7.gid(3, 0))
     assert adx.then(ady).apply(u) == n7.apply_word(u, "xy")
     comm = adx.op_bracket(ady)
+    fill(comm, 3, list(bracket_window(n7, 3, 1, 2)))
     # [u, [x, y]] = (ad_y ad_x - ad_x ad_y)(u) under the right-action rule
     got = comm.apply(u)
     want = n7.bracket(u, n7.bracket(n7.as_element(n7.gid(1, 0)),
                                     n7.as_element(n7.gid(1, 1))))
     assert got == want
-
-
-def test_coords_keep_shifts_apart(n7):
-    # two derivations with the same values on x and y but different shifts
-    # are different elements: their coords share no key, and the echelon
-    # routine keeps both
-    assert n7.dim(2) == n7.dim(3) == 1
-    rows = ((1,), (0,))
-    a = OperatorFamily(n7, 1, {1: rows})
-    b = OperatorFamily(n7, 2, {1: rows})
-    assert a.coords() and b.coords()
-    assert a.coords().keys().isdisjoint(b.coords().keys())
-    ech = []
-    assert echelon_add(ech, a.coords(), P)
-    assert echelon_add(ech, b.coords(), P)
 
 
 def _finish_under_optimize(body):

@@ -2,8 +2,10 @@
 assert, because python -O removes assert statements: the package raises
 instead.  Starting the CLI loads only what every job runs: the records are
 plain classes, so `dataclasses` (and `inspect`, which it pulls in) stays
-unloaded, and the construction and derivation layers, with the bracket
-window only they read, are imported by the subcommands that run them.
+unloaded, and the construction and derivation layers are imported by the
+subcommands that run them; the bracket window, which only the derivation
+layer reads, stays unloaded in a deflate job.  The engine imports, of the
+package, gf alone.
 The package holds what its jobs run: every function, class, method and
 field is named somewhere else in it, but for a listed few; a method or a
 field is named only through its own class or an object of unknown
@@ -35,6 +37,9 @@ UNREFERENCED = {
                                        "the writer's reference",
     "OperatorFamily.then": "bench/tracing.py times operator composition by "
                            "this name; only the tests call it",
+    "OperatorFamily.op_bracket": "bench/tracing.py times the commutator of "
+                                 "derivations by this name; only the tests "
+                                 "call it",
 }
 
 
@@ -49,15 +54,39 @@ def test_no_assert_statements_in_the_package():
     assert not found, found
 
 
-def test_cli_start_up_leaves_unused_modules_unloaded():
+def test_cli_start_up_leaves_unused_modules_unloaded(tmp_path):
+    # a deflate job loads the construction layer, which grows elements of
+    # the source off its ad rows and reads no bracket window
     unwanted = ("dataclasses", "inspect", "thinlie.constructions",
                 "thinlie.derivations", "thinlie.window")
-    code = ("import sys, thinlie.cli; "
-            f"print(' '.join(m for m in {unwanted!r} if m in sys.modules))")
+    job = ["deflate", "--q", "7", "--r", "7", "--N", "10",
+           "--out", str(tmp_path / "out.json")]
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == []
+    for run, want in (("", []),
+                      (f"thinlie.cli.main({job!r}); ",
+                       ["thinlie.constructions"])):
+        code = (f"import sys, thinlie.cli; {run}print(' '.join("
+                f"m for m in {unwanted!r} if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.split() == want, run
+
+
+def test_engine_imports_only_gf():
+    # the engine is the bottom layer above the field: of the package it
+    # imports gf alone, at any depth, so no fill or window is reached from
+    # it
+    tree = ast.parse((PACKAGE / "engine.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("thinlie")):
+            module = (node.module or "").removeprefix("thinlie").strip(".")
+            imported |= {module} if module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name.removeprefix("thinlie.") for a in node.names
+                         if a.name.startswith("thinlie")}
+    assert imported == {"gf"}, imported
 
 
 def _definitions(tree):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from helpers import P, Q, metabelian_sequence
-from thinlie import constructions, engine
+from thinlie import engine
 from thinlie.constructions import tensor_construct
 from thinlie.maxclass import build_maxclass
 from thinlie.patterns import compile_pattern, family_pattern
@@ -82,15 +82,3 @@ def test_gf_spans_see_calls(tracing):
     metrics = tracer.layer_metrics()
     assert metrics["gf.solve_or_kernel.calls"] > 0, metrics
     assert metrics["gf.rank.calls"] > 0, metrics
-
-
-def test_op_bracket_span_counts_the_deflation_growth(tracing):
-    # deflate commutes derivations only in its one growth in Der(L), two
-    # per basis element of the result below its top degree, and the
-    # pinned op_bracket span sees every call
-    L, _ = compile_pattern(family_pattern("a", P, Q * Q, 230), 159,
-                           run_validation=False)
-    with tracing.Tracer() as tracer:
-        D = constructions.deflate(L, 20)
-    calls = tracer.layer_metrics()["engine.op_bracket.calls"]
-    assert calls == 2 * sum(D.dim(k) for k in range(1, D.N_built)) > 0
