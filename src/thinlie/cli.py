@@ -246,7 +246,8 @@ def cmd_deflate(args):
     if args.q is None or args.r is None:
         raise PatternError("deflate needs --q and --r")
     N = _checked_N(args)
-    _, _, n_src = nqr_source_degree(args.q, args.r, N, p=args.p)
+    p, _, n_src = nqr_source_degree(args.q, args.r, N, p=args.p)
+    check_q(p, args.q)    # the rule --family nqr applies to the same q
     cap = max_degree()
     if n_src > cap:
         raise BudgetError(f"deflate to --N {N} compiles its source to degree "

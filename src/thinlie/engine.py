@@ -33,9 +33,22 @@ Leibniz certificate and the extraction read, come off a window of the
 same columns that slides up the degrees (window.bracket_window): O(m^2)
 values.  Neither the sweep nor the window fills the memo.
 
+Every column entry is formed in block form (see column).
+_check_wellformed keeps each component of dimension 1 or 2, so the ad t
+matrix on a degree, a partner's ad t row and the parent column's entries
+read as zero-padded 2x2 blocks: each coordinate is one explicit sum of
+four products, summed as integers and reduced mod p once, and as the
+padding adds only zero terms, the residues are those of the loop over
+the coefficients.  The padded ad x and ad y blocks are derived from ad,
+which stays the one source of the data, by an algebra's first sweep or
+window, and kept (_ad_blocks): one per degree and letter.  An algebra
+that is never swept, such as deflation's source, builds none.
+
 A GradedAlgebra is immutable after construction.  Concurrent readers are
-safe; the bracket memo table is a plain dict (GIL-guarded), and a sweep or
-a window holds its columns in its own generator.
+safe; the bracket memo table and the padded blocks are plain dicts
+(GIL-guarded; two readers that build one letter's blocks at once store
+equal lists), and a sweep or a window holds its columns in its own
+generator.
 
 An OperatorFamily is a graded linear map on such an algebra, one matrix per
 degree.  It is the derivation type, and the one derivation the package
@@ -94,6 +107,7 @@ class GradedAlgebra:
         # vector in L_{k+1}; defined for 1 <= k < N_built.
         self.ad = {"x": tuple(ad_x), "y": tuple(ad_y)}
         self._memo = {}
+        self._blocks = {}    # letter -> ad as padded 2x2 blocks (_ad_blocks)
         self._check_wellformed()
 
     # -- structural ---------------------------------------------------------
@@ -372,26 +386,71 @@ class GradedAlgebra:
         order: as deg g > deg a, [g, a] and [e_h, a] are bracket_basis's
         values too.  The Jacobi check builds the column of [a, s] for
         every a and generator s, and reads it from degree d - 1 = deg a.
+
+        The sum is formed a degree k at a time, in block form.  With A and
+        B the ad t matrices on degrees k + d - 1 and k, zero-padded to 2x2
+        (_ad_blocks), coordinate s of the entry at the i-th g of L_k is
+
+            c[0] A[0][s] + c[-1] A[1][s] - B[i][0] u[s] - B[i][1] v[s],
+
+        where c = [g, a], and u and v are [e_h, a] for the first and the
+        last e_h of L_{k+1}.  When L_{k+d-1} is a line, c[-1] is c[0] and
+        A's second row is zero; when L_{k+1} is a line, v is u and B's
+        second column is zero.  So the padding adds only zero terms to the
+        integer sum of the terms with nonzero coefficients, and as that sum
+        is reduced mod p once, the residues are those of the plain loop
+        over the coefficients (tests/helpers.reference_column).  Whether
+        L_k has one g or two and L_{k+d} one coordinate or two is read
+        once per degree.
         """
-        ad_t, comp, p = self.ad[t], self.comp_gids, self.p
         if d == 1:
-            return [r for k in range(lo, hi + 1) for r in ad_t[k]]
+            return [r for k in range(lo, hi + 1) for r in self.ad[t][k]]
+        p, comp, blocks = self.p, self.comp_gids, self._ad_blocks(t)
         col = []
-        for k in range(lo, hi + 1):
-            rows_t, up = ad_t[k + d - 1], comp[k + 1]
-            n = len(comp[k + d])
-            for g, tg in zip(comp[k], ad_t[k]):
-                acc = [0] * n
-                for cf, row in zip(pa[g - off], rows_t):
-                    if cf:
-                        for s, r in enumerate(row):
-                            acc[s] += cf * r
-                for cf, h in zip(tg, up):
-                    if cf:
-                        for s, r in enumerate(pa[h - off]):
-                            acc[s] -= cf * r
-                col.append(tuple([v % p for v in acc]))
+        # the first and the last g of L_k, as indices into pa
+        i0, i1 = comp[lo][0] - off, comp[lo][-1] - off
+        for (a00, a01, a10, a11), (b00, b01, b10, b11), up in zip(
+                blocks[lo + d - 1:hi + d], blocks[lo:hi + 1],
+                comp[lo + 1:hi + 2]):
+            h1 = up[-1] - off
+            c, u, v = pa[i0], pa[i1 + 1], pa[h1]
+            if len(u) == 1:
+                u0, v0 = u[0], v[0]
+                col.append(((c[0] * a00 + c[-1] * a10
+                             - b00 * u0 - b01 * v0) % p,))
+                if i1 != i0:
+                    c = pa[i1]
+                    col.append(((c[0] * a00 + c[-1] * a10
+                                 - b10 * u0 - b11 * v0) % p,))
+            else:
+                (u0, u1), (v0, v1), c0, c1 = u, v, c[0], c[-1]
+                col.append(((c0 * a00 + c1 * a10 - b00 * u0 - b01 * v0) % p,
+                            (c0 * a01 + c1 * a11 - b00 * u1 - b01 * v1) % p))
+                if i1 != i0:
+                    c0, c1 = pa[i1][0], pa[i1][-1]
+                    col.append(
+                        ((c0 * a00 + c1 * a10 - b10 * u0 - b11 * v0) % p,
+                         (c0 * a01 + c1 * a11 - b10 * u1 - b11 * v1) % p))
+            i0, i1 = i1 + 1, h1
         return col
+
+    def _ad_blocks(self, t):
+        """The ad t matrices as zero-padded 2x2 blocks (a00, a01, a10, a11),
+        at index k for degree k, 1 <= k < N_built: the rows are L_k's basis,
+        the columns L_{k+1}'s.  Built from self.ad on first use, by a sweep
+        or a window, and kept; equal blocks share one tuple, so an algebra
+        holds one list entry per degree and letter."""
+        blocks = self._blocks.get(t)
+        if blocks is None:
+            shared, blocks = {}, [None]
+            for rows in self.ad[t][1:self.N_built]:
+                b = [0] * 4
+                for i, row in enumerate(rows):
+                    b[2 * i:2 * i + len(row)] = row
+                b = tuple(b)
+                blocks.append(shared.setdefault(b, b))
+            self._blocks[t] = blocks
+        return blocks
 
     def bracket_rows(self, bound: int):
         """Yield (gi, row) in ascending gid for every gi with
@@ -400,16 +459,17 @@ class GradedAlgebra:
 
         Read off bracket_columns as bracket_basis defines the value: a
         partner of the same degree gives column gi + j at gi, and a
-        partner of higher degree gives minus column gi at gi + j, mod p.
-        Only one degree's columns and one row are alive at a time.
+        partner of higher degree gives minus column gi at gi + j, mod p,
+        negated coordinate by coordinate, one or two.  Only one degree's
+        columns and one row are alive at a time.
         """
         comp, p = self.comp_gids, self.p
         for d, layer in enumerate(self.bracket_columns(bound), 1):
             dim = len(comp[d])
             for i, gi in enumerate(comp[d]):
                 yield gi, ([layer[j][i] for j in range(i, dim)]
-                           + [tuple([-v % p for v in w])
-                              for w in layer[i][dim:]])
+                           + [(-w[0] % p,) if len(w) == 1 else
+                              (-w[0] % p, -w[1] % p) for w in layer[i][dim:]])
 
     # -- export ----------------------------------------------------------------
 
@@ -900,10 +960,11 @@ def _jacobi_degree(L: GradedAlgebra, B: int, d: int, cur, nxt, kept,
     only the partners up to degree d + 1 are tested; at degree d + 1,
     X[g] is minus column g at e, which cancels only by antisymmetry."""
     p, elements, comp = L.p, L.elements, L.comp_gids
-    lo, up, nd = comp[d][0], comp[d + 1], len(cur)
+    lo, up, nd, ne = comp[d][0], comp[d + 1], len(cur), len(comp[d + 1])
     for ic, gc in enumerate(comp[d]):
         for gs in comp[1]:
             t = elements[gs].letter
+            blocks = L._ad_blocks(t)
             top = min(_jacobi_bound(L, kept, cap, B) - d - 1,
                       d + 1 if _defining(L, gc, t) else B)
             if top < d:
@@ -912,17 +973,20 @@ def _jacobi_degree(L: GradedAlgebra, B: int, d: int, cur, nxt, kept,
             v = L.column(cur[ic], lo, t, d + 1, d, top)
             del v[ic + 1:nd]
             beyond = len(v) - ic - 1
-            x = [(0,) * len(w) for w in v]
-            for ie, cf in enumerate(L.ad[t][d][ic]):
-                if cf:
-                    # [g, e]: minus column g at e, then column e at g
-                    near, rest = [col[nd + ie] for col in cur[:ic + 1]], []
-                    if beyond:
-                        near += [col[ie] for col in nxt]
-                        rest = nxt[ie][len(up):beyond]
-                    ge = [tuple([-r for r in w]) for w in near] + rest
-                    x = [tuple([(a + cf * b) % p for a, b in zip(xg, w)])
-                         for xg, w in zip(x, ge)]
+            # X[g] = f0 [g, e0] + f1 [g, e1], with (f0, f1) c's padded ad s
+            # row and e0, e1 the first and the last e of L_{d+1} (one e and
+            # f1 = 0 where it is a line); [g, e] is minus column g at e,
+            # then column e at g.  A zero row gives X = 0 unread.
+            f0, f1 = blocks[d][2 * ic:2 * ic + 2]
+            near = [(col[nd], col[nd + ne - 1]) for col in cur[:ic + 1]]
+            rest = ()
+            if beyond:
+                near += [(col[0], col[ne - 1]) for col in nxt]
+                rest = zip(nxt[0][ne:beyond], nxt[-1][ne:beyond])
+            x = [((f * a[0] + h * b[0]) % p,) if len(a) == 1 else
+                 ((f * a[0] + h * b[0]) % p, (f * a[1] + h * b[1]) % p)
+                 for f, h, ge in ((-f0, -f1, near), (f0, f1, rest))
+                 for a, b in ge] if f0 or f1 else [(0,) * len(w) for w in v]
             gids = [*comp[d][:ic + 1], *range(up[0], up[0] + beyond)]
             for g, w, xg in zip(gids, v, x):
                 if w != xg:

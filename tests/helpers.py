@@ -1,14 +1,18 @@
 """Shared test utilities: independent bracket oracle, the reducing
-reference formulation of the bracket kernel, random admissible pattern
-generation, corpus construction, and the readers of reports and algebras
-that only the tests use."""
+reference formulation of the bracket kernel, the loop form of the column
+kernel, random admissible patterns and random well-formed presentations,
+corpus construction, and the readers of reports and algebras that only
+the tests use."""
 
 from __future__ import annotations
 
-from thinlie.engine import (CHECKS, DegreeOverflowError, GradedAlgebra,
-                            OperatorFamily, ValidationReport, validate)
-from thinlie.gf import (lucas_binom, mat_apply_rows, vec_add, vec_is_zero,
-                        vec_neg, vec_scale, vec_sub, vec_zero)
+import random
+
+from thinlie.engine import (CHECKS, AlgebraBuilder, DegreeOverflowError,
+                            GradedAlgebra, OperatorFamily, ValidationReport,
+                            validate)
+from thinlie.gf import (PrimeField, lucas_binom, mat_apply_rows, vec_add,
+                        vec_is_zero, vec_neg, vec_scale, vec_sub, vec_zero)
 from thinlie.maxclass import CentralizerSequence, SequenceError, build_maxclass
 from thinlie.patterns import compile_pattern, family_pattern, uniqueness_sequence
 
@@ -502,6 +506,50 @@ def jacobi_sum(L, ga, gb, gs):
         for t, r in enumerate(L.bracket_basis(g, gb)):
             acc[t] -= c * r
     return tuple(c % p for c in acc)
+
+
+def reference_column(L, pa, off, t, d, lo, hi):
+    """GradedAlgebra.column's value as a loop over the coordinates of
+    each term: for each partner g, the coefficients of [g, a] against the
+    ad t rows, minus those of e_g's ad t row against the [e_h, a], only
+    the nonzero ones, summed as integers and reduced mod p once.  The
+    oracle for the engine's block kernel."""
+    ad_t, comp, p = L.ad[t], L.comp_gids, L.p
+    if d == 1:
+        return [r for k in range(lo, hi + 1) for r in ad_t[k]]
+    col = []
+    for k in range(lo, hi + 1):
+        rows_t, up = ad_t[k + d - 1], comp[k + 1]
+        n = len(comp[k + d])
+        for g, tg in zip(comp[k], ad_t[k]):
+            acc = [0] * n
+            for cf, row in zip(pa[g - off], rows_t):
+                if cf:
+                    for s, r in enumerate(row):
+                        acc[s] += cf * r
+            for cf, h in zip(tg, up):
+                if cf:
+                    for s, r in enumerate(pa[h - off]):
+                        acc[s] -= cf * r
+            col.append(tuple([v % p for v in acc]))
+    return col
+
+
+def random_presentation(p, dims, seed):
+    """A well-formed GradedAlgebra over F_p whose components have the
+    dimensions dims (dims[0] = 2), with random parents, letters and ad
+    entries: no Lie algebra, but any ad data the kernels must handle,
+    two-dimensional components side by side among them."""
+    rng = random.Random(seed)
+    b = AlgebraBuilder(PrimeField(p))
+    b.add_degree([(None, "x"), (None, "y")])
+    for n in dims[1:]:
+        prev = b.comp_gids[-1]
+        b.add_degree([(rng.choice(prev), rng.choice("xy")) for _ in range(n)])
+    for k in range(1, len(dims)):
+        b.set_ad(k, *([[rng.randrange(p) for _ in range(dims[k])]
+                       for _ in range(dims[k - 1])] for _ in "xy"))
+    return b.finish(len(dims))
 
 
 def memo_pair_witnesses(L, B):

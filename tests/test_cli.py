@@ -414,6 +414,11 @@ def test_input_side_errors_are_bad_spec(tmp_path, capsys):
              "q must be a positive power of p = 7, got 1"),
             (["deflate", "--q", "1", "--r", "11", "--p", "11", "--N", "20"],
              "q must be a positive power of p = 11, got 1"),
+            # q = p = 5 gives N(5, r), which --family nqr refuses
+            (["deflate", "--q", "5", "--r", "25", "--N", "10"],
+             "q must be a power of p greater than 5, got 5"),
+            (["deflate", "--q", "5", "--r", "5", "--N", "10"],
+             "q must be a power of p greater than 5, got 5"),
             (["deflate", "--q", "7", "--N", "10"],
              "deflate needs --q and --r"),
             (["export", "--family", "a", "--p", "0", "--N", "10"],

@@ -11,7 +11,10 @@ zero, and the bidegree check on the pairs with a generator agrees with
 the loop over every pair.  The bracket window, which derivations fill by
 and the extraction reads, yields bracket_basis values too.  A seeded
 sample of one-entry ad corruptions is a known-failing corpus on which
-the pair checks must find the memo loops' witnesses."""
+the pair checks must find the memo loops' witnesses.  The block kernel
+behind every column equals the loop over coordinates
+(helpers.reference_column) on all of these and on random well-formed
+presentations, and only a sweep or a window builds its padded blocks."""
 
 import functools
 import random
@@ -22,9 +25,12 @@ import pytest
 
 from helpers import (PAIR_CHECKS, P, Q, corrupt_ad, corrupt_ad_x,
                      failure_degrees, forbidden_continuations, jacobi_sum,
-                     memo_pair_witnesses)
-from thinlie.engine import _defining, validate
-from thinlie.patterns import compile_pattern, family_pattern
+                     memo_pair_witnesses, random_presentation,
+                     reference_column)
+from thinlie import constructions
+from thinlie.constructions import nottingham_Nqr
+from thinlie.engine import GradedAlgebra, _defining, validate
+from thinlie.patterns import compile_pattern, detect, family_pattern
 from thinlie.window import bracket_window
 
 UNCAPPED = 10 ** 9
@@ -268,3 +274,62 @@ def test_pair_checks_and_export_take_O_N_memory():
     assert rep.ok and out.size > 10 ** 5
     assert len(L._memo) == 0
     assert peak < 2 ** 20, peak
+
+
+def random_presentations(count=6, n=40, p=5):
+    """Well-formed, non-Lie presentations with two-dimensional components
+    side by side, which no algebra of the package has: the inputs on
+    which the kernel reads 2x2 ad blocks."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        yield random_presentation(
+            p, [2] + [rng.choice((1, 2)) for _ in range(n - 1)], seed)
+
+
+def test_column_kernel_matches_reference(corpus, monkeypatch):
+    # every column the pair checks' sweep builds, the sweep's own and the
+    # Jacobi check's [c, s], and a window's, equals the loop over
+    # coordinates; the shapes met are counted per degree of each column
+    shapes = Counter()
+    kernel = GradedAlgebra.column
+
+    def checked(L, pa, off, t, d, lo, hi):
+        got = kernel(L, pa, off, t, d, lo, hi)
+        assert got == reference_column(L, pa, off, t, d, lo, hi), \
+            (t, d, lo, hi)
+        if d >= 2:
+            for k in range(lo, hi + 1):
+                shapes["ad", L.dim(k + d - 1), L.dim(k + d)] += 1
+                shapes["partners", L.dim(k)] += 1
+        return got
+
+    monkeypatch.setattr(GradedAlgebra, "column", checked)
+    sources = [*(L for L, _, _ in corpus.values()), *map(failing, FAILING),
+               *(L for _, L in seeded_corruptions()),
+               *random_presentations()]
+    for L in sources:
+        validate(L, checks=PAIR_CHECKS, max_witnesses=UNCAPPED)
+        list(bracket_window(L, 3, 1, L.N_built - 3))
+    assert all(shapes["ad", m, n] for m in (1, 2) for n in (1, 2)), shapes
+    assert shapes["partners", 1] and shapes["partners", 2], shapes
+
+
+def test_only_a_sweep_or_a_window_builds_blocks(monkeypatch):
+    # compiling, detecting and deflating read no column: the padded ad
+    # blocks stay unbuilt, down to deflation's source (degree 3 110 here)
+    L, _ = compile_pattern(family_pattern("a", P, Q, 140), 100,
+                           run_validation=False)
+    detect(L)
+    assert L._blocks == {}
+    deflated, deflate = [], constructions.deflate
+    monkeypatch.setattr(constructions, "deflate",
+                        lambda S, n: deflated.append(S) or deflate(S, n))
+    out, _ = nottingham_Nqr(7, 49, 60)
+    assert len(deflated) == 2 and deflated[0].N_built > 3000
+    assert all(S._blocks == {} for S in [*deflated, out])
+    # a validate builds one 4-entry block per degree and letter: O(N)
+    assert validate(L).ok
+    assert sorted(L._blocks) == ["x", "y"]
+    for blocks in L._blocks.values():
+        assert len(blocks) == L.N_built
+        assert all(len(b) == 4 for b in blocks[1:])
