@@ -6,8 +6,8 @@ construction.
 D is the OperatorFamily of shift q - 1 given by its values on x and y and
 extended by recursion on defining words.  verify_leibniz certifies the
 Leibniz rule on every pair within its budget from the pairs (a, x) and
-(a, y) alone, a a basis element: O(N) brackets, read off one bracket
-window of L_q, where a loop over all pairs reads O(N^2) (the tests keep
+(a, y) alone, a a basis element: O(N) brackets, the brackets of every
+degree with L_q, where a loop over all pairs reads O(N^2) (the tests keep
 that loop as its oracle).  The round trip runs it before extracting.  The
 extension L + F X treats the formal element X as acting on the right,
 [u, X] = D(u), matching the extraction recursion U_{j+1} = [U_j X].
@@ -20,7 +20,6 @@ from .gf import mat_apply_rows, vec_add, vec_is_zero, vec_scale
 from .maxclass import (CentralizerSequence, SequenceError,
                        UnrealizableSequenceError, build_maxclass)
 from .patterns import DiamondPattern, detect
-from .window import bracket_window, fill
 
 
 class ExtractionError(Exception):
@@ -51,6 +50,26 @@ def build_D(L: GradedAlgebra) -> OperatorFamily:
     return OperatorFamily(L, q - 1, {1: (L.zero(q)[1], dy[1])})
 
 
+def fill(D, k: int, brackets) -> None:
+    """Store degrees up to k of the derivation D, given on degrees 1..m, by
+    the derivation recursion: the row of e = [a, t] is [D a, t] plus
+    [a, D t], with D t in L_{1 + shift}.  The [a, D t] are read off
+    brackets, a list whose entry j - 1 holds the brackets of L_j with
+    L_{1 + shift} (GradedAlgebra.brackets_with's values) up to j = k - 1.
+    A degree already stored is left as it is."""
+    L, maps = D.algebra, D.maps
+    for j in range(len(maps) + 1, k + 1):
+        rows = []
+        for e in L.basis(j):
+            a = L.elements[e.parent_gid]
+            da = L.apply_letter((j - 1 + D.shift, maps[j - 1][a.index]),
+                                e.letter)[1]
+            at = mat_apply_rows(brackets[j - 2][a.index],
+                                maps[1]["xy".index(e.letter)], L.p)
+            rows.append(vec_add(da, at, L.p))
+        maps[j] = tuple(rows)
+
+
 class LeibnizReport:
     def __init__(self, pairs_checked: int, failures: list,
                  instance_checks: list):
@@ -63,7 +82,7 @@ class LeibnizReport:
         return not self.failures and all(ok for _, _, ok in self.instance_checks)
 
 
-def verify_leibniz(L: GradedAlgebra, D: OperatorFamily, window: list,
+def verify_leibniz(L: GradedAlgebra, D: OperatorFamily, brackets: list,
                    pattern: DiamondPattern | None = None) -> LeibnizReport:
     """Certify D([u, v]) = [D(u), v] + [u, D(v)] on every pair of total
     degree at most B = min(N, N_built - shift) from the generator pairs
@@ -98,16 +117,16 @@ def verify_leibniz(L: GradedAlgebra, D: OperatorFamily, window: list,
 
     For each pair it compares D applied to the ad t row of a with
     apply_letter(D a, t) plus [a, D t]; D t lies in L_{1 + shift}, and
-    [a, D t] is read off window, whose entry j - 1 holds the brackets of
-    L_j with L_{1 + shift} (bracket_window's values) for j up to
-    N_built - 1 - shift.  So the certificate reads O(N) values and leaves
-    the bracket_basis memo empty.  pairs_checked counts the (a, t) pairs,
-    and a failure is the gids (a, t)."""
+    [a, D t] is read off brackets, whose entry j - 1 holds the brackets
+    of L_j with L_{1 + shift} (GradedAlgebra.brackets_with's values) for j
+    up to N_built - 1 - shift.  So the certificate reads O(N) values and
+    leaves the bracket_basis memo empty.  pairs_checked counts the (a, t)
+    pairs, and a failure is the gids (a, t)."""
     p, q = L.p, L.q
     shift = D.shift
     budget = min(L.N, L.N_built - shift)
-    # one fill, off window, for every degree D is read on below
-    fill(D, L.N_built - shift, window)
+    # one fill, off brackets, for every degree D is read on below
+    fill(D, L.N_built - shift, brackets)
     fails = []
     pairs = 0
     homog = True
@@ -123,9 +142,8 @@ def verify_leibniz(L: GradedAlgebra, D: OperatorFamily, window: list,
             continue
         for t, dt, g in zip("xy", D.maps[1], L.comp_gids[1]):
             lhs = D.apply((a.degree + 1, L.ad[t][a.degree][a.index]))[1]
-            rhs = vec_add(L.apply_letter(da, t)[1],
-                          mat_apply_rows(window[a.degree - 1][a.index], dt, p),
-                          p)
+            rhs = vec_add(L.apply_letter(da, t)[1], mat_apply_rows(
+                brackets[a.degree - 1][a.index], dt, p), p)
             pairs += 1
             if lhs != rhs:
                 fails.append((a.gid, g))
@@ -154,15 +172,15 @@ def verify_leibniz(L: GradedAlgebra, D: OperatorFamily, window: list,
     return LeibnizReport(pairs, fails, checks)
 
 
-def extract_M(L: GradedAlgebra, D: OperatorFamily, window: list):
+def extract_M(L: GradedAlgebra, D: OperatorFamily, brackets: list):
     """Inside L + F X with X = D and Y = [y x^{q-1}], run the recursion
     U_{j+1} = [U_j X] if [U_j Y] = 0 else [U_j Y], reading off the two-step
     centralizer sequence while L's built range allows.  Returns
     (GradedAlgebra, CentralizerSequence): the maximal-class algebra of the
     sequence, to degree len(sequence) - 1, and the sequence.  [U_j Y] is
-    read off window, whose entry j - 1 holds the brackets of L_j with L_q
-    for j up to N_built - q, as bracket_window(L, q, 1, N_built - q)
-    yields them, so the bracket_basis memo is not filled.  Raises
+    read off brackets, whose entry j - 1 holds the brackets of L_j with L_q
+    for j up to N_built - q, as L.brackets_with(q, N_built - q) returns
+    them, so the bracket_basis memo is not filled.  Raises
     ExtractionError when U_j's centralizer is not a line, when too few
     entries are read, when they are no centralizer sequence (say,
     c_2 = 'X'), or when no Lie algebra realizes them, naming what was
@@ -171,7 +189,7 @@ def extract_M(L: GradedAlgebra, D: OperatorFamily, window: list):
     Y = L.eval_word("y" + "x" * (q - 1))
     U = Y
     # the recursion reads D on every degree the loop below reaches
-    fill(D, L.N_built - max(q, D.shift), window)
+    fill(D, L.N_built - max(q, D.shift), brackets)
     entries = []
     j = 1
     while True:
@@ -181,7 +199,7 @@ def extract_M(L: GradedAlgebra, D: OperatorFamily, window: list):
         if not (can_y and can_x):
             break
         uy = (degU + q, mat_apply_rows(
-            [mat_apply_rows(b, Y[1], p) for b in window[degU - 1]], U[1], p))
+            [mat_apply_rows(b, Y[1], p) for b in brackets[degU - 1]], U[1], p))
         ux = D.apply(U)
         ky, kx = vec_is_zero(uy[1]), vec_is_zero(ux[1])
         if ky == kx:
@@ -256,8 +274,8 @@ def roundtrip_check(L: GradedAlgebra, compare_N: int | None = None) -> Roundtrip
     rep.stages.append(["derivation", f"built on degrees 1..{L.N_built - D.shift}"])
     # the brackets of every degree with L_q: O(N) values, read by the
     # certificate and the extraction, and dropped before the rebuild
-    window = list(bracket_window(L, q, 1, L.N_built - q))
-    leibniz = verify_leibniz(L, D, window, pattern)
+    brackets = L.brackets_with(q, L.N_built - q)
+    leibniz = verify_leibniz(L, D, brackets, pattern)
     rep.stages.append(["leibniz", f"{leibniz.pairs_checked} generator pairs, "
                        f"{len(leibniz.failures)} failing; "
                        f"{len(leibniz.instance_checks)} instance checks, "
@@ -265,8 +283,8 @@ def roundtrip_check(L: GradedAlgebra, compare_N: int | None = None) -> Roundtrip
                        " failing"])
     if not leibniz.ok:
         return rep
-    M, seq = extract_M(L, D, window)
-    del window
+    M, seq = extract_M(L, D, brackets)
+    del brackets
     rep.extracted_sequence = "".join(seq.entries)
     rep.stages.append(["extraction", f"sequence of length {len(seq)}, "
                        f"maximal-class algebra to degree {M.N}"])

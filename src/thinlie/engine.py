@@ -16,22 +16,20 @@ integers and reduces mod p once per value, and a bracket with a generator
 is its ad row.  _mirror_basis (behind bracket_mirror) recurses on the
 first argument instead; it is the tests' oracle (see validate).
 
-Bracket values come three ways.  bracket_basis memoizes each value it
-computes and serves the callers that need a few pairs: the lemma suite
-(through bracket), its only caller on a job path, and to_structure_json,
-its only other caller, which no job runs.  A bracket with a generator is an
-ad row, and tensor_construct and deflation read it there: deflation grows
-elements of L itself, w with ad w, p steps of two ad rows per bracket.
-The O(N^2) values for all pairs, which validate's pair checks and the
-structure export read, come from one sweep of bracket columns in
-ascending degree (bracket_columns, bracket_rows): the column of [a, t] is
-built from column a and the letter t alone (column, the one routine for
-the recurrence, which the Jacobi check also calls for [c, s]), so the
-sweep keeps two degrees of columns, O(N) values.  The brackets of
-every element with a fixed w of small degree m, which the fill of D, the
-Leibniz certificate and the extraction read, come off a window of the
-same columns that slides up the degrees (window.bracket_window): O(m^2)
-values.  Neither the sweep nor the window fills the memo.
+Bracket values come two ways on a job path.  A bracket with a generator
+is an ad row, and tensor_construct and deflation read it there: deflation
+grows elements of L itself, w with ad w, p steps of two ad rows per
+bracket.  Every other value comes off one sweep of bracket columns in
+ascending degree (bracket_columns): the column of [a, t] is built from
+column a and the letter t alone (column, the one routine for the
+recurrence, which the Jacobi check also calls for [c, s]), so the sweep
+keeps two degrees of columns, O(N) values.  validate's pair checks and
+the structure export read the O(N^2) values for all pairs off it
+(bracket_rows); the fill of D, the Leibniz certificate, the extraction
+and the lemma suite read the brackets of every degree with one degree m
+(brackets_with), which stops the sweep after layer m.  No job fills the
+bracket_basis memo: only the tests call bracket_basis, as an oracle, and
+bracket and to_structure_json, which no job runs, read it.
 
 Every column entry is formed in block form (see column).
 _check_wellformed keeps each component of dimension 1 or 2, so the ad t
@@ -40,27 +38,28 @@ read as zero-padded 2x2 blocks: each coordinate is one explicit sum of
 four products, summed as integers and reduced mod p once, and as the
 padding adds only zero terms, the residues are those of the loop over
 the coefficients.  The padded ad x and ad y blocks are derived from ad,
-which stays the one source of the data, by an algebra's first sweep or
-window, and kept (_ad_blocks): one per degree and letter.  An algebra
-that is never swept, such as deflation's source, builds none.
+which stays the one source of the data, by an algebra's first sweep, and
+kept (_ad_blocks): one per degree and letter.  An algebra that is never
+swept, such as deflation's source, builds none.
 
 A GradedAlgebra is immutable after construction.  Concurrent readers are
 safe; the bracket memo table and the padded blocks are plain dicts
 (GIL-guarded; two readers that build one letter's blocks at once store
-equal lists), and a sweep or a window holds its columns in its own
-generator.
+equal lists), and a sweep holds its columns in its own generator.
 
 An OperatorFamily is a graded linear map on such an algebra, one matrix per
 degree.  It is the derivation type, and the one derivation the package
 fills is the outer derivation D of the derivations module: given by its
 images of x and y, it is filled to higher degrees by the word recursion
-D[a, t] = [D a, t] + [a, D t] (window.fill), off a bracket window the
-caller holds.  Of the package, this module imports only gf.
+D[a, t] = [D a, t] + [a, D t] (derivations.fill), off the brackets with
+L_{1 + shift} that the caller holds (brackets_with).  Of the package, this
+module imports only gf.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 from .gf import (
     PrimeField,
@@ -437,9 +436,9 @@ class GradedAlgebra:
     def _ad_blocks(self, t):
         """The ad t matrices as zero-padded 2x2 blocks (a00, a01, a10, a11),
         at index k for degree k, 1 <= k < N_built: the rows are L_k's basis,
-        the columns L_{k+1}'s.  Built from self.ad on first use, by a sweep
-        or a window, and kept; equal blocks share one tuple, so an algebra
-        holds one list entry per degree and letter."""
+        the columns L_{k+1}'s.  Built from self.ad on first use, by a sweep,
+        and kept; equal blocks share one tuple, so an algebra holds one
+        list entry per degree and letter."""
         blocks = self._blocks.get(t)
         if blocks is None:
             shared, blocks = {}, [None]
@@ -470,6 +469,35 @@ class GradedAlgebra:
                 yield gi, ([layer[j][i] for j in range(i, dim)]
                            + [(-w[0] % p,) if len(w) == 1 else
                               (-w[0] % p, -w[1] % p) for w in layer[i][dim:]])
+
+    def brackets_with(self, m: int, top: int) -> list:
+        """The brackets of L_1..L_top with L_m: entry j - 1 lists, for each
+        g of L_j in basis order, the list of bracket_basis(g, c) over the
+        basis c of L_m.  Raises DegreeOverflowError when m + top > N_built.
+
+        Read off bracket_columns(m + top) as bracket_rows reads it: column
+        c of layer d holds bracket_basis(g, c) at every g with d <= deg g
+        <= m + top - d.  For j < m, bracket_basis(g, c) is by definition
+        minus bracket_basis(c, g) mod p, and c has degree m, within column
+        g's range j..m + top - j as j <= top: minus column g at c, off layer
+        j.  For j >= m it is column c at g, off layer m, whose range
+        m..top holds j.  So layers 1..min(m, top) serve every entry, and the
+        sweep stops after them, holding the O(N) values it returns.
+        """
+        if m + top > self.N_built:
+            raise DegreeOverflowError(m + top, self.N_built)
+        comp, p, out = self.comp_gids, self.p, []
+        for d, layer in enumerate(itertools.islice(
+                self.bracket_columns(m + top), min(m, top)), 1):
+            if d < m:
+                off = comp[d][0]
+                out.append([[tuple(-v % p for v in col[c - off])
+                             for c in comp[m]] for col in layer])
+            else:
+                off = comp[m][0]
+                out += [[[col[g - off] for col in layer] for g in comp[j]]
+                        for j in range(m, top + 1)]
+        return out
 
     # -- export ----------------------------------------------------------------
 
@@ -576,10 +604,11 @@ class OperatorFamily:
     package fills is the outer derivation D of the derivations module:
     given by maps[1] alone, it is extended degree by degree by the
     recursion D[a, t] = [D a, t] + [a, D t] along defining words
-    (window.fill), with the [a, D t] read off a bracket window its caller
-    holds.  Deflation needs no operator: past degree 1 each deflated
-    element is ad w for a w in L, and the constructions module grows
-    those w (see deflate).  then and op_bracket, which only the tests
+    (derivations.fill), with the [a, D t] read off the brackets with
+    L_{1 + shift} its caller holds (GradedAlgebra.brackets_with).
+    Deflation needs no operator: past degree 1 each deflated element is
+    ad w for a w in L, and the constructions module grows those w (see
+    deflate).  then and op_bracket, which only the tests
     call, read stored degrees alone.
     """
 

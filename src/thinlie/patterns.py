@@ -728,6 +728,13 @@ def verify_lemma_suite(L: GradedAlgebra, pattern: DiamondPattern | None = None) 
 
     v1g = L.eval_word("y" + "x" * (q - 2))
     v2g = L.apply_word(v1g, "xy" + "x" * (q - 3)) if 2 * q - 2 <= L.N_built else None
+    rows, el = {}, L.elements
+
+    def bracket(u, v):  # [u, v1] or [u, v2]: one brackets_with each, lazily
+        if v[0] not in rows:
+            rows[v[0]] = L.brackets_with(v[0], L.N_built - v[0])
+        return L._bilinear(u, v, lambda g, c: rows[v[0]][el[g].degree - 1][
+            el[g].index][el[c].index])
 
     # second-diamond relation (standard-generator normalization)
     eq("eq1", q, "[v1yx] = -2[v1xy]", L.apply_word(v1g, "yx"),
@@ -784,7 +791,7 @@ def verify_lemma_suite(L: GradedAlgebra, pattern: DiamondPattern | None = None) 
             for tag, label, left, right, terms, *when in LEMMA_TABLE:
                 if tag != lemma or not all(holds[c] for c in when):
                     continue
-                lhs = L.bracket(element(*left), v1g if right == "v1" else v2g)
+                lhs = bracket(element(*left), v1g if right == "v1" else v2g)
                 rhs = L.zero(lhs[0])
                 for a, b, name, suffix in terms:
                     k, vec = element(name, suffix)

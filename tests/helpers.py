@@ -208,13 +208,11 @@ def kernel(a_rows, p: int) -> list:
     return out
 
 
-def q_window(L) -> list:
-    """The brackets of L_j with L_q for j = 1..N_built - q, in one pass of
-    bracket_window: what the round trip hands verify_leibniz and
+def q_brackets(L) -> list:
+    """The brackets of L_j with L_q for j = 1..N_built - q, off one
+    brackets_with: what the round trip hands verify_leibniz and
     extract_M."""
-    from thinlie.window import bracket_window
-
-    return list(bracket_window(L, L.q, 1, L.N_built - L.q))
+    return L.brackets_with(L.q, L.N_built - L.q)
 
 
 def leibniz_pair_failures(L, D) -> list:
@@ -241,16 +239,16 @@ def leibniz_pair_failures(L, D) -> list:
 def ad_operator(L, z):
     """ad z for z = a x + b y in L_1, z = (a, b): the derivation of shift 1
     with x -> [x, z] and y -> [y, z], filled on every degree by the word
-    recursion (window.fill) off a bracket window of L_2.  The oracle for
+    recursion (derivations.fill) off the brackets with L_2.  The oracle for
     ad rows and, composed, for (ad z)^p, which deflation computes with two
     ad rows per step instead."""
-    from thinlie.window import bracket_window, fill
+    from thinlie.derivations import fill
 
     a, b = z
     rows = tuple(vec_add(vec_scale(a, rx, L.p), vec_scale(b, ry, L.p), L.p)
                  for rx, ry in zip(L.ad["x"][1], L.ad["y"][1]))
     op = OperatorFamily(L, 1, {1: rows})
-    fill(op, L.N_built - 1, list(bracket_window(L, 2, 1, L.N_built - 2)))
+    fill(op, L.N_built - 1, L.brackets_with(2, L.N_built - 2))
     return op
 
 
@@ -550,6 +548,16 @@ def random_presentation(p, dims, seed):
         b.set_ad(k, *([[rng.randrange(p) for _ in range(dims[k])]
                        for _ in range(dims[k - 1])] for _ in "xy"))
     return b.finish(len(dims))
+
+
+def random_presentations(count=6, n=40, p=5):
+    """Well-formed, non-Lie presentations with two-dimensional components
+    side by side, which no algebra of the package has: the inputs on
+    which the kernel reads 2x2 ad blocks."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        yield random_presentation(
+            p, [2] + [rng.choice((1, 2)) for _ in range(n - 1)], seed)
 
 
 def memo_pair_witnesses(L, B):

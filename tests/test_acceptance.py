@@ -9,7 +9,7 @@ to see them.
 import random
 
 from helpers import (P, Q, coclass_excess, failure_degrees, failures,
-                     lemma_count, metabelian_sequence, q_window,
+                     lemma_count, metabelian_sequence, q_brackets,
                      random_tq2_pattern)
 from thinlie.constructions import deflate, tensor_construct
 from thinlie.derivations import build_D, roundtrip_check, verify_leibniz
@@ -128,7 +128,7 @@ def test_criterion_5_tensor_construction(corpus):
 def test_criterion_6_derivation(corpus):
     L, _, _ = corpus["uniqueness"]
     D = build_D(L)
-    rep = verify_leibniz(L, D, q_window(L))
+    rep = verify_leibniz(L, D, q_brackets(L))
     ok = rep.ok and not rep.failures
     v1 = L.eval_word("y" + "x" * (Q - 2))
     v2 = L.eval_word("y" + "x" * (Q - 2) + "xy" + "x" * (Q - 3))

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thinlie.cli import FAMILIES, main
+from thinlie.engine import GradedAlgebra
 from thinlie.patterns import family_pattern
 
 
@@ -103,6 +104,35 @@ def test_roundtrip_cli(tmp_path):
                 "--N", "120", "--compare-N", "90", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["pass"] and doc["extracted_sequence"].startswith("Y" * 11)
+
+
+# one job per subcommand, and verify with each --check that runs a suite
+JOBS = [["build", "--family", "a", "--q", "7", "--N", "60"],
+        ["export", "--family", "e", "--q", "7", "--N", "60"],
+        *(["verify", "--family", "uniqueness", "--q", "7", "--s", "1",
+           "--N", "120", "--check", check]
+          for check in ("all", "lemmas", "distance")),
+        ["detect", "--family", "c", "--q", "7", "--s", "1", "--N", "60"],
+        ["roundtrip", "--family", "uniqueness", "--q", "7", "--s", "1",
+         "--N", "120"],
+        ["deflate", "--q", "7", "--r", "7", "--N", "30"],
+        ["diagram", "--family", "a", "--q", "7", "--N", "30"]]
+
+
+def test_no_job_calls_bracket_basis(tmp_path, monkeypatch):
+    # every bracket a job reads comes off an ad row or a bracket_columns
+    # sweep: the bracket_basis memo is the tests' oracle alone
+    calls, read = [], []
+    orig, orig_with = GradedAlgebra.bracket_basis, GradedAlgebra.brackets_with
+    monkeypatch.setattr(GradedAlgebra, "bracket_basis",
+                        lambda *a: calls.append(a[1:]) or orig(*a))
+    monkeypatch.setattr(GradedAlgebra, "brackets_with",
+                        lambda *a: read.append(a[1:]) or orig_with(*a))
+    for argv in JOBS:
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 0, argv
+        assert not calls, (argv, calls[:3])
+    # the lemma suite read [u, v1] and [u, v2], and the round trip [u, Y]
+    assert {m for m, _ in read} == {6, 7, 12}, read
 
 
 def test_roundtrip_rejects_class(tmp_path):

@@ -8,13 +8,15 @@ _mirror_basis (helpers.memo_pair_witnesses), capped and uncapped, on the
 corpus and on algebras that fail the checks.  The memo stays empty and
 the memory they take stays O(N).  The triples the Jacobi check skips are
 zero, and the bidegree check on the pairs with a generator agrees with
-the loop over every pair.  The bracket window, which derivations fill by
-and the extraction reads, yields bracket_basis values too.  A seeded
-sample of one-entry ad corruptions is a known-failing corpus on which
-the pair checks must find the memo loops' witnesses.  The block kernel
-behind every column equals the loop over coordinates
+the loop over every pair.  brackets_with, the brackets with one degree
+that the fill of D, the Leibniz certificate, the extraction and the
+lemma suite read off the same sweep, lists bracket_basis values too, and
+the lemma suite reports through it what it reports through the memo.  A
+seeded sample of one-entry ad corruptions is a known-failing corpus on
+which the pair checks must find the memo loops' witnesses.  The block
+kernel behind every column equals the loop over coordinates
 (helpers.reference_column) on all of these and on random well-formed
-presentations, and only a sweep or a window builds its padded blocks."""
+presentations, and only a sweep builds its padded blocks."""
 
 import functools
 import random
@@ -25,13 +27,14 @@ import pytest
 
 from helpers import (PAIR_CHECKS, P, Q, corrupt_ad, corrupt_ad_x,
                      failure_degrees, forbidden_continuations, jacobi_sum,
-                     memo_pair_witnesses, random_presentation,
+                     memo_pair_witnesses, random_presentations,
                      reference_column)
 from thinlie import constructions
 from thinlie.constructions import nottingham_Nqr
-from thinlie.engine import GradedAlgebra, _defining, validate
-from thinlie.patterns import compile_pattern, detect, family_pattern
-from thinlie.window import bracket_window
+from thinlie.engine import (DegreeOverflowError, GradedAlgebra, _defining,
+                            validate)
+from thinlie.patterns import (PatternError, compile_pattern, detect,
+                              family_pattern, verify_lemma_suite)
 
 UNCAPPED = 10 ** 9
 FORBIDDEN = forbidden_continuations()
@@ -111,28 +114,67 @@ def assert_witnesses_match_memo(L):
     return want
 
 
-def assert_window_matches_memo(L):
-    """bracket_window yields bracket_basis(g, c) for each g of every degree
-    it passes and each c of L_m: below m, at m and past it, over more
-    than one block, from degree 1 and from a start past m."""
-    comp = L.comp_gids
-    for m in (2, P + 1, 2 * P + 3):
-        top = L.N_built - m
-        for lo in (1, m + 3):
-            for j, brackets in enumerate(bracket_window(L, m, lo, top), lo):
+def assert_brackets_with_matches_memo(L):
+    """brackets_with(m, top) lists bracket_basis(g, c) for each g of L_j,
+    j = 1..top, and each c of L_m: top entries, below m, at m and past
+    it, for a top up to N_built - m and for a top below m; a top past
+    N_built - m raises."""
+    comp, q = L.comp_gids, L.q or Q
+    for m in {1, 2, P + 1, 2 * P + 3, q - 1, q, 2 * q - 2}:
+        if m >= L.N_built:
+            continue
+        for top in {L.N_built - m, min(m - 1, L.N_built - m)}:
+            got = L.brackets_with(m, top)
+            assert len(got) == top, (m, top)
+            for j, brackets in enumerate(got, 1):
                 assert brackets == [[L.bracket_basis(g, c) for c in comp[m]]
-                                    for g in comp[j]], (m, lo, j)
-            assert j == top
+                                    for g in comp[j]], (m, top, j)
+        with pytest.raises(DegreeOverflowError):
+            L.brackets_with(m, L.N_built - m + 1)
 
 
-def test_window_matches_memo_on_corpus(corpus):
+def test_brackets_with_matches_memo_on_corpus(corpus):
     for name, (L, _, _) in corpus.items():
-        assert_window_matches_memo(L)
+        assert_brackets_with_matches_memo(L)
 
 
 @pytest.mark.parametrize("name", FAILING)
-def test_window_matches_memo_on_failing(name):
-    assert_window_matches_memo(failing(name))
+def test_brackets_with_matches_memo_on_failing(name):
+    assert_brackets_with_matches_memo(failing(name))
+
+
+def test_brackets_with_matches_memo_on_corruptions_and_random_data():
+    for _, L in seeded_corruptions():
+        assert_brackets_with_matches_memo(L)
+    for L in random_presentations():
+        assert_brackets_with_matches_memo(L)
+
+
+def memo_brackets_with(L, m, top):
+    """brackets_with's values through the bracket_basis memo."""
+    return [[[L.bracket_basis(g, c) for c in L.comp_gids[m]]
+             for g in L.comp_gids[j]] for j in range(1, top + 1)]
+
+
+def lemma_suite(L):
+    """verify_lemma_suite(L).to_json(), or the error detect raises on L."""
+    try:
+        return verify_lemma_suite(L).to_json()
+    except PatternError as e:
+        return str(e)
+
+
+def test_lemma_suite_matches_memo_brackets(corpus, monkeypatch):
+    # the suite reads [u, v1] and [u, v2] off brackets_with; through the
+    # memo it reports the same instances, byte for byte, failing ones too
+    sources = [*(L for L, _, _ in corpus.values()), *map(failing, FAILING),
+               *(L for _, L in seeded_corruptions())]
+    got = [lemma_suite(L) for L in sources]
+    monkeypatch.setattr(GradedAlgebra, "brackets_with", memo_brackets_with)
+    assert [lemma_suite(L) for L in sources] == got
+    seen = {(i["lemma"], i["status"]) for rep in got if isinstance(rep, dict)
+            for i in rep["instances"]}
+    assert {("lemma_v1", "fail"), ("lemma_v2", "pass")} <= seen, seen
 
 
 def test_sweeps_match_memo_on_corpus(corpus):
@@ -276,20 +318,10 @@ def test_pair_checks_and_export_take_O_N_memory():
     assert peak < 2 ** 20, peak
 
 
-def random_presentations(count=6, n=40, p=5):
-    """Well-formed, non-Lie presentations with two-dimensional components
-    side by side, which no algebra of the package has: the inputs on
-    which the kernel reads 2x2 ad blocks."""
-    for seed in range(count):
-        rng = random.Random(seed)
-        yield random_presentation(
-            p, [2] + [rng.choice((1, 2)) for _ in range(n - 1)], seed)
-
-
 def test_column_kernel_matches_reference(corpus, monkeypatch):
     # every column the pair checks' sweep builds, the sweep's own and the
-    # Jacobi check's [c, s], and a window's, equals the loop over
-    # coordinates; the shapes met are counted per degree of each column
+    # Jacobi check's [c, s], equals the loop over coordinates; the shapes
+    # met are counted per degree of each column
     shapes = Counter()
     kernel = GradedAlgebra.column
 
@@ -309,7 +341,6 @@ def test_column_kernel_matches_reference(corpus, monkeypatch):
                *random_presentations()]
     for L in sources:
         validate(L, checks=PAIR_CHECKS, max_witnesses=UNCAPPED)
-        list(bracket_window(L, 3, 1, L.N_built - 3))
     assert all(shapes["ad", m, n] for m in (1, 2) for n in (1, 2)), shapes
     assert shapes["partners", 1] and shapes["partners", 2], shapes
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import pathlib
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -14,12 +15,12 @@ from thinlie.constructions import (DEFLATE_GUARD, ConstructionError,
                                    deflate, divided_power_product,
                                    nottingham_Nqr, nqr_source_degree,
                                    tensor_construct)
+from thinlie.derivations import fill
 from thinlie.engine import GradedAlgebra, validate
 from thinlie.gf import vec_add, vec_scale
 from thinlie.maxclass import build_maxclass
 from thinlie.patterns import (classify_regularity, compile_pattern, detect,
                               family_pattern)
-from thinlie.window import bracket_window, fill
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -376,7 +377,7 @@ def test_lazy_derivations_match_eager_maps(p, q, n):
     b = inner_operator(L, L.as_element(L.comp_gids[p][-1]))
     comm = a.op_bracket(b)
     fill(comm, L.N_built - 2 * p,
-         list(bracket_window(L, 1 + 2 * p, 1, L.N_built - 2 * p - 1)))
+         L.brackets_with(1 + 2 * p, L.N_built - 2 * p - 1))
     eager = eager_commutator(a, b)
     for e in basis_upto(L.N_built - 2 * p):
         assert comm.apply(e) == eager.apply(e), e
@@ -492,25 +493,19 @@ def test_first_deflation_step_peaks_under_a_megabyte():
 
 def test_deflation_opens_no_bracket_window(monkeypatch):
     # past degree 1 every deflated element is ad w for w in the source,
-    # bracketed with a generator off two ad rows per step: deflate opens
-    # no bracket window and computes no bracket column, at any size
-    import thinlie.window as window
-
-    opened, columns = [], []
-    orig_window, orig_column = window.bracket_window, GradedAlgebra.column
-
-    def counted_window(*args):
-        opened.append(args[1:])
-        yield from orig_window(*args)
-
+    # bracketed with a generator off two ad rows per step: deflate runs no
+    # bracket_columns sweep and computes no bracket column, at any size
+    calls = Counter()
+    for name in ("bracket_columns", "column"):
+        orig = getattr(GradedAlgebra, name)
+        monkeypatch.setattr(GradedAlgebra, name,
+                            lambda *a, orig=orig, name=name: (
+                                calls.update([name]) or orig(*a)))
     for n in (50, 100):
         L = _source(Q, Q, n)
-        with monkeypatch.context() as m:
-            m.setattr(window, "bracket_window", counted_window)
-            m.setattr(GradedAlgebra, "column",
-                      lambda *a: columns.append(1) or orig_column(*a))
-            D = deflate(L, n)
-        assert D.N == n and (len(opened), len(columns)) == (0, 0), n
+        calls.clear()
+        D = deflate(L, n)
+        assert D.N == n and not calls, (n, calls)
 
 
 def test_tensor_construct_leaves_the_memo_empty():

@@ -3,14 +3,13 @@ import random
 import pytest
 
 from helpers import (P, Q, corrupt_ad_x, failure_degrees,
-                     forbidden_continuations, leibniz_pair_failures, q_window,
-                     random_tq2_pattern, x_positions)
-from thinlie.derivations import (build_D, extract_M, in_tq2_class,
+                     forbidden_continuations, leibniz_pair_failures,
+                     q_brackets, random_tq2_pattern, x_positions)
+from thinlie.derivations import (build_D, extract_M, fill, in_tq2_class,
                                  roundtrip_check, verify_leibniz)
 from thinlie.engine import OperatorFamily, validate
 from thinlie.gf import vec_is_zero, vec_scale
 from thinlie.patterns import compile_pattern, detect, family_pattern
-from thinlie.window import fill
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +23,7 @@ def uniq():
 def D(uniq):
     # filled on every degree it is defined on, as verify_leibniz fills it
     D = build_D(uniq)
-    fill(D, uniq.N_built - D.shift, q_window(uniq))
+    fill(D, uniq.N_built - D.shift, q_brackets(uniq))
     return D
 
 
@@ -99,7 +98,7 @@ def test_D_of_pre_diamond_elements(uniq, D):
 
 
 def test_D_bidegree_and_leibniz(uniq, D):
-    rep = verify_leibniz(uniq, D, q_window(uniq))
+    rep = verify_leibniz(uniq, D, q_brackets(uniq))
     assert rep.ok
     # one pair (a, t) per generator t and basis element a below the budget
     budget = min(uniq.N, uniq.N_built - D.shift)
@@ -110,11 +109,11 @@ def test_D_bidegree_and_leibniz(uniq, D):
     assert "D[vx] = 0 at fake diamond" in labels
 
 
-def _moved(D, k, i, j, window):
+def _moved(D, k, i, j, brackets):
     """D with entry j of its image of basis element i of L_k moved by one,
-    D filled to k off window first: the degrees above k are filled again,
+    D filled to k off brackets first: the degrees above k are filled again,
     from the moved row."""
-    fill(D, k, window)
+    fill(D, k, brackets)
     maps = {d: D.maps[d] for d in range(1, k + 1)}
     rows = [list(r) for r in maps[k]]
     rows[i][j] = (rows[i][j] + 1) % D.algebra.p
@@ -140,13 +139,13 @@ def test_certificate_matches_the_pair_loop(family, q, N):
     pat = family_pattern(family, q, q, N + 60, **kw)
     L, _ = compile_pattern(pat, N, guard=q + 2, run_validation=False)
     D = build_D(L)
-    window = q_window(L)
-    Ds = [D] + [_moved(D, 1, i, j, window) for i in range(2)
+    brackets = q_brackets(L)
+    Ds = [D] + [_moved(D, 1, i, j, brackets) for i in range(2)
                 for j in range(L.dim(q))]
-    Ds.append(_moved(D, 50, 0, 0, window))
+    Ds.append(_moved(D, 50, 0, 0, brackets))
     firsts = []
     for E in Ds:
-        rep = verify_leibniz(L, E, window)
+        rep = verify_leibniz(L, E, brackets)
         fails = leibniz_pair_failures(L, E)
         first = _first_degree(L, rep.failures)
         assert first == _first_degree(L, fails), (family, q, E.maps[1])
@@ -163,7 +162,7 @@ def test_certificate_rests_on_jacobi():
                       if c[0] == "no_fake_at_128"]
     L, _ = compile_pattern(pat, n, guard=Q + 2, run_validation=False)
     D = build_D(L)
-    rep = verify_leibniz(L, D, q_window(L))
+    rep = verify_leibniz(L, D, q_brackets(L))
     fails = leibniz_pair_failures(L, D)
     assert min(failure_degrees(validate(L, ["jacobi"]), L)) == 128
     assert not rep.failures and _first_degree(L, fails) == 128 - (Q - 1)
@@ -172,7 +171,7 @@ def test_certificate_rests_on_jacobi():
 def test_verify_leibniz_leaves_the_memo_empty():
     pat = family_pattern("uniqueness", P, Q, 180, s=1)
     L, _ = compile_pattern(pat, 120, guard=Q + 2, run_validation=False)
-    assert verify_leibniz(L, build_D(L), q_window(L)).ok
+    assert verify_leibniz(L, build_D(L), q_brackets(L)).ok
     assert len(L._memo) == 0
 
 
@@ -192,8 +191,8 @@ def test_extract_examples(uniq, D):
     v2 = uniq.eval_word("y" + "x" * (Q - 2) + "xy" + "x" * (Q - 3))
     assert U2[1] == vec_scale(-2, uniq.apply_word(v2, "x")[1], P)
     assert vec_is_zero(uniq.bracket(U2, Y)[1])      # [Y X Y] = 0
-    M, seq = extract_M(uniq, D, q_window(uniq))
-    _, seq2 = extract_M(uniq, D, q_window(uniq))
+    M, seq = extract_M(uniq, D, q_brackets(uniq))
+    _, seq2 = extract_M(uniq, D, q_brackets(uniq))
     assert seq == seq2          # re-extraction is deterministic
     # fake degrees of the detected pattern match the X positions through
     # the degree bookkeeping deg U_i = q + (i-1)(q-1) + #{X before i}
@@ -204,7 +203,7 @@ def test_extract_examples(uniq, D):
         nx = sum(1 for j in x_positions(seq) if j < i)
         got.append(Q + (i - 1) * (Q - 1) + nx)
     assert [d for d in got if d <= uniq.N] == fake_degs
-    # extract_M reads [U_j Y] off a bracket window: the recursion replayed
+    # extract_M reads [U_j Y] off the brackets with L_q: the recursion replayed
     # through the bracket_basis memo gives the same sequence
     U, kinds = Y, []
     while U[0] + Q <= uniq.N_built:
@@ -220,7 +219,7 @@ def test_extraction_memo_does_not_grow_with_N():
     for N in (200, 400):
         pat = family_pattern("uniqueness", P, Q, N + 60, s=1)
         L, _ = compile_pattern(pat, N, guard=Q + 2, run_validation=False)
-        extract_M(L, build_D(L), q_window(L))
+        extract_M(L, build_D(L), q_brackets(L))
         sizes.append(len(L._memo))
     assert sizes[0] == sizes[1], sizes
 
@@ -232,31 +231,29 @@ def test_roundtrip_uniqueness(uniq):
 
 
 def test_roundtrip_opens_one_bracket_window(monkeypatch):
-    # the certificate, D's fill and the extraction all read the window of
-    # L_q that the round trip builds; a window counts once it is read.  D's
-    # maps equal those of a D filled one degree per fill
+    # the certificate, D's fill and the extraction all read the brackets
+    # with L_q that the round trip reads once: one bracket_columns sweep
+    # of L (build_maxclass sweeps the extracted algebra to validate it).
+    # D's maps equal those of a D filled one degree per fill
     import thinlie.derivations as derivations
-    import thinlie.window as window
+    from thinlie.engine import GradedAlgebra
 
-    opened, built = [], []
-    orig, orig_build_D = window.bracket_window, derivations.build_D
-
-    def counted(*args):
-        opened.append(args[1:])
-        yield from orig(*args)
-
-    for mod in (window, derivations):
-        monkeypatch.setattr(mod, "bracket_window", counted)
+    swept, built = [], []
+    orig, orig_build_D = GradedAlgebra.bracket_columns, derivations.build_D
+    monkeypatch.setattr(GradedAlgebra, "bracket_columns",
+                        lambda A, bound: swept.append((A, bound))
+                        or orig(A, bound))
     monkeypatch.setattr(derivations, "build_D",
                         lambda L: built.append(orig_build_D(L)) or built[-1])
     pat = family_pattern("uniqueness", P, Q, 260, s=1)
     L, _ = compile_pattern(pat, 200, guard=Q + 2, run_validation=False)
     rep = roundtrip_check(L)
-    assert rep.passed and len(opened) == len(built) == 1, opened
+    assert [b for A, b in swept if A is L] == [L.N_built], swept
+    assert rep.passed and len(built) == 1
     monkeypatch.undo()
-    stepwise, window = build_D(L), q_window(L)
+    stepwise, brackets = build_D(L), q_brackets(L)
     for k in range(2, max(built[-1].maps) + 1):
-        fill(stepwise, k, window)
+        fill(stepwise, k, brackets)
     assert built[-1].maps == stepwise.maps
 
 
@@ -305,7 +302,7 @@ def test_roundtrip_branch_sequence():
     assert pat.entries == want.truncate(400).entries
     assert [d for d, t in pat.entries if not t.genuine] == \
         [85, 128, 171, 214, 257, 300, 379, 422][:7]
-    M2, seq2 = extract_M(T, build_D(T), q_window(T))
+    M2, seq2 = extract_M(T, build_D(T), q_brackets(T))
     assert x_positions(seq2) == [j for j in xpos
                                  if j <= len(seq2.entries) + 1]
 

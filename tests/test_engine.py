@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from helpers import (P, Q, ad_operator, centralizer_in_L1, coclass_excess,
                      corrupt_ad_x, dims, failures, metabelian_sequence,
                      oracle_bracket, words)
+from thinlie.derivations import fill
 from thinlie.engine import (AlgebraBuilder, BasisElement, DegreeOverflowError,
                             GradedAlgebra, validate)
 from thinlie.gf import PrimeField, lucas_binom, vec_is_zero, vec_scale
 from thinlie.maxclass import build_maxclass
 from thinlie.patterns import compile_pattern, family_pattern
-from thinlie.window import bracket_window, fill
 
 
 @pytest.fixture(scope="module")
@@ -281,7 +281,7 @@ def test_operator_family_algebra(n7):
     u = n7.as_element(n7.gid(3, 0))
     assert adx.then(ady).apply(u) == n7.apply_word(u, "xy")
     comm = adx.op_bracket(ady)
-    fill(comm, 3, list(bracket_window(n7, 3, 1, 2)))
+    fill(comm, 3, n7.brackets_with(3, 2))
     # [u, [x, y]] = (ad_y ad_x - ad_x ad_y)(u) under the right-action rule
     got = comm.apply(u)
     want = n7.bracket(u, n7.bracket(n7.as_element(n7.gid(1, 0)),

@@ -3,9 +3,7 @@ assert, because python -O removes assert statements: the package raises
 instead.  Starting the CLI loads only what every job runs: the records are
 plain classes, so `dataclasses` (and `inspect`, which it pulls in) stays
 unloaded, and the construction and derivation layers are imported by the
-subcommands that run them; the bracket window, which only the derivation
-layer reads, stays unloaded in a deflate job.  The engine imports, of the
-package, gf alone.
+subcommands that run them.  The engine imports, of the package, gf alone.
 The package holds what its jobs run: every function, class, method and
 field is named somewhere else in it, but for a listed few; a method or a
 field is named only through its own class or an object of unknown
@@ -29,6 +27,8 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "thinlie"
 # name in bench/tracing.py and kept for that alone (ROADMAP item 5)
 UNREFERENCED = {
     "vec_neg": "bench/tracing.py counts its calls by name",
+    "GradedAlgebra.bracket": "bench/tracing.py counts its calls by name; "
+                             "the tests use it as an oracle",
     "GradedAlgebra.bracket_mirror": "bench/tracing.py counts its calls by "
                                     "name; the tests read its recursion, "
                                     "_mirror_basis, as an oracle",
@@ -56,9 +56,9 @@ def test_no_assert_statements_in_the_package():
 
 def test_cli_start_up_leaves_unused_modules_unloaded(tmp_path):
     # a deflate job loads the construction layer, which grows elements of
-    # the source off its ad rows and reads no bracket window
+    # the source off its ad rows, and not the derivation layer
     unwanted = ("dataclasses", "inspect", "thinlie.constructions",
-                "thinlie.derivations", "thinlie.window")
+                "thinlie.derivations")
     job = ["deflate", "--q", "7", "--r", "7", "--N", "10",
            "--out", str(tmp_path / "out.json")]
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
@@ -74,8 +74,7 @@ def test_cli_start_up_leaves_unused_modules_unloaded(tmp_path):
 
 def test_engine_imports_only_gf():
     # the engine is the bottom layer above the field: of the package it
-    # imports gf alone, at any depth, so no fill or window is reached from
-    # it
+    # imports gf alone, at any depth, so no fill is reached from it
     tree = ast.parse((PACKAGE / "engine.py").read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
