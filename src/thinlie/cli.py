@@ -27,7 +27,8 @@ from .maxclass import (CentralizerSequence, SequenceError,
 from .patterns import (ConstructionError, DiamondPattern, PatternError,
                        char_of_q, check_q, classify_regularity,
                        compile_pattern, detect, family_pattern,
-                       family_pattern_from_json, verify_lemma_suite)
+                       family_pattern_from_json, verify_distance,
+                       verify_lemma_suite)
 
 EXIT_OK = 0
 EXIT_BADSPEC = 2
@@ -195,17 +196,16 @@ def cmd_verify(args):
         rep = validate(L)
         doc["checks"]["axioms"] = rep.to_json()
         failed = failed or not rep.ok
-    if args.check in ("all", "lemmas", "distance"):
+    if args.check == "distance":
+        inst = verify_distance(L, detect(L)[0])
+        ok = all(i.status != "fail" for i in inst)
+        doc["checks"]["distance"] = {
+            "ok": ok, "instances": [i.to_json() for i in inst]}
+        failed = failed or not ok
+    if args.check in ("all", "lemmas"):
         lem = verify_lemma_suite(L)
-        if args.check == "distance":
-            inst = [i for i in lem.instances if i.lemma == "distance"]
-            doc["checks"]["distance"] = {
-                "ok": all(i.status != "fail" for i in inst),
-                "instances": [i.to_json() for i in inst]}
-            failed = failed or not doc["checks"]["distance"]["ok"]
-        else:
-            doc["checks"]["lemmas"] = lem.to_json()
-            failed = failed or not lem.ok
+        doc["checks"]["lemmas"] = lem.to_json()
+        failed = failed or not lem.ok
     reg = classify_regularity(L)
     doc["regularity"] = {"regular": reg.regular,
                          "violations": [list(v) for v in reg.violations[:10]]}
@@ -231,6 +231,9 @@ def cmd_roundtrip(args):
     from .derivations import ExtractionError, roundtrip_check
     # D raises degrees by q - 1: a guard of q + 2 keeps it defined past --N
     L = make_algebra(args, guard=lambda q: q + 2)
+    if args.compare_N is not None and args.compare_N < L.q:
+        raise PatternError(f"--compare-N {args.compare_N} is below q = {L.q}; "
+                           f"the round trip compares from the second diamond")
     try:
         rep = roundtrip_check(L, compare_N=args.compare_N)
     except ExtractionError as e:

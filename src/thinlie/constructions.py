@@ -1,34 +1,15 @@
-"""Explicit algebra constructions: the truncated divided power product, the
-tensor construction producing a Nottingham algebra from a maximal-class
-algebra, deflation, and the iterated-deflation family N(q, r).
+"""Explicit algebra constructions: the tensor construction producing a
+Nottingham algebra from a maximal-class algebra, deflation, and the
+iterated-deflation family N(q, r).
 """
 
 from __future__ import annotations
 
 from .engine import AlgebraBuilder, GradedAlgebra
-from .gf import (PrimeField, echelon_add, lucas_binom, solve_or_kernel,
-                 vec_add, vec_scale)
+from .gf import PrimeField, echelon_add, solve_or_kernel, vec_add, vec_scale
 from .patterns import (ConstructionError, PatternError, char_of_q, check_p,
                        check_q, compile_pattern, deflation_steps, detect,
                        family_pattern)
-
-
-# -- divided power algebra -----------------------------------------------------
-
-def divided_power_product(i: int, j: int, q: int, p: int):
-    """epsilon^(i) * epsilon^(j) = C(i+j, i) epsilon^(i+j), truncated at q.
-
-    Returns (coefficient, index) or None for zero.  The truncation is
-    consistent: C(i+j, i) is divisible by p whenever q <= i+j <= 2q-2.
-    """
-    if not (0 <= i <= q - 1 and 0 <= j <= q - 1):
-        raise ValueError(f"indices must lie in [0, {q - 1}]")
-    if i + j > q - 1:
-        return None
-    c = lucas_binom(i + j, i, p)
-    if c == 0:
-        return None
-    return (c, i + j)
 
 
 # -- generic conversion of an abstract bracket structure into engine form ------
@@ -96,6 +77,23 @@ def tensor_construct(Ma: GradedAlgebra, q: int, N: int, guard: int = 2):
     ambient maps each gid to its ambient vector {key: coefficient}.
 
     Keys: ('e', g, j) is (Ma basis element g) (x) eps^(j); ('d',) is x.
+
+    engine_from_abstract brackets an element only with x or y, so the
+    bracket is written in closed form for those two.  In F[eps; q],
+    eps^(i) eps^(j) = C(i+j, i) eps^(i+j), zero past eps^(q-1), and for A
+    in Ma
+
+        [A (x) eps^(j), x] = A (x) eps^(j-1),  0 when j = 0;
+        [A (x) eps^(j), y] = C(j+q-2, j) [A, X] (x) eps^(j+q-2)
+                             + C(j+q-1, j) [A, Y] (x) eps^(j+q-1).
+
+    The second term survives only at j = 0 and the first only at j <= 1.
+    q is a power of p, so C(q-2, 0) = C(q-1, 0) = 1 and C(q-1, 1) =
+    q - 1 = -1 mod p: the y bracket is [A, X] (x) eps^(q-2) +
+    [A, Y] (x) eps^(q-1) at j = 0, -[A, X] (x) eps^(q-1) at j = 1 and 0
+    past j = 1.  [A, X] and [A, Y] are the ad x and ad y rows of A in Ma,
+    within its built range by `need`.  Last, [x, x] = 0 and
+    [x, y] = -[y, x] = -(X (x) eps^(q-3) + Y (x) eps^(q-2)).
     """
     p = Ma.p
     field = Ma.field
@@ -105,52 +103,29 @@ def tensor_construct(Ma: GradedAlgebra, q: int, N: int, guard: int = 2):
         raise ConstructionError(
             f"maximal-class input built to {Ma.N_built}; need {need} for N={N}")
 
-    def bracket(u: dict, v: dict) -> dict:
-        out = {}
-
-        def acc(key, c):
-            c %= p
-            if not c:
-                return
-            nv = (out.get(key, 0) + c) % p
-            if nv:
-                out[key] = nv
-            elif key in out:
-                del out[key]
-
-        for k1, c1 in u.items():
-            for k2, c2 in v.items():
-                c = c1 * c2 % p
-                if k1 == ("d",) and k2 == ("d",):
-                    continue
-                if k2 == ("d",):
-                    # [A (x) eps^(j), -1 (x) d] = A (x) eps^(j-1)
-                    _, g, j = k1
-                    if j > 0:
-                        acc(("e", g, j - 1), c)
-                elif k1 == ("d",):
-                    _, g, j = k2
-                    if j > 0:
-                        acc(("e", g, j - 1), -c)
-                else:
-                    _, g1, j1 = k1
-                    _, g2, j2 = k2
-                    prod = divided_power_product(j1, j2, q, p)
-                    if prod is None:
-                        continue
-                    cj, jj = prod
-                    # v is a generator, so A_2 is X or Y and [A_1, A_2] is
-                    # an ad row of Ma, within its built range by `need`
-                    e1 = Ma.elements[g1]
-                    w = Ma.ad[Ma.elements[g2].letter][e1.degree][e1.index]
-                    for s, ws in enumerate(w):
-                        if ws:
-                            acc(("e", Ma.gid(e1.degree + 1, s), jj),
-                                c * cj * ws)
-        return out
-
+    X, Y = Ma.gid(1, 0), Ma.gid(1, 1)
     x_vec = {("d",): 1}
-    y_vec = {("e", Ma.gid(1, 0), q - 2): 1, ("e", Ma.gid(1, 1), q - 1): 1}
+    y_vec = {("e", X, q - 2): 1, ("e", Y, q - 1): 1}
+    # [A (x) eps^(j), y] by j: (letter of Ma, index of eps, sign) per term
+    y_terms = {0: (("x", q - 2, 1), ("y", q - 1, 1)), 1: (("x", q - 1, -1),)}
+
+    def bracket(u: dict, v: dict) -> dict:
+        # v is x_vec or y_vec, and u holds ('d',) only when it is x_vec
+        if u is x_vec:
+            return {} if v is x_vec else {("e", X, q - 3): p - 1,
+                                          ("e", Y, q - 2): p - 1}
+        if v is x_vec:
+            return {("e", g, j - 1): c for (_, g, j), c in u.items() if j}
+        out = {}
+        for (_, g, j), c in u.items():
+            e = Ma.elements[g]
+            for t, jj, sign in y_terms.get(j, ()):
+                for s, ws in enumerate(Ma.ad[t][e.degree][e.index]):
+                    if ws:
+                        key = ("e", Ma.gid(e.degree + 1, s), jj)
+                        out[key] = (out.get(key, 0) + sign * c * ws) % p
+        return {key: c for key, c in out.items() if c}
+
     return engine_from_abstract(field, q, n_built, N, x_vec, y_vec, bracket,
                                 lambda v: v)
 

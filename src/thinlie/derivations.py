@@ -83,7 +83,7 @@ class LeibnizReport:
 
 
 def verify_leibniz(L: GradedAlgebra, D: OperatorFamily, brackets: list,
-                   pattern: DiamondPattern | None = None) -> LeibnizReport:
+                   pattern: DiamondPattern) -> LeibnizReport:
     """Certify D([u, v]) = [D(u), v] + [u, D(v)] on every pair of total
     degree at most B = min(N, N_built - shift) from the generator pairs
     alone, plus the coefficient facts at diamond-to-diamond steps and the
@@ -121,7 +121,8 @@ def verify_leibniz(L: GradedAlgebra, D: OperatorFamily, brackets: list,
     of L_j with L_{1 + shift} (GradedAlgebra.brackets_with's values) for j
     up to N_built - 1 - shift.  So the certificate reads O(N) values and
     leaves the bracket_basis memo empty.  pairs_checked counts the (a, t)
-    pairs, and a failure is the gids (a, t)."""
+    pairs, and a failure is the gids (a, t).  pattern is L's detected
+    pattern, whose entries place the coefficient facts."""
     p, q = L.p, L.q
     shift = D.shift
     budget = min(L.N, L.N_built - shift)
@@ -148,8 +149,6 @@ def verify_leibniz(L: GradedAlgebra, D: OperatorFamily, brackets: list,
             if lhs != rhs:
                 fails.append((a.gid, g))
     checks = [("bidegree shift (q-2,1)", 0, homog)]
-    if pattern is None:
-        pattern, _ = detect(L)
     ent = pattern.entries
     for idx, (m, t) in enumerate(ent):
         nxt = ent[idx + 1] if idx + 1 < len(ent) else None
@@ -233,16 +232,13 @@ def extract_M(L: GradedAlgebra, D: OperatorFamily, brackets: list):
 
 
 class RoundtripReport:
-    def __init__(self, stages: list | None = None,
-                 extracted_sequence: str = "", pattern_L: dict | None = None,
-                 pattern_T: dict | None = None, passed: bool = False,
-                 compare_N: int = 0):
-        self.stages = [] if stages is None else stages
-        self.extracted_sequence = extracted_sequence
-        self.pattern_L = pattern_L
-        self.pattern_T = pattern_T
-        self.passed = passed
-        self.compare_N = compare_N
+    def __init__(self):
+        self.stages = []
+        self.extracted_sequence = ""
+        self.pattern_L = None
+        self.pattern_T = None
+        self.passed = False
+        self.compare_N = 0
 
     def to_json(self) -> dict:
         return {

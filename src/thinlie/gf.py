@@ -10,8 +10,6 @@ there is no floating point anywhere in the package.
 
 from __future__ import annotations
 
-import math
-
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -61,23 +59,6 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.p})"
-
-
-def lucas_binom(n: int, k: int, p: int) -> int:
-    """C(n, k) mod p computed digit-wise in base p (Lucas' theorem)."""
-    if n < 0 or k < 0:
-        raise ValueError("n, k must be non-negative")
-    if k > n:
-        return 0
-    out = 1
-    while n or k:
-        ni, ki = n % p, k % p
-        if ki > ni:
-            return 0
-        out = out * (math.comb(ni, ki) % p) % p
-        n //= p
-        k //= p
-    return out
 
 
 # -- vectors ---------------------------------------------------------------

@@ -144,6 +144,7 @@ class DiamondPattern:
         check_p(p)
         if not all(isinstance(v, int) for v in (q, *(d for d, _ in raw))):
             raise PatternError("pattern q and entry degrees must be integers")
+        check_q(p, q)
         return normalize([(d, DiamondType.from_json(t, p)) for d, t in raw],
                          p, q)
 
@@ -522,21 +523,20 @@ def family_pattern(family: str, p: int, q: int, N: int, **params) -> DiamondPatt
     return normalize([e for e in raw if e[0] <= N], p, q)
 
 
-def family_pattern_from_json(doc: dict, N: int | None = None) -> DiamondPattern:
-    """Family-spec documents: {"family": ..., "p": ..., "q": ..., "N": ...,
-    "params": {...}}; sequence parameters are given inline as sequence JSON."""
+def family_pattern_from_json(doc: dict, N: int) -> DiamondPattern:
+    """Family-spec documents: {"family": ..., "p": ..., "q": ...,
+    "params": {...}}; sequence parameters are given inline as sequence JSON.
+    The pattern runs to N, which the job's --N decides."""
     try:
         family, p, q = doc["family"], doc["p"], doc["q"]
         params = doc.get("params", {})
-        if N is None:
-            N = doc["N"]
     except KeyError as e:
         raise PatternError(f"malformed family spec: missing or misplaced "
                            f"field {e}") from None
     except TypeError:
         raise PatternError("malformed family spec: expected an object with "
-                           "fields family, p, q and N, and optionally "
-                           "params") from None
+                           "fields family, p and q, and optionally params; "
+                           "the job's --N sets the degree") from None
     if not isinstance(params, dict):
         raise PatternError("family spec field 'params' must be an object")
     unknown = sorted(set(params) - FAMILY_PARAMS, key=str)
@@ -707,24 +707,51 @@ def _lemma_contexts(L: GradedAlgebra, entries: list, idx: int, has_v2: bool):
     return out
 
 
-def verify_lemma_suite(L: GradedAlgebra, pattern: DiamondPattern | None = None) -> LemmaReport:
+def _y_nonzero(L: GradedAlgebra, j: int) -> list:
+    """The basis elements of L_j that ad y does not kill."""
+    return [i for i in range(L.dim(j)) if not vec_is_zero(
+        L.apply_letter(L.as_element(L.gid(j, i)), "y")[1])]
+
+
+def verify_distance(L: GradedAlgebra, pattern: DiamondPattern) -> list:
+    """The "distance" LemmaInstances of the pattern of L: y centralizes
+    every component that is not a diamond and does not immediately precede
+    one.  One instance per entry checks the window after that diamond, up
+    to the last degree ad y is built on, and names the degrees tested.
+    It reads ad y rows alone."""
+    q, entries, inst = L.q, pattern.entries, []
+    for idx, (m, t) in enumerate(entries):
+        nxt = entries[idx + 1][0] if idx + 1 < len(entries) else None
+        hi = m + q - 3
+        if nxt == m + q or (nxt is None and t.kind == "fake1"):
+            hi = m + q - 2
+        top = min(hi, L.N_built - 1)
+        if top <= m:
+            inst.append(LemmaInstance(
+                "distance", m, f"ad_y vanishes on L_{m+1}..L_{hi}", "skip",
+                f"ad y is built only on L_1..L_{L.N_built - 1}"))
+            continue
+        bad = [j for j in range(m + 1, top + 1) for _ in _y_nonzero(L, j)]
+        inst.append(LemmaInstance("distance", m,
+                                  f"ad_y vanishes on L_{m+1}..L_{top}",
+                                  "pass" if not bad else "fail",
+                                  "" if not bad else f"nonzero at {bad}"))
+    return inst
+
+
+def verify_lemma_suite(L: GradedAlgebra) -> LemmaReport:
     """Check every computed identity of the concluding-calculation lemmas
-    (LEMMA_TABLE) at every context of L matching its hypotheses, plus the
-    second-diamond relation and the post-diamond centralizing windows."""
+    (LEMMA_TABLE) at every context of L's detected pattern matching its
+    hypotheses, plus the second-diamond relation and the post-diamond
+    centralizing windows (verify_distance)."""
     p, q = L.p, L.q
-    if pattern is None:
-        pattern, _ = detect(L)
+    pattern, _ = detect(L)
     inst = []
 
     def eq(tag, m, label, lhs, rhs):
         ok = lhs[0] == rhs[0] and lhs[1] == rhs[1]
         inst.append(LemmaInstance(tag, m, label, "pass" if ok else "fail",
                                   "" if ok else f"lhs={lhs} rhs={rhs}"))
-
-    def y_nonzero(j):
-        """The basis elements of L_j that ad y does not kill."""
-        return [i for i in range(L.dim(j)) if not vec_is_zero(
-            L.apply_letter(L.as_element(L.gid(j, i)), "y")[1])]
 
     v1g = L.eval_word("y" + "x" * (q - 2))
     v2g = L.apply_word(v1g, "xy" + "x" * (q - 3)) if 2 * q - 2 <= L.N_built else None
@@ -742,35 +769,16 @@ def verify_lemma_suite(L: GradedAlgebra, pattern: DiamondPattern | None = None) 
     eq("eq1", q, "[v1xx] = 0", L.apply_word(v1g, "xx"), L.zero(q + 1))
     eq("eq1", q, "[v1yy] = 0", L.apply_word(v1g, "yy"), L.zero(q + 1))
 
+    inst.extend(verify_distance(L, pattern))
+
     entries = pattern.entries
-
-    # y centralizes every component that is not a diamond and does not
-    # immediately precede one; check the window after each diamond, up to
-    # the last degree ad y is built on, and name the degrees tested
-    for idx, (m, t) in enumerate(entries):
-        nxt = entries[idx + 1][0] if idx + 1 < len(entries) else None
-        hi = m + q - 3
-        if nxt == m + q or (nxt is None and t.kind == "fake1"):
-            hi = m + q - 2
-        top = min(hi, L.N_built - 1)
-        if top <= m:
-            inst.append(LemmaInstance(
-                "distance", m, f"ad_y vanishes on L_{m+1}..L_{hi}", "skip",
-                f"ad y is built only on L_1..L_{L.N_built - 1}"))
-            continue
-        bad = [j for j in range(m + 1, top + 1) for _ in y_nonzero(j)]
-        inst.append(LemmaInstance("distance", m,
-                                  f"ad_y vanishes on L_{m+1}..L_{top}",
-                                  "pass" if not bad else "fail",
-                                  "" if not bad else f"nonzero at {bad}"))
-
     for idx, (m, t) in enumerate(entries):
         contexts = _lemma_contexts(L, entries, idx, v2g is not None)
         for lemma, (minv, steps, join, holds) in contexts.items():
             if lemma == "lemma_type1":
                 inst.append(LemmaInstance(
                     "lemma_type1", m, "[L_{m+q-2} y] = 0",
-                    "fail" if y_nonzero(m + q - 2) else "pass"))
+                    "fail" if _y_nonzero(L, m + q - 2) else "pass"))
             # made on first use, by a row whose guards hold: an element
             # another row needs may lie past N_built
             made = {"vk": L.as_element(L.gid(m - 1, 0))}

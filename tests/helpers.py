@@ -1,4 +1,5 @@
-"""Shared test utilities: independent bracket oracle, the reducing
+"""Shared test utilities: base-p binomial coefficients and the truncated
+divided power product, independent bracket oracle, the reducing
 reference formulation of the bracket kernel, the loop form of the column
 kernel, random admissible patterns and random well-formed presentations,
 corpus construction, and the readers of reports and algebras that only
@@ -6,13 +7,14 @@ the tests use."""
 
 from __future__ import annotations
 
+import math
 import random
 
 from thinlie.engine import (CHECKS, AlgebraBuilder, DegreeOverflowError,
                             GradedAlgebra, OperatorFamily, ValidationReport,
                             validate)
-from thinlie.gf import (PrimeField, lucas_binom, mat_apply_rows, vec_add,
-                        vec_is_zero, vec_neg, vec_scale, vec_sub, vec_zero)
+from thinlie.gf import (PrimeField, mat_apply_rows, vec_add, vec_is_zero,
+                        vec_neg, vec_scale, vec_sub, vec_zero)
 from thinlie.maxclass import CentralizerSequence, SequenceError, build_maxclass
 from thinlie.patterns import compile_pattern, family_pattern, uniqueness_sequence
 
@@ -23,6 +25,39 @@ PAIR_CHECKS = tuple(name for name, (_, in_sweep) in CHECKS.items()
                     if in_sweep)
 # how many leading gids of a check's witness failure_degrees sums
 WITNESS_GIDS = {"antisymmetry": 2, "jacobi": 3, "bidegree": 2}
+
+
+def lucas_binom(n: int, k: int, p: int) -> int:
+    """C(n, k) mod p computed digit-wise in base p (Lucas' theorem)."""
+    if n < 0 or k < 0:
+        raise ValueError("n, k must be non-negative")
+    if k > n:
+        return 0
+    out = 1
+    while n or k:
+        ni, ki = n % p, k % p
+        if ki > ni:
+            return 0
+        out = out * (math.comb(ni, ki) % p) % p
+        n //= p
+        k //= p
+    return out
+
+
+def divided_power_product(i: int, j: int, q: int, p: int):
+    """epsilon^(i) * epsilon^(j) = C(i+j, i) epsilon^(i+j), truncated at q.
+
+    Returns (coefficient, index) or None for zero.  The truncation is
+    consistent: C(i+j, i) is divisible by p whenever q <= i+j <= 2q-2.
+    """
+    if not (0 <= i <= q - 1 and 0 <= j <= q - 1):
+        raise ValueError(f"indices must lie in [0, {q - 1}]")
+    if i + j > q - 1:
+        return None
+    c = lucas_binom(i + j, i, p)
+    if c == 0:
+        return None
+    return (c, i + j)
 
 
 def failure_degrees(report, L) -> list:

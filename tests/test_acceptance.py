@@ -9,16 +9,17 @@ to see them.
 import random
 
 from helpers import (P, Q, coclass_excess, failure_degrees, failures,
-                     lemma_count, metabelian_sequence, q_brackets,
-                     random_tq2_pattern)
+                     lemma_count, lucas_binom, metabelian_sequence,
+                     q_brackets, random_tq2_pattern)
 from thinlie.constructions import deflate, tensor_construct
 from thinlie.derivations import build_D, roundtrip_check, verify_leibniz
 from thinlie.engine import validate
-from thinlie.gf import lucas_binom, vec_is_zero, vec_scale
+from thinlie.gf import vec_is_zero, vec_scale
 from thinlie.maxclass import build_maxclass
 from thinlie.patterns import (DiamondType, classify_regularity,
                               compile_pattern, detect, family_pattern,
-                              normalize, verify_lemma_suite)
+                              normalize, verify_distance,
+                              verify_lemma_suite)
 
 CORPUS_ORDER = ["a", "b", "c", "d", "e", "L1q", "L0q", "uniqueness",
                 "T72_metabelian", "N77"]
@@ -85,8 +86,7 @@ def test_criterion_3_distances(corpus):
                 ok = False
                 detail.append((name, deg, gap))
             prev_deg, prev_t = deg, t
-        lem = verify_lemma_suite(L, pat)
-        dist = [i for i in lem.instances if i.lemma == "distance"]
+        dist = verify_distance(L, pat)
         if not dist or any(i.status == "fail" for i in dist):
             ok = False
             detail.append((name, "ad_y window"))
@@ -128,7 +128,7 @@ def test_criterion_5_tensor_construction(corpus):
 def test_criterion_6_derivation(corpus):
     L, _, _ = corpus["uniqueness"]
     D = build_D(L)
-    rep = verify_leibniz(L, D, q_brackets(L))
+    rep = verify_leibniz(L, D, q_brackets(L), detect(L)[0])
     ok = rep.ok and not rep.failures
     v1 = L.eval_word("y" + "x" * (Q - 2))
     v2 = L.eval_word("y" + "x" * (Q - 2) + "xy" + "x" * (Q - 3))

@@ -364,6 +364,11 @@ def test_input_side_errors_are_bad_spec(tmp_path, capsys):
         "seq_string.json": {"family": "tq2", "p": 7, "q": 7, "N": 30,
                             "params": {"sequence": "Y" * 80}},
         "met5.json": {"p": 5, "entries": "Y" * 80},
+        # entries every q - 1 degrees, which compile to degree 30
+        "q10.json": {"p": 7, "q": 10,
+                     "entries": [{"degree": 10, "type": "finite:6"}]
+                     + [{"degree": d, "type": "infinite"}
+                        for d in range(19, 60, 9)]},
     }
     missing, here = str(tmp_path / "missing" / "x.json"), str(tmp_path)
     for name, doc in docs.items():
@@ -394,6 +399,14 @@ def test_input_side_errors_are_bad_spec(tmp_path, capsys):
              "--N must be at least 1"),
             (["roundtrip", "--family", "uniqueness", "--q", "7", "--N", "60",
               "--compare-N", "0"], "--compare-N must be at least 1"),
+            # a comparison that stops short of the second diamond is the
+            # flag's fault, not --N's
+            (["roundtrip", "--family", "uniqueness", "--q", "7", "--s", "1",
+              "--N", "60", "--compare-N", "6"],
+             "--compare-N 6 is below q = 7"),
+            (["roundtrip", "--family", "uniqueness", "--q", "11", "--s", "1",
+              "--N", "60", "--compare-N", "1"],
+             "--compare-N 1 is below q = 11"),
             (["detect", "--family", "nqr", "--q", "7", "--r", "6",
               "--N", "20"], "r must be a positive power of p"),
             (["detect", "--family", "nqr", "--q", "7", "--r", "1",
@@ -404,6 +417,11 @@ def test_input_side_errors_are_bad_spec(tmp_path, capsys):
              "q must be a power of p greater than 5"),
             (["build", "--sequence", f["seq7.json"], "--q", "5", "--N", "30"],
              "q must be a power of p greater than 5"),
+            # a pattern's q is checked as --q is
+            (["build", "--pattern", f["q10.json"], "--N", "30"],
+             "q must be a power of p greater than 5, got 10"),
+            (["detect", "--pattern", f["q10.json"], "--N", "30"],
+             "q must be a power of p greater than 5, got 10"),
             (["detect", "--family-spec", f["s_string.json"], "--N", "30"],
              "parameter 's' must be an integer"),
             (["detect", "--family-spec", f["r_string.json"], "--N", "30"],

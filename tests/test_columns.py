@@ -12,6 +12,8 @@ the loop over every pair.  brackets_with, the brackets with one degree
 that the fill of D, the Leibniz certificate, the extraction and the
 lemma suite read off the same sweep, lists bracket_basis values too, and
 the lemma suite reports through it what it reports through the memo.  A
+distance job reads none of it and reports the suite's distance
+instances.  A
 seeded sample of one-entry ad corruptions is a known-failing corpus on
 which the pair checks must find the memo loops' witnesses.  The block
 kernel behind every column equals the loop over coordinates
@@ -19,6 +21,7 @@ kernel behind every column equals the loop over coordinates
 presentations, and only a sweep builds its padded blocks."""
 
 import functools
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -175,6 +178,37 @@ def test_lemma_suite_matches_memo_brackets(corpus, monkeypatch):
     seen = {(i["lemma"], i["status"]) for rep in got if isinstance(rep, dict)
             for i in rep["instances"]}
     assert {("lemma_v1", "fail"), ("lemma_v2", "pass")} <= seen, seen
+
+
+def test_distance_job_reads_no_bracket_column(corpus, tmp_path, monkeypatch):
+    # verify --check distance runs verify_distance alone: it opens no
+    # brackets_with reader, and reports the distance instances of the full
+    # suite with the exit code they give, on passing and failing algebras
+    # and on the seeded corruptions, some of which fail a distance window
+    from thinlie import cli
+    reads, codes = [], set()
+    orig = GradedAlgebra.brackets_with
+    out = tmp_path / "distance.json"
+    for L in [*(L for L, _, _ in corpus.values()), *map(failing, FAILING),
+              *(L for _, L in seeded_corruptions())]:
+        suite = lemma_suite(L)
+        if isinstance(suite, dict):
+            want = [i for i in suite["instances"] if i["lemma"] == "distance"]
+            code = 4 if any(i["status"] == "fail" for i in want) else 0
+        else:
+            want, code = None, 2
+        monkeypatch.setattr(cli, "make_algebra", lambda args, L=L: L)
+        monkeypatch.setattr(GradedAlgebra, "brackets_with",
+                            lambda *a: reads.append(a[1:]) or orig(*a))
+        got = cli.main(["verify", "--check", "distance", "--N", str(L.N),
+                        "--out", str(out)])
+        monkeypatch.undo()
+        assert (got, reads) == (code, []), (L.p, L.q, L.N)
+        if want is not None:
+            assert json.loads(out.read_text())["checks"]["distance"] == {
+                "ok": code == 0, "instances": want}
+        codes.add(code)
+    assert codes == {0, 2, 4}
 
 
 def test_sweeps_match_memo_on_corpus(corpus):

@@ -7,20 +7,20 @@ from collections import Counter
 
 import pytest
 
-from helpers import (P, Q, ad_operator, backbone_sequence, eager_commutator,
+from helpers import (P, Q, ad_operator, backbone_sequence,
+                     divided_power_product, eager_commutator,
                      extract_centralizer_sequence, inner_operator,
-                     metabelian_sequence, words)
+                     lucas_binom, metabelian_sequence, words)
 from thinlie.constructions import (DEFLATE_GUARD, ConstructionError,
                                    _generators, _on_generators, _power,
-                                   deflate, divided_power_product,
-                                   nottingham_Nqr, nqr_source_degree,
-                                   tensor_construct)
+                                   deflate, nottingham_Nqr,
+                                   nqr_source_degree, tensor_construct)
 from thinlie.derivations import fill
 from thinlie.engine import GradedAlgebra, validate
 from thinlie.gf import vec_add, vec_scale
 from thinlie.maxclass import build_maxclass
 from thinlie.patterns import (classify_regularity, compile_pattern, detect,
-                              family_pattern)
+                              family_pattern, uniqueness_sequence)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -66,7 +66,6 @@ def test_divided_power_algebra_axioms(q):
 def test_truncation_consistency():
     # C(i+j, i) = 0 mod p whenever q <= i+j <= 2q-2, so killing high terms
     # is compatible with the multiplication rule
-    from thinlie.gf import lucas_binom
     for q in (7, 49):
         for i in range(q):
             for j in range(q):
@@ -171,7 +170,6 @@ def test_tensor_equals_compiled_structure():
 
 
 def test_tensor_backbone_equals_compiled_structure():
-    from thinlie.patterns import uniqueness_sequence
     M = build_maxclass(uniqueness_sequence(P, 1, 40), 32)
     A, _ = tensor_construct(M, Q, 150)
     B, _ = compile_pattern(family_pattern("uniqueness", P, Q, 200, s=1), 150,
@@ -180,6 +178,55 @@ def test_tensor_backbone_equals_compiled_structure():
     for k in range(1, 151):
         assert A.ad["x"][k] == B.ad["x"][k], k
         assert A.ad["y"][k] == B.ad["y"][k], k
+
+
+def _ambient_bracket(Ma, q: int, u: dict, v: dict) -> dict:
+    """[u, v] in Ma (x) F[eps; q] + F d, term by term through the truncated
+    divided power product, for v with Ma parts in degree 1 (x or y)."""
+    p, out = Ma.p, Counter()
+    for k1, c1 in u.items():
+        for k2, c2 in v.items():
+            if k1 == k2 == ("d",):
+                continue
+            if ("d",) in (k1, k2):
+                # [A (x) eps^(j), x] = A (x) eps^(j-1) = -[x, A (x) eps^(j)]
+                (_, g, j), sign = (k1, 1) if k2 == ("d",) else (k2, -1)
+                if j:
+                    out[("e", g, j - 1)] += sign * c1 * c2
+                continue
+            (_, g1, j1), (_, g2, j2) = k1, k2
+            prod = divided_power_product(j1, j2, q, p)
+            if prod is None:
+                continue
+            d, row = Ma.apply_letter(Ma.as_element(g1),
+                                     Ma.elements[g2].letter)
+            for s, w in enumerate(row):
+                out[("e", Ma.gid(d, s), prod[1])] += c1 * c2 * prod[0] * w
+    return {k: c % p for k, c in out.items() if c % p}
+
+
+@pytest.mark.parametrize("p,q", [(7, 7), (5, 25), (7, 49), (11, 11)])
+@pytest.mark.parametrize("kind", ["metabelian", "uniqueness"])
+def test_tensor_ad_rows_match_divided_power_oracle(p, q, kind):
+    # the closed-form generator brackets against the general product: for
+    # every basis element b and t in {x, y}, the ambient image [b, t] is
+    # the combination of ambient elements that the ad t row of b gives
+    m = 3 * p + 2      # past the first 'X' of the s = 1 sequence, at 2p
+    seq = (metabelian_sequence(p, m + 2) if kind == "metabelian"
+           else uniqueness_sequence(p, 1, m + 2))
+    Ma = build_maxclass(seq, m)
+    L, ambient = tensor_construct(Ma, q, (m - 3) * (q - 1) - 2)
+    gens = [ambient[g] for g in L.comp_gids[1]]
+    for e in L.elements:
+        if e.degree == L.N_built:
+            break
+        for t, gen in zip("xy", gens):
+            want = Counter()
+            for s, c in enumerate(L.ad[t][e.degree][e.index]):
+                for key, a in ambient[L.gid(e.degree + 1, s)].items():
+                    want[key] += c * a
+            assert _ambient_bracket(Ma, q, ambient[e.gid], gen) == \
+                {k: c % p for k, c in want.items() if c % p}, (e.gid, t)
 
 
 def test_tensor_needs_enough_maxclass_degrees():

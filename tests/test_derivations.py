@@ -98,7 +98,7 @@ def test_D_of_pre_diamond_elements(uniq, D):
 
 
 def test_D_bidegree_and_leibniz(uniq, D):
-    rep = verify_leibniz(uniq, D, q_brackets(uniq))
+    rep = verify_leibniz(uniq, D, q_brackets(uniq), detect(uniq)[0])
     assert rep.ok
     # one pair (a, t) per generator t and basis element a below the budget
     budget = min(uniq.N, uniq.N_built - D.shift)
@@ -143,9 +143,9 @@ def test_certificate_matches_the_pair_loop(family, q, N):
     Ds = [D] + [_moved(D, 1, i, j, brackets) for i in range(2)
                 for j in range(L.dim(q))]
     Ds.append(_moved(D, 50, 0, 0, brackets))
-    firsts = []
+    firsts, pattern = [], detect(L)[0]
     for E in Ds:
-        rep = verify_leibniz(L, E, brackets)
+        rep = verify_leibniz(L, E, brackets, pattern)
         fails = leibniz_pair_failures(L, E)
         first = _first_degree(L, rep.failures)
         assert first == _first_degree(L, fails), (family, q, E.maps[1])
@@ -162,7 +162,7 @@ def test_certificate_rests_on_jacobi():
                       if c[0] == "no_fake_at_128"]
     L, _ = compile_pattern(pat, n, guard=Q + 2, run_validation=False)
     D = build_D(L)
-    rep = verify_leibniz(L, D, q_brackets(L))
+    rep = verify_leibniz(L, D, q_brackets(L), detect(L)[0])
     fails = leibniz_pair_failures(L, D)
     assert min(failure_degrees(validate(L, ["jacobi"]), L)) == 128
     assert not rep.failures and _first_degree(L, fails) == 128 - (Q - 1)
@@ -171,7 +171,7 @@ def test_certificate_rests_on_jacobi():
 def test_verify_leibniz_leaves_the_memo_empty():
     pat = family_pattern("uniqueness", P, Q, 180, s=1)
     L, _ = compile_pattern(pat, 120, guard=Q + 2, run_validation=False)
-    assert verify_leibniz(L, build_D(L), q_brackets(L)).ok
+    assert verify_leibniz(L, build_D(L), q_brackets(L), detect(L)[0]).ok
     assert len(L._memo) == 0
 
 

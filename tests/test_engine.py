@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (P, Q, ad_operator, centralizer_in_L1, coclass_excess,
-                     corrupt_ad_x, dims, failures, metabelian_sequence,
-                     oracle_bracket, words)
+                     corrupt_ad_x, dims, failures, lucas_binom,
+                     metabelian_sequence, oracle_bracket, words)
 from thinlie.derivations import fill
 from thinlie.engine import (AlgebraBuilder, BasisElement, DegreeOverflowError,
                             GradedAlgebra, validate)
-from thinlie.gf import PrimeField, lucas_binom, vec_is_zero, vec_scale
+from thinlie.gf import PrimeField, vec_is_zero, vec_scale
 from thinlie.maxclass import build_maxclass
 from thinlie.patterns import compile_pattern, family_pattern
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import echelon, kernel
-from thinlie.gf import (PrimeField, echelon_add, lucas_binom, mat_apply_rows,
-                        rank, smallest_prime_factor, solve_or_kernel)
+from helpers import echelon, kernel, lucas_binom
+from thinlie.gf import (PrimeField, echelon_add, mat_apply_rows, rank,
+                        smallest_prime_factor, solve_or_kernel)
 
 
 def test_prime_field_validates():

@@ -7,7 +7,7 @@ subcommands that run them.  The engine imports, of the package, gf alone.
 The package holds what its jobs run: every function, class, method and
 field is named somewhere else in it, but for a listed few; a method or a
 field is named only through its own class or an object of unknown
-class."""
+class.  Every name a module imports is read in it."""
 
 import ast
 import os
@@ -86,6 +86,32 @@ def test_engine_imports_only_gf():
             imported |= {a.name.removeprefix("thinlie.") for a in node.names
                          if a.name.startswith("thinlie")}
     assert imported == {"gf"}, imported
+
+
+def unused_imports(tree):
+    """The names tree's imports bind that no ast.Name of it reads, a
+    bare name or the base of an attribute; `from __future__` binds none."""
+    bound = {(a.asname or a.name).split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for a in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_every_import_in_the_package_is_used():
+    unused = {path.name: unused_imports(ast.parse(
+        path.read_text(encoding="utf-8"), str(path)))
+        for path in sorted(PACKAGE.glob("*.py"))}
+    assert not any(unused.values()), unused
+    # a name read as an attribute's base counts; an unread one, a local
+    # import included, does not, nor does a same-named attribute
+    src = ("from __future__ import annotations\nimport math\n"
+           "import os.path\nfrom .gf import rank as r, vec_add\n\n\n"
+           "def f(v):\n    from .engine import validate\n"
+           "    return os.sep, v.math, vec_add\n")
+    assert unused_imports(ast.parse(src)) == ["math", "r", "validate"]
 
 
 def _definitions(tree):

@@ -148,7 +148,7 @@ def test_other_characteristics(p, q):
     assert rep.ok
     det, _ = detect(L)
     assert det.entries == pat.truncate(2 * q + 10).entries
-    lem = verify_lemma_suite(L, det)
+    lem = verify_lemma_suite(L)
     assert lem.ok and lemma_count(lem, "lemma_v1") > 0
 
 
