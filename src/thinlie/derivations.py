@@ -269,7 +269,7 @@ def roundtrip_check(L: GradedAlgebra, compare_N: int | None = None) -> Roundtrip
     D = build_D(L)
     rep.stages.append(["derivation", f"built on degrees 1..{L.N_built - D.shift}"])
     # the brackets of every degree with L_q: O(N) values, read by the
-    # certificate and the extraction, and dropped before the rebuild
+    # certificate and the extraction, and dropped with D before the rebuild
     brackets = L.brackets_with(q, L.N_built - q)
     leibniz = verify_leibniz(L, D, brackets, pattern)
     rep.stages.append(["leibniz", f"{leibniz.pairs_checked} generator pairs, "
@@ -280,7 +280,7 @@ def roundtrip_check(L: GradedAlgebra, compare_N: int | None = None) -> Roundtrip
     if not leibniz.ok:
         return rep
     M, seq = extract_M(L, D, brackets)
-    del brackets
+    del D, brackets
     rep.extracted_sequence = "".join(seq.entries)
     rep.stages.append(["extraction", f"sequence of length {len(seq)}, "
                        f"maximal-class algebra to degree {M.N}"])

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -255,6 +257,32 @@ def test_roundtrip_opens_one_bracket_window(monkeypatch):
     for k in range(2, max(built[-1].maps) + 1):
         fill(stepwise, k, brackets)
     assert built[-1].maps == stepwise.maps
+
+
+def test_roundtrip_frees_D_before_the_rebuild(uniq, monkeypatch):
+    # nothing after the extraction reads D, so the rebuild of T runs with
+    # D, and the maps its fill grew, released
+    import thinlie.constructions as constructions
+    import thinlie.derivations as derivations
+
+    refs, alive = [], []
+    orig_build_D = derivations.build_D
+    orig_tensor = constructions.tensor_construct
+
+    def build_D(L):
+        D = orig_build_D(L)
+        refs.append(weakref.ref(D))
+        return D
+
+    def tensor_construct(*args, **kwargs):
+        gc.collect()
+        alive.append(refs[-1]() is not None)
+        return orig_tensor(*args, **kwargs)
+
+    monkeypatch.setattr(derivations, "build_D", build_D)
+    monkeypatch.setattr(constructions, "tensor_construct", tensor_construct)
+    rep = roundtrip_check(uniq, compare_N=100)
+    assert rep.passed and alive == [False], alive
 
 
 def test_roundtrip_stops_at_a_failed_certificate(uniq):

@@ -1,7 +1,9 @@
+import gc
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -397,3 +399,27 @@ def test_constructor_refuses_bad_parents_and_letters(degrees, message):
         b.set_ad(k, rows, rows)
     with pytest.raises(ValueError, match=message):
         b.finish(N=len(degrees))
+
+
+def test_an_algebra_holds_its_bases_compactly():
+    # an element is six slots, bidegree among them as a plain attribute;
+    # the builder stores each distinct ad matrix once and lists the
+    # elements' own gid ints as the bases.  On family a at n = 20 000 the
+    # algebra holds about 317 bytes per element; a __dict__ per element, a
+    # matrix per degree and a copy of every gid would hold about 492
+    assert not hasattr(BasisElement(0, 1, 0, None, "x"), "__dict__")
+    assert "bidegree" in BasisElement.__slots__
+    pat = family_pattern("a", 7, 49, 20100)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        L, _ = compile_pattern(pat, 20000, run_validation=False)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    matrices = [m for t in "xy" for m in L.ad[t][1:L.N_built]]
+    assert len({id(m) for m in matrices}) == len(set(matrices)) < 10
+    assert all(g is L.elements[g].gid for gids in L.comp_gids for g in gids)
+    assert held / len(L.elements) <= 400, held / len(L.elements)
