@@ -169,7 +169,7 @@ def make_algebra(args, guard=lambda q: 2):
         g = guard(q)
         need = -(-(N + g) // (q - 1)) + 2
         M = build_maxclass(seq, need + 1)
-        return tensor_construct(M, q, N, guard=g)[0]
+        return tensor_construct(M, q, N, guard=g)
     raise PatternError("specify one of --family, --family-spec, --pattern, "
                        "--sequence")
 
@@ -276,15 +276,16 @@ def cmd_deflate(args):
 def _diagram_txt(L, pattern):
     lines = []
     types = dict(pattern.entries)
+    bidegrees = L.bidegrees()
     for k in range(1, L.N + 1):
-        basis = L.basis(k)
-        bids = " ".join(f"({e.bidegree[0]},{e.bidegree[1]})" for e in basis)
+        gids = L.comp_gids[k]
+        bids = " ".join(f"({bidegrees[g][0]},{bidegrees[g][1]})" for g in gids)
         note = ""
         if k == 1:
             note = "  first diamond"
         elif k in types:
             note = f"  diamond type {types[k].label(L.p)}"
-        lines.append(f"deg {k:>4}  dim {len(basis)}  {bids}{note}")
+        lines.append(f"deg {k:>4}  dim {len(gids)}  {bids}{note}")
     return "\n".join(lines) + "\n"
 
 
@@ -293,8 +294,9 @@ def _diagram_dot(L, pattern):
     out = ["digraph double_grading {", "  rankdir=TB;",
            '  node [shape=circle, fontsize=10];']
     shown = L.elements[:L.comp_gids[L.N][-1] + 1]   # degrees 1..N, in order
+    bidegrees = L.bidegrees()
     for e in shown:
-        r, s = e.bidegree
+        r, s = bidegrees[e.gid]
         label = f"({r},{s})"
         attrs = f'label="{label}"'
         if e.degree in types:
@@ -307,11 +309,11 @@ def _diagram_dot(L, pattern):
             break
         for letter, style in (("x", "solid"), ("y", "dashed")):
             img = L.apply_letter(L.as_element(e.gid), letter)
-            tgt = L.basis(img[0])
+            tgt = L.comp_gids[img[0]]
             for sidx, c in enumerate(img[1]):
                 if c:
-                    r1, s1 = e.bidegree
-                    r2, s2 = tgt[sidx].bidegree
+                    r1, s1 = bidegrees[e.gid]
+                    r2, s2 = bidegrees[tgt[sidx]]
                     out.append(f'  "n{r1}_{s1}" -> "n{r2}_{s2}" '
                                f'[style={style}];')
     out.append("}")
@@ -322,8 +324,8 @@ def _diagram_json(L, pattern):
     types = dict(pattern.entries)
     nodes = []
     words = (w for ws in L.basis_words(L.N) for w in ws)
-    for e, word in zip(L.elements, words):
-        node = {"degree": e.degree, "bidegree": list(e.bidegree),
+    for e, word, bidegree in zip(L.elements, words, L.bidegrees()):
+        node = {"degree": e.degree, "bidegree": list(bidegree),
                 "word": word}
         if e.degree in types:
             node["diamond_type"] = types[e.degree].to_json()

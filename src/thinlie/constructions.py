@@ -6,7 +6,7 @@ iterated-deflation family N(q, r).
 from __future__ import annotations
 
 from .engine import AlgebraBuilder, GradedAlgebra
-from .gf import PrimeField, echelon_add, solve_or_kernel, vec_add, vec_scale
+from .gf import echelon_add, solve_or_kernel, vec_add, vec_scale
 from .patterns import (ConstructionError, PatternError, char_of_q, check_p,
                        check_q, compile_pattern, deflation_steps, detect,
                        family_pattern)
@@ -14,7 +14,7 @@ from .patterns import (ConstructionError, PatternError, char_of_q, check_p,
 
 # -- generic conversion of an abstract bracket structure into engine form ------
 
-def engine_from_abstract(field: PrimeField, q, n_built: int, N: int,
+def engine_from_abstract(p: int, q, n_built: int, N: int,
                          x_gen, y_gen, bracket, coords):
     """Grow the subalgebra generated by two abstract degree-1 elements,
     degree by degree, and express it in engine form.
@@ -26,14 +26,12 @@ def engine_from_abstract(field: PrimeField, q, n_built: int, N: int,
     order that reproduces the pattern compiler's basis convention: the
     candidates echelon_add takes form the next basis, and each bracket
     image is solved against the echelon basis that chose them.  They are
-    independent, so its coordinates are unique.  Returns
-    (GradedAlgebra, {gid: element}).
+    independent, so its coordinates are unique.  Returns the
+    GradedAlgebra; of the elements, only one degree's is held at a time.
     """
-    p = field.p
-    b = AlgebraBuilder(field, q=q)
+    b = AlgebraBuilder(p, q=q)
     b.add_degree([(None, "x"), (None, "y")])
     gens = {"x": x_gen, "y": y_gen}
-    abs_of = {0: x_gen, 1: y_gen}
     cur = [x_gen, y_gen]
     for k in range(1, n_built):
         images, vecs = {}, {}
@@ -57,14 +55,13 @@ def engine_from_abstract(field: PrimeField, q, n_built: int, N: int,
         if len(chosen) > 2:
             raise ConstructionError(
                 f"degree {k + 1} has dimension {len(chosen)}; not thin")
-        gids = b.add_degree([(b.comp_gids[k][i], t) for (i, t) in chosen])
+        b.add_degree([(b.comp_gids[k][i], t) for (i, t) in chosen])
         # every image [v, t] is itself a candidate in order, so it was taken
         # or lies in the span of those taken: the solve never returns None
         b.set_ad(k, *([solve_or_kernel(ech, vecs[(i, t)], p)
                        for i in range(len(cur))] for t in "xy"))
         cur = [images[c] for c in chosen]
-        abs_of.update(zip(gids, cur))
-    return b.finish(N), abs_of
+    return b.finish(N)
 
 
 # -- tensor construction ---------------------------------------------------------
@@ -73,10 +70,10 @@ def tensor_construct(Ma: GradedAlgebra, q: int, N: int, guard: int = 2):
     """Subalgebra of Ma (x) F[eps; q] + F (1 (x) d), Ma of maximal class,
     generated by  x = -1 (x) d  and  y = X (x) eps^(q-2) + Y (x) eps^(q-1),
     expressed as an engine algebra in the total grading, built to
-    N + guard and not validated.  Returns (algebra, ambient), where
-    ambient maps each gid to its ambient vector {key: coefficient}.
+    N + guard and not validated.  Returns the algebra.
 
-    Keys: ('e', g, j) is (Ma basis element g) (x) eps^(j); ('d',) is x.
+    Ambient vectors are {key: coefficient}, with keys ('e', g, j) for
+    (Ma basis element g) (x) eps^(j) and ('d',) for x.
 
     engine_from_abstract brackets an element only with x or y, so the
     bracket is written in closed form for those two.  In F[eps; q],
@@ -96,7 +93,6 @@ def tensor_construct(Ma: GradedAlgebra, q: int, N: int, guard: int = 2):
     [x, y] = -[y, x] = -(X (x) eps^(q-3) + Y (x) eps^(q-2)).
     """
     p = Ma.p
-    field = Ma.field
     n_built = N + guard
     need = -(-n_built // (q - 1)) + 2
     if Ma.N_built < need:
@@ -126,7 +122,7 @@ def tensor_construct(Ma: GradedAlgebra, q: int, N: int, guard: int = 2):
                         out[key] = (out.get(key, 0) + sign * c * ws) % p
         return {key: c for key, c in out.items() if c}
 
-    return engine_from_abstract(field, q, n_built, N, x_vec, y_vec, bracket,
+    return engine_from_abstract(p, q, n_built, N, x_vec, y_vec, bracket,
                                 lambda v: v)
 
 
@@ -244,14 +240,13 @@ def deflate(L: GradedAlgebra, N_out: int) -> GradedAlgebra:
             return (2 * p, vec_scale(g - v, w2, p))
         return _power(L, v, zs[g])
 
-    L0, _ = engine_from_abstract(L.field, None, n_built, n_built, 0, 1,
-                                 bracket, lambda w: _on_generators(L, w))
+    L0 = engine_from_abstract(p, None, n_built, n_built, 0, 1, bracket,
+                              lambda w: _on_generators(L, w))
     q_out = next((k for k in range(2, n_built + 1) if L0.dim(k) == 2), None)
     xline, yline = _standard_generators(L0, q_out)
-    Ld, _ = engine_from_abstract(
-        L.field, q_out, n_built, N_out, (1, xline), (1, yline),
+    return engine_from_abstract(
+        p, q_out, n_built, N_out, (1, xline), (1, yline),
         lambda v, g: _act(L0, v, g[1]), lambda v: dict(enumerate(v[1])))
-    return Ld
 
 
 def _standard_generators(A: GradedAlgebra, q_out):

@@ -131,14 +131,15 @@ def verify_leibniz(L: GradedAlgebra, D: OperatorFamily, brackets: list,
     fails = []
     pairs = 0
     homog = True
+    bidegrees = L.bidegrees()
     for a in L.elements:
         if a.degree > budget:
             break
         da = D.apply(L.as_element(a.gid))
         # bidegree homogeneity: shift (q-2, 1) on every nonzero image
-        want = (a.bidegree[0] + q - 2, a.bidegree[1] + 1)
-        homog &= all(e.bidegree == want
-                     for c, e in zip(da[1], L.basis(da[0])) if c)
+        want = (bidegrees[a.gid][0] + q - 2, bidegrees[a.gid][1] + 1)
+        homog &= all(bidegrees[g] == want
+                     for c, g in zip(da[1], L.comp_gids[da[0]]) if c)
         if a.degree == budget:
             continue
         for t, dt, g in zip("xy", D.maps[1], L.comp_gids[1]):
@@ -287,7 +288,7 @@ def roundtrip_check(L: GradedAlgebra, compare_N: int | None = None) -> Roundtrip
     n_cmp = min(compare_N if compare_N is not None else L.N,
                 L.N, (M.N_built - 2) * (q - 1) - 2)
     rep.compare_N = n_cmp
-    T, _ = tensor_construct(M, q, n_cmp)
+    T = tensor_construct(M, q, n_cmp)
     rep.stages.append(["tensor", f"rebuilt to degree {n_cmp}"])
     pat_T, _ = detect(T)
     rep.pattern_T = pat_T.to_json()

@@ -42,17 +42,19 @@ which stays the one source of the data, by an algebra's first sweep, and
 kept (_ad_blocks): one per degree and letter.  An algebra that is never
 swept, such as deflation's source, builds none.
 
-Per degree an algebra holds its basis elements (six slots each: gid,
-degree, index, parent gid, letter, bidegree), the tuple of their gids
-(comp_gids, the elements' own int objects, not copies) and one ad x and
-one ad y matrix.  An AlgebraBuilder stores each distinct matrix once, so
-degrees with equal matrices share one tuple: a family-a algebra built to
-degree 20 002 has 40 002 ad matrices, 8 of them distinct, and holds
-about 317 bytes per basis element in all.  Sharing is safe because a
-matrix is a tuple of tuples and the algebra is never changed after
-construction.  The bases stay tuples, not ranges: indexing a range makes
-a fresh int per read, and every element's parent gid is read off its
-parent's basis, so deflation's source would hold a new int per element.
+Per degree an algebra holds its basis elements (five slots each: gid,
+degree, index, parent gid, letter), the tuple of their gids (comp_gids,
+the elements' own int objects, not copies) and one ad x and one ad y
+matrix.  Bidegrees are not stored: bidegrees() derives them on read,
+parents first, from the parents and letters.  An AlgebraBuilder stores
+each distinct matrix once, so degrees with equal matrices share one
+tuple: a family-a algebra built to degree 20 002 has 40 002 ad matrices,
+8 of them distinct, and holds about 209 bytes per basis element in all.
+Sharing is safe because a matrix is a tuple of tuples and the algebra is
+never changed after construction.  The bases stay tuples, not ranges:
+indexing a range makes a fresh int per read, and every element's parent
+gid is read off its parent's basis, so deflation's source would hold a
+new int per element.
 
 A GradedAlgebra is immutable after construction.  Concurrent readers are
 safe; the bracket memo table and the padded blocks are plain dicts
@@ -74,7 +76,7 @@ import functools
 import itertools
 
 from .gf import (
-    PrimeField,
+    is_field_char,
     mat_apply_rows,
     rank,
     vec_is_zero,
@@ -91,7 +93,7 @@ class DegreeOverflowError(Exception):
 
 
 class BasisElement:
-    __slots__ = ("gid", "degree", "index", "parent_gid", "letter", "bidegree")
+    __slots__ = ("gid", "degree", "index", "parent_gid", "letter")
 
     def __init__(self, gid: int, degree: int, index: int,
                  parent_gid: int | None, letter: str):
@@ -100,16 +102,14 @@ class BasisElement:
         self.index = index        # 0 or 1 within its component
         self.parent_gid = parent_gid  # None for x and y
         self.letter = letter      # the last letter; x and y are their own
-        self.bidegree = None      # set by GradedAlgebra, from the parent's
 
 
 class GradedAlgebra:
     """A graded Lie algebra built to degree N_built, with public bound N."""
 
-    def __init__(self, field: PrimeField, elements, comp_gids, ad_x, ad_y,
+    def __init__(self, p: int, elements, comp_gids, ad_x, ad_y,
                  N: int, q: int | None = None, kind: str = "nottingham"):
-        self.field = field
-        self.p = field.p
+        self.p = p
         self.q = q
         self.kind = kind
         self.N = N
@@ -127,11 +127,13 @@ class GradedAlgebra:
 
     def _check_wellformed(self):
         """Raise ValueError unless the presentation is a thin graded
-        algebra's: bases of dimension 1 or 2, listed degree by degree as
-        the elements, with letters x or y: x then y in degree 1, with no
-        parent, and above it a parent one degree down; ad matrices of
-        matching shapes with entries in range(p).  This parents-first pass
-        sets each bidegree: the parent's, or (0, 0), plus the letter."""
+        algebra's over F_p: p a prime > 3; bases of dimension 1 or 2,
+        listed degree by degree as the elements, with letters x or y: x
+        then y in degree 1, with no parent, and above it a parent one
+        degree down; ad matrices of matching shapes with entries in
+        range(p)."""
+        if not is_field_char(self.p):
+            raise ValueError(f"p must be a prime > 3, got {self.p}")
         if not self.N_built >= self.N >= 1:
             raise ValueError(f"need N_built >= N >= 1, got N_built="
                              f"{self.N_built}, N={self.N}")
@@ -156,13 +158,9 @@ class GradedAlgebra:
                 if k == 1:
                     if e.parent_gid is not None or e.letter != "xy"[i]:
                         raise ValueError("degree 1 must have basis x, y")
-                    bx = by = 0
-                elif e.parent_gid in self.comp_gids[k - 1]:
-                    bx, by = self.elements[e.parent_gid].bidegree
-                else:
+                elif e.parent_gid not in self.comp_gids[k - 1]:
                     raise ValueError(f"basis element {g} has no parent in "
                                      f"degree {k - 1}")
-                e.bidegree = (bx + (e.letter == "x"), by + (e.letter == "y"))
         field = range(self.p)
         for k in range(1, self.N_built):
             for letter in ("x", "y"):
@@ -206,9 +204,19 @@ class GradedAlgebra:
         v[e.index] = 1
         return (e.degree, tuple(v))
 
+    def bidegrees(self) -> list:
+        """The bidegree (x count, y count) of each basis element's word, by
+        gid: the parent's, or (0, 0), plus the letter.  A parent has a
+        lower gid, so one pass in gid order reads each parent's first."""
+        out = []
+        for e in self.elements:
+            bx, by = (0, 0) if e.parent_gid is None else out[e.parent_gid]
+            out.append((bx + (e.letter == "x"), by + (e.letter == "y")))
+        return out
+
     def support(self):
         """Set of bidegrees of basis elements in degrees 1..N."""
-        return {e.bidegree for e in self.elements if e.degree <= self.N}
+        return set(self.bidegrees()[:self.comp_gids[self.N][-1] + 1])
 
     # -- adjoint action -----------------------------------------------------
 
@@ -563,17 +571,18 @@ class GradedAlgebra:
                 sep = "," + n2
         out.write(("[]" if sep[0] == "[" else nl[1] + "]") + "," + nl[1]
                   + '"components": [')
+        bidegrees = self.bidegrees()
         for k, words in enumerate(self.basis_words(self.N), 1):
-            basis = self.basis(k)
+            gids = self.comp_gids[k]
             out.write(
                 ("," if k > 1 else "") + nl[2] + "{" + nl[3]
                 + '"basis_words": '
                 + arr(['"' + w + '"' for w in words], 4) + "," + nl[3]
                 + '"bidegrees": '
-                + arr([arr([str(b) for b in e.bidegree], 5)
-                       for e in basis], 4) + "," + nl[3]
+                + arr([arr([str(b) for b in bidegrees[g]], 5)
+                       for g in gids], 4) + "," + nl[3]
                 + '"degree": ' + str(k) + "," + nl[3]
-                + '"dims": ' + str(len(basis)) + nl[2] + "}")
+                + '"dims": ' + str(len(gids)) + nl[2] + "}")
         out.write(nl[1] + "]," + nl[1] + '"p": ' + str(self.p) + ","
                   + nl[1] + '"q": '
                   + ("null" if self.q is None else str(self.q)) + ","
@@ -582,8 +591,9 @@ class GradedAlgebra:
 
     def to_structure_json(self) -> dict:
         """Structure-constant document (canonical interchange format)."""
+        bidegrees = self.bidegrees()
         comps = [{"degree": k, "dims": len(words), "basis_words": words,
-                  "bidegrees": [list(e.bidegree) for e in self.basis(k)]}
+                  "bidegrees": [list(bidegrees[g]) for g in self.comp_gids[k]]}
                  for k, words in enumerate(self.basis_words(self.N), 1)]
         ad_x, ad_y = ([[list(r) for r in self.ad[t][k]]
                        for k in range(1, self.N)] for t in "xy")
@@ -663,9 +673,9 @@ class AlgebraBuilder:
     """Incremental degree-by-degree constructor used by the pattern compiler
     and the abstract-structure converters."""
 
-    def __init__(self, field: PrimeField, q: int | None = None,
+    def __init__(self, p: int, q: int | None = None,
                  kind: str = "nottingham"):
-        self.field = field
+        self.p = p
         self.q = q
         self.kind = kind
         self.elements = []
@@ -701,7 +711,7 @@ class AlgebraBuilder:
         missing = [k for k in range(1, built) if ad_x[k] is None]
         if missing:
             raise ValueError(f"adjoint maps not set in degrees {missing}")
-        return GradedAlgebra(self.field, self.elements, self.comp_gids,
+        return GradedAlgebra(self.p, self.elements, self.comp_gids,
                              ad_x, ad_y, N=N, q=self.q, kind=self.kind)
 
 
@@ -901,7 +911,7 @@ def _bidegree(L: GradedAlgebra, B: int, cap: int) -> list:
     every pair (tests/helpers.memo_pair_witnesses) fails first in the same
     total degree, and its generator pairs, which come first, give these
     witnesses."""
-    elements, witnesses = L.elements, []
+    elements, bidegrees, witnesses = L.elements, L.bidegrees(), []
     for g in L.comp_gids[1]:
         eg = elements[g]
         for e in elements[g:]:
@@ -909,11 +919,11 @@ def _bidegree(L: GradedAlgebra, B: int, cap: int) -> list:
                 break
             row = L.ad[e.letter][1][eg.index] if e.degree == 1 else \
                 L.ad[eg.letter][e.degree][e.index]
-            want = (eg.bidegree[0] + e.bidegree[0],
-                    eg.bidegree[1] + e.bidegree[1])
+            want = (bidegrees[g][0] + bidegrees[e.gid][0],
+                    bidegrees[g][1] + bidegrees[e.gid][1])
             tgt = L.comp_gids[e.degree + 1]
             witnesses += [(g, e.gid, s) for s, c in enumerate(row)
-                          if c and elements[tgt[s]].bidegree != want]
+                          if c and bidegrees[tgt[s]] != want]
     return witnesses
 
 

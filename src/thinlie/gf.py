@@ -1,10 +1,13 @@
 """Exact arithmetic over the prime field F_p and one incremental echelon
 routine.
 
-Scalars are machine ints reduced into [0, p).  Vectors are tuples, matrices
-are tuples of row tuples; echelon_add works on sparse vectors {key: coeff}
-and records how each pivot row was made from its inputs, so rank and
-solve_or_kernel both read off its elimination.  Everything here is exact;
+The field is given by its characteristic alone: every routine takes p as
+a plain int, and is_field_char says which p the package accepts (a
+GradedAlgebra refuses any other).  Scalars are machine ints reduced into
+[0, p).  Vectors are tuples, matrices are tuples of row tuples;
+echelon_add works on sparse vectors {key: coeff} and records how each
+pivot row was made from its inputs, so rank and solve_or_kernel both read
+off its elimination.  Everything here is exact;
 there is no floating point anywhere in the package.
 """
 
@@ -37,28 +40,8 @@ def smallest_prime_factor(n: int) -> int:
 
 
 def is_field_char(p) -> bool:
-    """Whether PrimeField(p) is defined: p is an int and a prime > 3."""
+    """Whether the package works over F_p: p is an int and a prime > 3."""
     return isinstance(p, int) and is_prime(p) and p > 3
-
-
-class PrimeField:
-    """The field F_p for an odd prime p > 3."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if not is_field_char(p):
-            raise ValueError(f"p must be a prime > 3, got {p}")
-        self.p = p
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
 
 
 # -- vectors ---------------------------------------------------------------

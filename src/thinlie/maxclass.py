@@ -13,7 +13,7 @@ entry.
 from __future__ import annotations
 
 from .engine import AlgebraBuilder, GradedAlgebra, ValidationReport, validate
-from .gf import PrimeField, is_field_char
+from .gf import is_field_char
 
 
 class SequenceError(ValueError):
@@ -91,12 +91,11 @@ def build_maxclass(seq: CentralizerSequence, N: int) -> GradedAlgebra:
     sequence: raises UnrealizableSequenceError when the induced brackets
     fail the Lie axioms (checked exhaustively to degree N).
     """
-    field = PrimeField(seq.p)
     p = seq.p
     n_int = N + 2
     if len(seq) < n_int - 1:
         raise SequenceError(f"sequence too short: need c_2..c_{n_int}")
-    b = AlgebraBuilder(field, q=None, kind="maxclass")
+    b = AlgebraBuilder(p, q=None, kind="maxclass")
     b.add_degree([(None, "x"), (None, "y")])
     b.add_degree([(1, "x")])
     b.set_ad(1, [(0,), (1,)], [(p - 1,), (0,)])

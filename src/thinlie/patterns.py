@@ -11,8 +11,8 @@ gap of q allowed only immediately after a type-1 fake.
 from __future__ import annotations
 
 from .engine import AlgebraBuilder, GradedAlgebra, validate
-from .gf import (PrimeField, is_field_char, smallest_prime_factor, vec_add,
-                 vec_is_zero, vec_scale)
+from .gf import (is_field_char, smallest_prime_factor, vec_add, vec_is_zero,
+                 vec_scale)
 from .maxclass import CentralizerSequence
 
 
@@ -270,7 +270,6 @@ def compile_pattern(pattern: DiamondPattern, N: int, guard: int = 2,
     validate where they check; bench/tracing.py still reads the pair.
     """
     p, q = pattern.p, pattern.q
-    field = PrimeField(p)
     if q < 7 or N < q + 2:
         raise PatternError("need q = p^n > 5 and N >= q + 2")
     n_int = N + guard
@@ -283,7 +282,7 @@ def compile_pattern(pattern: DiamondPattern, N: int, guard: int = 2,
     fake1 = {d for d, t in pattern.entries if t.kind == "fake1"}
     fake0 = {d for d, t in pattern.entries if t.kind == "fake0"}
 
-    b = AlgebraBuilder(field, q=q)
+    b = AlgebraBuilder(p, q=q)
     b.add_degree([(None, "x"), (None, "y")])
     for k in range(1, n_int):
         m = k + 1

@@ -1,20 +1,22 @@
-"""Shared test utilities: base-p binomial coefficients and the truncated
-divided power product, independent bracket oracle, the reducing
-reference formulation of the bracket kernel, the loop form of the column
-kernel, random admissible patterns and random well-formed presentations,
-corpus construction, and the readers of reports and algebras that only
-the tests use."""
+"""Shared test utilities: base-p binomial coefficients, the truncated
+divided power product and the tensor construction's ambient vectors
+through it, independent bracket oracle, the reducing reference
+formulation of the bracket kernel, the loop form of the column kernel,
+random admissible patterns and random well-formed presentations, corpus
+construction, and the readers of reports and algebras that only the
+tests use."""
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 from thinlie.engine import (CHECKS, AlgebraBuilder, DegreeOverflowError,
                             GradedAlgebra, OperatorFamily, ValidationReport,
                             validate)
-from thinlie.gf import (PrimeField, mat_apply_rows, vec_add, vec_is_zero,
-                        vec_neg, vec_scale, vec_sub, vec_zero)
+from thinlie.gf import (mat_apply_rows, vec_add, vec_is_zero, vec_neg,
+                        vec_scale, vec_sub, vec_zero)
 from thinlie.maxclass import CentralizerSequence, SequenceError, build_maxclass
 from thinlie.patterns import compile_pattern, family_pattern, uniqueness_sequence
 
@@ -58,6 +60,45 @@ def divided_power_product(i: int, j: int, q: int, p: int):
     if c == 0:
         return None
     return (c, i + j)
+
+
+def ambient_bracket(Ma, q: int, u: dict, v: dict) -> dict:
+    """[u, v] in Ma (x) F[eps; q] + F d, term by term through the truncated
+    divided power product, for v with Ma parts in degree 1 (x or y)."""
+    p, out = Ma.p, Counter()
+    for k1, c1 in u.items():
+        for k2, c2 in v.items():
+            if k1 == k2 == ("d",):
+                continue
+            if ("d",) in (k1, k2):
+                # [A (x) eps^(j), x] = A (x) eps^(j-1) = -[x, A (x) eps^(j)]
+                (_, g, j), sign = (k1, 1) if k2 == ("d",) else (k2, -1)
+                if j:
+                    out[("e", g, j - 1)] += sign * c1 * c2
+                continue
+            (_, g1, j1), (_, g2, j2) = k1, k2
+            prod = divided_power_product(j1, j2, q, p)
+            if prod is None:
+                continue
+            d, row = Ma.apply_letter(Ma.as_element(g1),
+                                     Ma.elements[g2].letter)
+            for s, w in enumerate(row):
+                out[("e", Ma.gid(d, s), prod[1])] += c1 * c2 * prod[0] * w
+    return {k: c % p for k, c in out.items() if c % p}
+
+
+def tensor_ambient(L, Ma, q: int) -> list:
+    """The ambient vectors, by gid, of the basis of L =
+    tensor_construct(Ma, q, ...): x is ('d',), y is X (x) eps^(q-2) +
+    Y (x) eps^(q-1), and each element above degree 1 is its parent's
+    vector bracketed through ambient_bracket with its letter's generator."""
+    gens = {"x": {("d",): 1},
+            "y": {("e", Ma.gid(1, 0), q - 2): 1, ("e", Ma.gid(1, 1), q - 1): 1}}
+    out = []
+    for e in L.elements:
+        out.append(gens[e.letter] if e.parent_gid is None else
+                   ambient_bracket(Ma, q, out[e.parent_gid], gens[e.letter]))
+    return out
 
 
 def failure_degrees(report, L) -> list:
@@ -367,7 +408,7 @@ def build_corpus():
     L, rep = compile_pattern(pat, 200, guard=Q + 2)
     out["uniqueness"] = (L, rep, pat)
     M = build_maxclass(metabelian_sequence(P, 40), 30)
-    T, _ = tensor_construct(M, Q, N, guard=Q + 2)
+    T = tensor_construct(M, Q, N, guard=Q + 2)
     out["T72_metabelian"] = (T, validate(T), family_pattern("e", P, Q, N + 40))
     Lq, patq = nottingham_Nqr(Q, Q, N)
     out["N77"] = (Lq, validate(Lq), patq)
@@ -382,7 +423,7 @@ def corrupt_ad(L, letter, k, i, s):
     ad[letter][k][i][s] = (ad[letter][k][i][s] + 1) % L.p
     ad_x, ad_y = ([rows if rows is None else tuple(map(tuple, rows))
                    for rows in ad[t]] for t in "xy")
-    return GradedAlgebra(L.field, L.elements, L.comp_gids, ad_x, ad_y,
+    return GradedAlgebra(L.p, L.elements, L.comp_gids, ad_x, ad_y,
                          N=L.N, q=L.q)
 
 
@@ -574,7 +615,7 @@ def random_presentation(p, dims, seed):
     entries: no Lie algebra, but any ad data the kernels must handle,
     two-dimensional components side by side among them."""
     rng = random.Random(seed)
-    b = AlgebraBuilder(PrimeField(p))
+    b = AlgebraBuilder(p)
     b.add_degree([(None, "x"), (None, "y")])
     for n in dims[1:]:
         prev = b.comp_gids[-1]
@@ -622,16 +663,16 @@ def memo_pair_witnesses(L, B):
            for da in range(1, (total - 1) // 2 + 1)
            for ga in comp[da] for gb in comp[total - 1 - da] if gb >= ga
            for gs in comp[1] if any(jacobi_sum(L, ga, gb, gs))]
-    bideg = []
+    bideg, bidegrees = [], L.bidegrees()
     for e1 in elements:
         for e2 in elements[e1.gid:]:
             if e1.degree + e2.degree > B:
                 continue
-            want = (e1.bidegree[0] + e2.bidegree[0],
-                    e1.bidegree[1] + e2.bidegree[1])
-            tgt = L.basis(e1.degree + e2.degree)
+            want = (bidegrees[e1.gid][0] + bidegrees[e2.gid][0],
+                    bidegrees[e1.gid][1] + bidegrees[e2.gid][1])
+            tgt = comp[e1.degree + e2.degree]
             for s, c in enumerate(bb(e1.gid, e2.gid)):
-                if c and tgt[s].bidegree != want:
+                if c and bidegrees[tgt[s]] != want:
                     bideg.append((e1.gid, e2.gid, s))
     return {"antisymmetry": anti, "jacobi": jac, "bidegree": bideg}
 

@@ -10,7 +10,7 @@ import random
 
 from helpers import (P, Q, coclass_excess, failure_degrees, failures,
                      lemma_count, lucas_binom, metabelian_sequence,
-                     q_brackets, random_tq2_pattern)
+                     q_brackets, random_tq2_pattern, tensor_ambient)
 from thinlie.constructions import deflate, tensor_construct
 from thinlie.derivations import build_D, roundtrip_check, verify_leibniz
 from thinlie.engine import validate
@@ -115,7 +115,8 @@ def test_criterion_4_detect_compile_roundtrip(corpus):
 
 def test_criterion_5_tensor_construction(corpus):
     Ma = build_maxclass(metabelian_sequence(P, 40), 30)
-    L, ambient = tensor_construct(Ma, Q, 100)
+    L = tensor_construct(Ma, Q, 100)
+    ambient = tensor_ambient(L, Ma, Q)
     pat, _ = detect(L)
     want = family_pattern("e", P, Q, 100)
     ok = validate(L).ok and pat.entries == want.truncate(100).entries

@@ -50,12 +50,13 @@ def _n7():
 def _bidegree_breaking(L, letter="x"):
     """L with one ad letter entry on degree >= 2 moved onto a basis
     element of the wrong bidegree."""
+    bidegrees = L.bidegrees()
     for k in range(2, L.N - 1):
-        for i, src in enumerate(L.basis(k)):
-            want = (src.bidegree[0] + (letter == "x"),
-                    src.bidegree[1] + (letter == "y"))
-            for s, tgt in enumerate(L.basis(k + 1)):
-                if tgt.bidegree != want:
+        for i, src in enumerate(L.comp_gids[k]):
+            want = (bidegrees[src][0] + (letter == "x"),
+                    bidegrees[src][1] + (letter == "y"))
+            for s, tgt in enumerate(L.comp_gids[k + 1]):
+                if bidegrees[tgt] != want:
                     return corrupt_ad(L, letter, k, i, s)
     raise AssertionError(f"no ad {letter} entry to corrupt")
 

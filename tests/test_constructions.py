@@ -7,10 +7,10 @@ from collections import Counter
 
 import pytest
 
-from helpers import (P, Q, ad_operator, backbone_sequence,
+from helpers import (P, Q, ad_operator, ambient_bracket, backbone_sequence,
                      divided_power_product, eager_commutator,
                      extract_centralizer_sequence, inner_operator,
-                     lucas_binom, metabelian_sequence, words)
+                     lucas_binom, metabelian_sequence, tensor_ambient, words)
 from thinlie.constructions import (DEFLATE_GUARD, ConstructionError,
                                    _generators, _on_generators, _power,
                                    deflate, nottingham_Nqr,
@@ -93,10 +93,12 @@ def test_derivation_leibniz(q):
 
 @pytest.fixture(scope="module")
 def t72_metabelian():
-    """(algebra, ambient, maximal-class input) of the tensor construction
-    over the metabelian algebra."""
+    """(algebra, ambient vectors from the divided-power oracle,
+    maximal-class input) of the tensor construction over the metabelian
+    algebra."""
     Ma = build_maxclass(metabelian_sequence(P, 40), 30)
-    return (*tensor_construct(Ma, Q, 100), Ma)
+    L = tensor_construct(Ma, Q, 100)
+    return L, tensor_ambient(L, Ma, Q), Ma
 
 
 def test_tensor_v1_ambient(t72_metabelian):
@@ -127,7 +129,7 @@ def test_tensor_detects_as_all_infinite(t72_metabelian):
 def test_tensor_matches_sequence_pattern():
     seq = backbone_sequence(30)
     M = build_maxclass(seq, 26)
-    L, _ = tensor_construct(M, Q, 140)
+    L = tensor_construct(M, Q, 140)
     assert validate(L).ok
     pat, _ = detect(L)
     want = family_pattern("tq2", P, Q, 140,
@@ -141,18 +143,19 @@ def test_tensor_bidegrees_match_ambient():
     # ambient bidegrees (X at (q-2,1), Y at (q-1,1), eps^(1) at (-1,0), the
     # derivation generator at (1,0)) agree with the engine word bidegrees
     Ma = build_maxclass(metabelian_sequence(P, 30), 25)
-    L, ambient = tensor_construct(Ma, Q, 60)
-    for e in L.elements:
-        amb = ambient[e.gid]
+    L = tensor_construct(Ma, Q, 60)
+    ma_bidegrees = Ma.bidegrees()   # counts of X and Y letters
+    for g, (amb, bidegree) in enumerate(zip(tensor_ambient(L, Ma, Q),
+                                            L.bidegrees())):
         bids = set()
         for key in amb:
             if key == ("d",):
                 bids.add((1, 0))
                 continue
-            _, g, j = key
-            a, b = Ma.elements[g].bidegree   # counts of X and Y letters
+            _, h, j = key
+            a, b = ma_bidegrees[h]
             bids.add((a * (Q - 2) + b * (Q - 1) - j, a + b))
-        assert bids == {e.bidegree}, e.gid
+        assert bids == {bidegree}, g
 
 
 def test_tensor_equals_compiled_structure():
@@ -160,7 +163,7 @@ def test_tensor_equals_compiled_structure():
     # arithmetic vs the local diamond relation rules; the structure
     # constants must agree entry for entry
     M = build_maxclass(metabelian_sequence(P, 40), 30)
-    A, _ = tensor_construct(M, Q, 100)
+    A = tensor_construct(M, Q, 100)
     B, _ = compile_pattern(family_pattern("e", P, Q, 140), 100,
                            run_validation=False)
     assert words(A) == words(B)
@@ -171,7 +174,7 @@ def test_tensor_equals_compiled_structure():
 
 def test_tensor_backbone_equals_compiled_structure():
     M = build_maxclass(uniqueness_sequence(P, 1, 40), 32)
-    A, _ = tensor_construct(M, Q, 150)
+    A = tensor_construct(M, Q, 150)
     B, _ = compile_pattern(family_pattern("uniqueness", P, Q, 200, s=1), 150,
                            run_validation=False)
     assert words(A) == words(B)
@@ -180,42 +183,19 @@ def test_tensor_backbone_equals_compiled_structure():
         assert A.ad["y"][k] == B.ad["y"][k], k
 
 
-def _ambient_bracket(Ma, q: int, u: dict, v: dict) -> dict:
-    """[u, v] in Ma (x) F[eps; q] + F d, term by term through the truncated
-    divided power product, for v with Ma parts in degree 1 (x or y)."""
-    p, out = Ma.p, Counter()
-    for k1, c1 in u.items():
-        for k2, c2 in v.items():
-            if k1 == k2 == ("d",):
-                continue
-            if ("d",) in (k1, k2):
-                # [A (x) eps^(j), x] = A (x) eps^(j-1) = -[x, A (x) eps^(j)]
-                (_, g, j), sign = (k1, 1) if k2 == ("d",) else (k2, -1)
-                if j:
-                    out[("e", g, j - 1)] += sign * c1 * c2
-                continue
-            (_, g1, j1), (_, g2, j2) = k1, k2
-            prod = divided_power_product(j1, j2, q, p)
-            if prod is None:
-                continue
-            d, row = Ma.apply_letter(Ma.as_element(g1),
-                                     Ma.elements[g2].letter)
-            for s, w in enumerate(row):
-                out[("e", Ma.gid(d, s), prod[1])] += c1 * c2 * prod[0] * w
-    return {k: c % p for k, c in out.items() if c % p}
-
-
 @pytest.mark.parametrize("p,q", [(7, 7), (5, 25), (7, 49), (11, 11)])
 @pytest.mark.parametrize("kind", ["metabelian", "uniqueness"])
 def test_tensor_ad_rows_match_divided_power_oracle(p, q, kind):
-    # the closed-form generator brackets against the general product: for
-    # every basis element b and t in {x, y}, the ambient image [b, t] is
-    # the combination of ambient elements that the ad t row of b gives
+    # the closed-form generator brackets against the general product: with
+    # each basis element's ambient vector grown through it (tensor_ambient),
+    # for every b and t in {x, y} the image [b, t] is the combination of
+    # ambient vectors that the ad t row of b gives
     m = 3 * p + 2      # past the first 'X' of the s = 1 sequence, at 2p
     seq = (metabelian_sequence(p, m + 2) if kind == "metabelian"
            else uniqueness_sequence(p, 1, m + 2))
     Ma = build_maxclass(seq, m)
-    L, ambient = tensor_construct(Ma, q, (m - 3) * (q - 1) - 2)
+    L = tensor_construct(Ma, q, (m - 3) * (q - 1) - 2)
+    ambient = tensor_ambient(L, Ma, q)
     gens = [ambient[g] for g in L.comp_gids[1]]
     for e in L.elements:
         if e.degree == L.N_built:
@@ -225,7 +205,7 @@ def test_tensor_ad_rows_match_divided_power_oracle(p, q, kind):
             for s, c in enumerate(L.ad[t][e.degree][e.index]):
                 for key, a in ambient[L.gid(e.degree + 1, s)].items():
                     want[key] += c * a
-            assert _ambient_bracket(Ma, q, ambient[e.gid], gen) == \
+            assert ambient_bracket(Ma, q, ambient[e.gid], gen) == \
                 {k: c % p for k, c in want.items() if c % p}, (e.gid, t)
 
 
@@ -559,13 +539,13 @@ def test_tensor_construct_leaves_the_memo_empty():
     # the construction brackets only with the generators X and Y of its
     # input, and reads those brackets off the input's ad rows
     M = build_maxclass(metabelian_sequence(P, 40), 36)
-    L, _ = tensor_construct(M, Q, 200)
+    L = tensor_construct(M, Q, 200)
     assert L.N == 200 and len(M._memo) == 0
 
 
 def test_tensor_q49():
     M = build_maxclass(metabelian_sequence(P, 12), 8)
-    L, _ = tensor_construct(M, 49, 150)
+    L = tensor_construct(M, 49, 150)
     assert validate(L).ok
     pat, _ = detect(L)
     want = family_pattern("e", P, 49, 150)

@@ -322,7 +322,7 @@ def test_roundtrip_branch_sequence():
     for j in xpos:
         ent[j - 2] = "X"
     M = build_maxclass(CentralizerSequence(P, ent), 76)
-    T, _ = tensor_construct(M, Q, 400)
+    T = tensor_construct(M, Q, 400)
     pat, _ = detect(T)
     from thinlie.patterns import family_pattern
     want = family_pattern("tq2", P, Q, 400,

@@ -16,7 +16,7 @@ from helpers import (P, Q, ad_operator, centralizer_in_L1, coclass_excess,
 from thinlie.derivations import fill
 from thinlie.engine import (AlgebraBuilder, BasisElement, DegreeOverflowError,
                             GradedAlgebra, validate)
-from thinlie.gf import PrimeField, vec_is_zero, vec_scale
+from thinlie.gf import vec_is_zero, vec_scale
 from thinlie.maxclass import build_maxclass
 from thinlie.patterns import compile_pattern, family_pattern
 
@@ -155,7 +155,7 @@ def test_corrupted_sandwich_and_covering_detected(n7):
     ad_y = [None if rows is None else [list(r) for r in rows]
             for rows in n7.ad["y"]]
     ad_y[5][0][0] = 1     # followed by the nonzero ad_y into the diamond
-    bad = GradedAlgebra(n7.field, n7.elements, n7.comp_gids, n7.ad["x"],
+    bad = GradedAlgebra(n7.p, n7.elements, n7.comp_gids, n7.ad["x"],
                         [rows if rows is None else tuple(tuple(r) for r in rows)
                          for rows in ad_y],
                         N=n7.N, q=n7.q)
@@ -164,7 +164,7 @@ def test_corrupted_sandwich_and_covering_detected(n7):
     ad_x = [None if rows is None else [list(r) for r in rows]
             for rows in n7.ad["x"]]
     ad_x[20][0] = [0]
-    bad2 = GradedAlgebra(n7.field, n7.elements, n7.comp_gids,
+    bad2 = GradedAlgebra(n7.p, n7.elements, n7.comp_gids,
                          [rows if rows is None else tuple(tuple(r) for r in rows)
                           for rows in ad_x],
                          n7.ad["y"], N=n7.N, q=n7.q)
@@ -240,29 +240,38 @@ def test_word_reproduction(n7):
 
 
 def test_bidegree_additivity_spot(n7):
+    bidegrees = n7.bidegrees()
     for e1 in n7.elements[:40]:
         for e2 in n7.elements[:40]:
             if e1.degree + e2.degree > 40:
                 continue
             w = n7.bracket_basis(e1.gid, e2.gid)
-            tgt = n7.basis(e1.degree + e2.degree)
-            want = (e1.bidegree[0] + e2.bidegree[0],
-                    e1.bidegree[1] + e2.bidegree[1])
+            tgt = n7.comp_gids[e1.degree + e2.degree]
+            want = (bidegrees[e1.gid][0] + bidegrees[e2.gid][0],
+                    bidegrees[e1.gid][1] + bidegrees[e2.gid][1])
             for s, c in enumerate(w):
                 if c:
-                    assert tgt[s].bidegree == want
+                    assert bidegrees[tgt[s]] == want
 
 
 def test_support_argument_soundness(n7):
-    supp = n7.support()
+    supp, bidegrees = n7.support(), n7.bidegrees()
     for e1 in n7.elements:
         for e2 in n7.elements:
             if e1.degree + e2.degree > 40:
                 continue
-            want = (e1.bidegree[0] + e2.bidegree[0],
-                    e1.bidegree[1] + e2.bidegree[1])
+            want = (bidegrees[e1.gid][0] + bidegrees[e2.gid][0],
+                    bidegrees[e1.gid][1] + bidegrees[e2.gid][1])
             if want not in supp:
                 assert vec_is_zero(n7.bracket_basis(e1.gid, e2.gid))
+
+
+def test_bidegrees_count_the_letters_of_the_words(corpus):
+    # bidegrees() walks the parents; the spelled-out words check it
+    # independently.  The corpus's N77 is a deflate output
+    for name, (L, _, _) in corpus.items():
+        assert L.bidegrees() == [(w.count("x"), w.count("y"))
+                                 for w in words(L)], name
 
 
 def test_structure_json(n7):
@@ -298,10 +307,9 @@ def _finish_under_optimize(body):
     code = f"""
 import sys
 from thinlie.engine import AlgebraBuilder
-from thinlie.gf import PrimeField
 if not sys.flags.optimize:
     sys.exit("not optimized")
-b = AlgebraBuilder(PrimeField(7))
+b = AlgebraBuilder(7)
 b.add_degree([(None, "x"), (None, "y")])
 {body}
 try:
@@ -343,7 +351,7 @@ b.set_ad(1, [(0,), (ENTRY,)], [(1,), (0,)])
 def test_elements_must_be_the_bases_in_degree_order(n7):
     extra = BasisElement(len(n7.elements), 1, 0, None, "x")
     with pytest.raises(ValueError, match="degree by degree"):
-        GradedAlgebra(n7.field, n7.elements + (extra,), n7.comp_gids,
+        GradedAlgebra(n7.p, n7.elements + (extra,), n7.comp_gids,
                       n7.ad["x"], n7.ad["y"], N=n7.N, q=n7.q)
 
 
@@ -373,7 +381,7 @@ def test_constructor_refuses_what_dimensions_would_report(words, comp_gids,
     N = len(comp_gids) - 1
     ad = [None] * len(comp_gids)
     with pytest.raises(ValueError, match=message):
-        GradedAlgebra(PrimeField(P), _elements(words), comp_gids, ad, ad,
+        GradedAlgebra(P, _elements(words), comp_gids, ad, ad,
                       N=N, q=Q)
 
 
@@ -391,7 +399,7 @@ def test_constructor_refuses_bad_parents_and_letters(degrees, message):
     # (parent_gid, letter) is all an element records, so the constructor
     # refuses any that the bracket cannot read: a letter other than x or y
     # has no ad matrix, and a parent must sit one degree down
-    b = AlgebraBuilder(PrimeField(P))
+    b = AlgebraBuilder(P)
     for entries in degrees:
         b.add_degree(entries)
     for k in range(1, len(degrees)):
@@ -402,13 +410,15 @@ def test_constructor_refuses_bad_parents_and_letters(degrees, message):
 
 
 def test_an_algebra_holds_its_bases_compactly():
-    # an element is six slots, bidegree among them as a plain attribute;
-    # the builder stores each distinct ad matrix once and lists the
-    # elements' own gid ints as the bases.  On family a at n = 20 000 the
-    # algebra holds about 317 bytes per element; a __dict__ per element, a
-    # matrix per degree and a copy of every gid would hold about 492
+    # an element is five slots, its bidegree not among them (bidegrees()
+    # derives it on read); the builder stores each distinct ad matrix once
+    # and lists the elements' own gid ints as the bases.  On family a at
+    # n = 20 000 the algebra holds about 209 bytes per element; a stored
+    # bidegree held 317, and a __dict__ per element, a matrix per degree
+    # and a copy of every gid about 492
     assert not hasattr(BasisElement(0, 1, 0, None, "x"), "__dict__")
-    assert "bidegree" in BasisElement.__slots__
+    assert BasisElement.__slots__ == ("gid", "degree", "index", "parent_gid",
+                                      "letter")
     pat = family_pattern("a", 7, 49, 20100)
     gc.collect()
     tracemalloc.start()
@@ -422,4 +432,4 @@ def test_an_algebra_holds_its_bases_compactly():
     matrices = [m for t in "xy" for m in L.ad[t][1:L.N_built]]
     assert len({id(m) for m in matrices}) == len(set(matrices)) < 10
     assert all(g is L.elements[g].gid for gids in L.comp_gids for g in gids)
-    assert held / len(L.elements) <= 400, held / len(L.elements)
+    assert held / len(L.elements) <= 260, held / len(L.elements)

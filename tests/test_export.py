@@ -49,7 +49,7 @@ def test_corpus_algebra(corpus, name):
 
 def test_tensor_construction():
     M = build_maxclass(backbone_sequence(60), 40)
-    assert_written_as_dumps(tensor_construct(M, Q, 120)[0])
+    assert_written_as_dumps(tensor_construct(M, Q, 120))
 
 
 def test_nqr_algebra():
@@ -80,7 +80,7 @@ def test_smallest_N_of_each_builder():
     builders = [
         lambda N: compile_pattern(family_pattern("a", P, Q, N + 20), N,
                                   run_validation=False)[0],
-        lambda N: tensor_construct(M30, Q, N)[0],
+        lambda N: tensor_construct(M30, Q, N),
         lambda N: nottingham_Nqr(Q, Q, N)[0],
         lambda N: deflate(source, N),
     ]

@@ -6,15 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import echelon, kernel, lucas_binom
-from thinlie.gf import (PrimeField, echelon_add, mat_apply_rows, rank,
+from thinlie.engine import AlgebraBuilder
+from thinlie.gf import (echelon_add, mat_apply_rows, rank,
                         smallest_prime_factor, solve_or_kernel)
 
 
-def test_prime_field_validates():
-    assert PrimeField(7).p == 7
+def test_an_algebra_refuses_a_bad_characteristic():
+    # p is a plain int, checked where every algebra is built
+    def build(p):
+        b = AlgebraBuilder(p)
+        b.add_degree([(None, "x"), (None, "y")])
+        b.add_degree([(1, "x")])
+        b.set_ad(1, [(0,), (1,)], [(0,), (0,)])
+        return b.finish(N=2)
+
+    assert build(7).p == 7
     for bad in (2, 3, 4, 9, 1, 0, 49):
-        with pytest.raises(ValueError):
-            PrimeField(bad)
+        with pytest.raises(ValueError, match=f"p must be a prime > 3, got {bad}$"):
+            build(bad)
 
 
 def test_lucas_examples():

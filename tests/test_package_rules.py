@@ -18,7 +18,6 @@ from pathlib import Path
 from thinlie.derivations import RoundtripReport
 from thinlie.engine import (BasisElement, CheckResult, GradedAlgebra,
                             ValidationReport)
-from thinlie.gf import PrimeField
 from thinlie.patterns import DiamondPattern, DiamondType, LemmaInstance
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "thinlie"
@@ -246,17 +245,15 @@ def test_record_semantics():
     assert CheckResult("x", True).witnesses is not \
         CheckResult("y", True).witnesses
     assert RoundtripReport().stages is not RoundtripReport().stages
-    # an element records its parent and letter, no word; bidegree is a
-    # plain attribute, None until the algebra's constructor sets it from
-    # the parent's bidegree and the letter
+    # an element records its parent and letter, no word and no bidegree;
+    # the algebra derives the bidegrees from the parents and letters
     gens = [BasisElement(0, 1, 0, None, "x"), BasisElement(1, 1, 1, None, "y")]
     e = BasisElement(2, 2, 0, 1, "x")
     assert not hasattr(e, "word") and not hasattr(e, "__dict__")
-    assert e.bidegree is None
-    GradedAlgebra(PrimeField(7), gens + [e], [(), (0, 1), (2,)],
-                  [None, ((0,), (1,))], [None, ((6,), (0,))], N=2)
-    assert [g.bidegree for g in gens] == [(1, 0), (0, 1)]
-    assert e.bidegree == (1, 1)
+    assert not hasattr(e, "bidegree")
+    L = GradedAlgebra(7, gens + [e], [(), (0, 1), (2,)],
+                      [None, ((0,), (1,))], [None, ((6,), (0,))], N=2)
+    assert L.bidegrees() == [(1, 0), (0, 1), (1, 1)]
     # the report is taken positionally, as bench/tracing.py builds it
     checks = [CheckResult("jacobi", True), CheckResult("words", False, [3])]
     rep = ValidationReport(checks)

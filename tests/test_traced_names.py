@@ -77,7 +77,7 @@ def test_gf_spans_see_calls(tracing):
     # so a changed signature cannot leave either metric reading 0
     M = build_maxclass(metabelian_sequence(P, 12), 8)
     with tracing.Tracer() as tracer:
-        L, _ = tensor_construct(M, Q, 40)
+        L = tensor_construct(M, Q, 40)
         assert engine.validate(L).ok
     metrics = tracer.layer_metrics()
     assert metrics["gf.solve_or_kernel.calls"] > 0, metrics
